@@ -29,6 +29,31 @@ class AlgebraShape:
     def num_blocks(self) -> int:
         return len(self.block_dims)
 
+    @property
+    def basis_size(self) -> int:
+        """N = sum n_k^2, the number of matrix units."""
+        return sum(n * n for n in self.block_dims)
+
+    def _offsets(self) -> list[int]:
+        """Basis index of each block's first matrix unit E^(k)_00."""
+        return [sum(n * n for n in self.block_dims[:k]) for k in range(self.num_blocks)]
+
+    def unit_products(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Basis indices (u, v, w) with E_u E_v = E_w; every other product of matrix units is 0."""
+        out = []
+        for off, n in zip(self._offsets(), self.block_dims):
+            i, j, q = np.indices((n, n, n)).reshape(3, -1)
+            out.append((off + i * n + j, off + j * n + q, off + i * n + q))
+        return tuple(np.concatenate(col) for col in zip(*out))
+
+    def star_index(self) -> np.ndarray:
+        """Basis index of E_u* = E^(k)_ji for each matrix unit E_u = E^(k)_ij."""
+        out = []
+        for off, n in zip(self._offsets(), self.block_dims):
+            i, j = np.indices((n, n)).reshape(2, -1)
+            out.append(off + j * n + i)
+        return np.concatenate(out)
+
     def unit(self) -> AlgebraElement:
         return AlgebraElement(self, tuple(np.eye(n, dtype=complex) for n in self.block_dims))
 
@@ -40,12 +65,14 @@ class AlgebraShape:
         blocks[k][i, j] = 1.0
         return AlgebraElement(self, tuple(blocks))
 
+    def labels(self) -> list[tuple[int, int, int]]:
+        """Labels (k, i, j) of the matrix units E^(k)_ij, in basis order."""
+        return [(k, i, j) for k, n in enumerate(self.block_dims) for i in range(n) for j in range(n)]
+
     def basis(self) -> Iterator[tuple[tuple[int, int, int], AlgebraElement]]:
         """All matrix units E^(k)_ij with their labels; they span the algebra."""
-        for k, n in enumerate(self.block_dims):
-            for i in range(n):
-                for j in range(n):
-                    yield (k, i, j), self.matrix_unit(k, i, j)
+        for label in self.labels():
+            yield label, self.matrix_unit(*label)
 
     def random_element(self, rng: np.random.Generator, scale: float = 1.0) -> AlgebraElement:
         blocks = tuple(
@@ -154,6 +181,20 @@ class Automorphism:
         for k, s in enumerate(self.conjugators):
             out[self.perm[k]] = s @ a.blocks[k] @ self._conjugator_invs[k]
         return AlgebraElement(self.shape, tuple(out))
+
+    def matrix(self) -> np.ndarray:
+        """sigma on the matrix-unit basis: row u holds the block coefficients of sigma(E_u).
+
+        sigma(E^(k)_ij) = S_k[:, i] S_k^{-1}[j, :] sits in block perm(k), so the
+        block (k, perm(k)) of the matrix is kron(S_k^T, S_k^{-1}).
+        """
+        offsets = self.shape._offsets()
+        size = self.shape.basis_size
+        out = np.zeros((size, size), dtype=complex)
+        for k, (n, s, s_inv) in enumerate(zip(self.shape.block_dims, self.conjugators, self._conjugator_invs)):
+            row, col = offsets[k], offsets[self.perm[k]]
+            out[row:row + n * n, col:col + n * n] = np.kron(s.T, s_inv)
+        return out
 
     def inverse(self) -> Automorphism:
         cached = getattr(self, "_inverse", None)

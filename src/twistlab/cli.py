@@ -23,7 +23,7 @@ from .files import (
     triple_to_json,
 )
 from .gauge import gauge_dirac, selfadjointness_report
-from .linalg import Tolerance, dagger, rel_defect
+from .linalg import DEFAULT_TOL, Tolerance, dagger, rel_defect
 from .models import build_u1u2, verify_fluctuation_formula
 from .morita import (
     build_left_triple,
@@ -68,7 +68,7 @@ def cmd_check(args) -> int:
         t = load_triple(args.triple)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         return _fail(str(exc))
-    tol = Tolerance(args.tol)
+    tol = args.tol
     report = check_axioms(t, samples=args.samples, seed=args.seed, tol=tol)
     eps = tol.abs_eps
     if args.json:
@@ -136,7 +136,7 @@ def cmd_fluctuate(args) -> int:
         p = load_pert(args.pert, t.shape)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         return _fail(str(exc))
-    tol = Tolerance(args.tol)
+    tol = args.tol
     try:
         report = fluctuate(t, p, tol)
     except ValueError as exc:
@@ -180,7 +180,7 @@ def cmd_gauge(args) -> int:
         u = load_unitary(args.unitary, t.shape)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         return _fail(str(exc))
-    tol = Tolerance(args.tol)
+    tol = args.tol
     try:
         p = normalize(t, p)
         report = gauge_dirac(t, p, u, tol)
@@ -242,7 +242,7 @@ def cmd_model(args) -> int:
         ky = _parse_complex(args.ky)
     except ValueError:
         return _fail("--kx/--ky must be RE,IM pairs")
-    tol = Tolerance(args.tol)
+    tol = args.tol
     model = build_u1u2(kx, ky, seed=args.seed)
     rng = np.random.default_rng(args.seed)
     max_defect = 0.0
@@ -283,7 +283,7 @@ def cmd_morita(args) -> int:
         t = load_triple(args.triple)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         return _fail(str(exc))
-    tol = Tolerance(args.tol)
+    tol = args.tol
 
     if args.self_morita:
         if not args.omega:
@@ -369,6 +369,23 @@ def cmd_morita(args) -> int:
     return 0 if ok else 1
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _tolerance(text: str) -> Tolerance:
+    try:
+        return Tolerance(float(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}") from None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="twistlab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"twistlab {__version__}")
@@ -377,11 +394,11 @@ def main(argv=None) -> int:
     def common(p):
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-        p.add_argument("--tol", type=float, default=1e-10, help="comparison tolerance")
+        p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="comparison tolerance (> 0)")
 
     p = sub.add_parser("check", help="verify the axioms of a triple file")
     p.add_argument("triple")
-    p.add_argument("--samples", type=int, default=10)
+    p.add_argument("--samples", type=_positive_int, default=10, help="random elements sampled (>= 1)")
     p.add_argument("--require-first-order", action="store_true")
     common(p)
     p.set_defaults(func=cmd_check)

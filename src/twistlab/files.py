@@ -6,6 +6,7 @@ invertibility, unitarity, idempotency); spectral axioms stay with `check`.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -34,13 +35,29 @@ def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
     return [[complex_to_json(z) for z in row] for row in m]
 
 
+def _complex_matrix(rows: list[list]) -> np.ndarray | None:
+    """One-shot conversion of well-formed [re, im] entries; None if any entry is not a pair of numbers."""
+    entries = list(chain.from_iterable(rows))
+    if not entries or not all(type(z) is list and len(z) == 2 for z in entries):
+        return None
+    if not set(map(type, chain.from_iterable(entries))) <= {int, float}:
+        return None
+    try:
+        pairs = np.array(rows, dtype=float)
+    except OverflowError:
+        return None
+    return pairs.view(complex)[..., 0]
+
+
 def matrix_from_json(v: Any, shape: tuple[int, int] | None = None) -> np.ndarray:
     if not isinstance(v, list) or not v or not all(isinstance(r, list) for r in v):
         raise ValueError("matrix must be a non-empty nested array")
     ncols = len(v[0])
     if any(len(r) != ncols for r in v):
         raise ValueError("matrix rows must have equal length")
-    out = np.array([[complex_from_json(z) for z in row] for row in v])
+    out = _complex_matrix(v)
+    if out is None:   # the per-entry path names the first malformed entry
+        out = np.array([[complex_from_json(z) for z in row] for row in v])
     if shape is not None and out.shape != shape:
         raise ValueError(f"matrix of shape {out.shape} where {shape} expected")
     return out

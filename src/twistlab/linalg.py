@@ -64,10 +64,6 @@ def approx_eq(x: np.ndarray, y: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> boo
     return rel_defect(x, y) <= tol.abs_eps
 
 
-def is_zero(x: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-    return frobenius(np.asarray(x)) <= tol.abs_eps
-
-
 @dataclass(frozen=True)
 class AntilinearOp:
     """Antilinear operator psi -> mat @ conj(psi).

@@ -27,53 +27,137 @@ _KO_GRADED = {(1, 1, 1): 0, (-1, 1, -1): 2, (-1, 1, 1): 4, (1, 1, -1): 6}
 _KO_ODD = {(1, -1): 1, (-1, 1): 3, (-1, -1): 5, (1, 1): 7}
 
 
+# Working set, in bytes, of one chunk of a basis scan.  A scan holds at most one
+# (N, d, d) stack besides the representation's own, and walks the rest of the
+# basis, or of the N x N basis-pair grid, in chunks that fit this budget.
+SCAN_BUDGET_BYTES = 1 << 18
+
+_COMPLEX_BYTES = np.dtype(complex).itemsize
+
+# The first-order witness is the first pair whose defect is within this relative
+# distance of the maximum, so that pairs tied up to rounding resolve to the first.
+WITNESS_RTOL = 1e-12
+
+
+def _witness_index(defects: np.ndarray) -> int | None:
+    """Index of the first defect within WITNESS_RTOL of the maximum; None when every defect is 0."""
+    top = defects.max()
+    return int(np.argmax(defects >= top * (1.0 - WITNESS_RTOL))) if top > 0.0 else None
+
+
+def _slices(count: int, step: int) -> list[slice]:
+    return [slice(start, min(start + step, count)) for start in range(0, count, step)]
+
+
+def _chunk(d: int, buffers: int) -> int:
+    """How many (d, d) matrices per buffer fit the budget when `buffers` buffers are live (at least 1)."""
+    return max(1, SCAN_BUDGET_BYTES // (buffers * d * d * _COMPLEX_BYTES))
+
+
+def _tile(n: int, d: int, buffers: int) -> tuple[int, int]:
+    """(rows, cols) of a tile of the n x n pair grid within the budget: as many u as fit, then v."""
+    pairs = _chunk(d, buffers)
+    rows = min(n, pairs)
+    return rows, min(n, max(1, pairs // rows))
+
+
+def _tile_buffer(flat: np.ndarray, us: slice, vs: slice, d: int) -> np.ndarray:
+    """Contiguous (u, v, d, d) view of a reused flat buffer for the tile us x vs."""
+    shape = (us.stop - us.start, vs.stop - vs.start, d, d)
+    return flat[:shape[0] * shape[1] * d * d].reshape(shape)
+
+
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norms of the trailing (d, d) matrices of a contiguous stack."""
+    flat = x.reshape(*x.shape[:-2], -1).view(float)
+    return np.einsum("...i,...i->...", flat, flat)
+
+
+def _rel_defects(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """rel_defect of each matrix of stack x against y; x is overwritten by x - y."""
+    scale = np.sqrt(np.maximum(_sq_norms(x), _sq_norms(y)))
+    np.subtract(x, y, out=x)
+    return np.sqrt(_sq_norms(x)) / np.maximum(1.0, scale)
+
+
 @dataclass(frozen=True)
 class Representation:
-    """Linear extension of (k,i,j) -> pi(E^(k)_ij); unit_images[k] has shape (n_k, n_k, d, d)."""
+    """Linear extension of (k,i,j) -> pi(E^(k)_ij).
+
+    The basis images live in one contiguous (N, d*d) array ``stack``, N = sum n_k^2,
+    rows in basis order; unit_images[k] is the (n_k, n_k, d, d) view of block k.
+    """
 
     shape: AlgebraShape
     dim: int
     unit_images: tuple[np.ndarray, ...]
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.unit_images) != self.shape.num_blocks:
             raise ValueError("unit_images must have one entry per block")
-        coerced = []
+        d = self.dim
+        rows = []
         for n, u in zip(self.shape.block_dims, self.unit_images):
             arr = np.asarray(u, dtype=complex)
-            if arr.shape != (n, n, self.dim, self.dim):
+            if arr.shape != (n, n, d, d):
                 raise ValueError(
-                    f"unit images of shape {arr.shape} where ({n},{n},{self.dim},{self.dim}) expected"
+                    f"unit images of shape {arr.shape} where ({n},{n},{d},{d}) expected"
                 )
             if not np.all(np.isfinite(arr.view(float))):
                 raise ValueError("unit images must be finite")
-            coerced.append(arr)
-        object.__setattr__(self, "unit_images", tuple(coerced))
+            rows.append(arr.reshape(n * n, d * d))
+        # one block needs no copy, so loading a one-block triple holds its images once
+        stack = np.concatenate(rows) if len(rows) > 1 else np.ascontiguousarray(rows[0])
+        views, start = [], 0
+        for n in self.shape.block_dims:
+            views.append(stack[start:start + n * n].reshape(n, n, d, d))
+            start += n * n
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "unit_images", tuple(views))
 
     def __call__(self, a: AlgebraElement) -> np.ndarray:
         if a.shape != self.shape:
             raise ValueError("algebra shape mismatch")
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for blk, units in zip(a.blocks, self.unit_images):
-            out += np.einsum("ij,ijpq->pq", blk, units)
-        return out
+        coeffs = np.concatenate([b.reshape(-1) for b in a.blocks])
+        return (coeffs @ self.stack).reshape(self.dim, self.dim)
+
+    def basis_images(self) -> np.ndarray:
+        """pi(E_u) for every matrix unit, as an (N, d, d) view of the stack."""
+        return self.stack.reshape(-1, self.dim, self.dim)
+
+    def images(self, coeffs: np.ndarray) -> np.ndarray:
+        """pi of the elements whose block coefficients are the rows of coeffs, as an (m, d, d) stack."""
+        return (coeffs @ self.stack).reshape(-1, self.dim, self.dim)
 
     def homomorphism_defect(self) -> float:
-        """Max defect of pi(E^(k)_ij) pi(E^(l)_pq) = delta_kl delta_jp pi(E^(k)_iq)."""
+        """Max defect of pi(E^(k)_ij) pi(E^(l)_pq) = delta_kl delta_jp pi(E^(k)_iq), over all pairs."""
+        p = self.basis_images()
+        n, d = len(p), self.dim
+        norms = np.sqrt(_sq_norms(p))
+        uu, vv, ww = self.shape.unit_products()
+        rows, cols = _tile(n, d, 1)
+        flat = np.empty(rows * cols * d * d, dtype=complex)
         worst = 0.0
-        units = list(self.shape.basis())
-        for (k, i, j), ea in units:
-            pa = self(ea)
-            for (l, p, q), eb in units:
-                expected = self(self.shape.matrix_unit(k, i, q)) if (k == l and j == p) \
-                    else np.zeros((self.dim, self.dim), dtype=complex)
-                worst = max(worst, rel_defect(pa @ self(eb), expected))
+        for vs in _slices(n, cols):
+            for us in _slices(n, rows):
+                prod = np.matmul(p[us, None], p[None, vs], out=_tile_buffer(flat, us, vs, d))
+                scale = np.sqrt(_sq_norms(prod))
+                hit = (uu >= us.start) & (uu < us.stop) & (vv >= vs.start) & (vv < vs.stop)
+                iu, iv, w = uu[hit] - us.start, vv[hit] - vs.start, ww[hit]
+                prod[iu, iv] -= p[w]
+                scale[iu, iv] = np.maximum(scale[iu, iv], norms[w])
+                worst = max(worst, float((np.sqrt(_sq_norms(prod)) / np.maximum(1.0, scale)).max()))
         return worst
 
     def involution_defect(self) -> float:
+        """Max defect of pi(E^(k)_ij)* = pi(E^(k)_ji)."""
+        p = self.basis_images()
+        star = self.shape.star_index()
         worst = 0.0
-        for (k, i, j), ea in self.shape.basis():
-            worst = max(worst, rel_defect(dagger(self(ea)), self(self.shape.matrix_unit(k, j, i))))
+        for us in _slices(len(p), _chunk(self.dim, 3)):
+            adjoints = np.conj(p[us]).transpose(0, 2, 1).copy()
+            worst = max(worst, float(_rel_defects(adjoints, p[star[us]]).max()))
         return worst
 
     def unital_defect(self) -> float:
@@ -85,10 +169,8 @@ class Representation:
 
     def is_faithful(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         """pi is injective iff the images of the matrix units are linearly independent."""
-        rows = [self(a).reshape(-1) for _, a in self.shape.basis()]
-        mat = np.array(rows)
-        rank = np.linalg.matrix_rank(mat, tol=tol.abs_eps * max(1.0, float(np.abs(mat).max(initial=0.0))))
-        return bool(rank == len(rows))
+        scale = max(1.0, float(np.abs(self.stack).max(initial=0.0)))
+        return bool(np.linalg.matrix_rank(self.stack, tol=tol.abs_eps * scale) == len(self.stack))
 
 
 @dataclass(frozen=True)
@@ -146,6 +228,11 @@ class TwistedTriple:
     def pi_opp(self, a: AlgebraElement) -> np.ndarray:
         """Right-action operator pi_opp(a^opp) = J pi(a)* J^{-1}."""
         return self.require_real().j.conjugate(dagger(self.pi(a)))
+
+    def opp_images(self, images: np.ndarray) -> np.ndarray:
+        """J X* J^{-1} = M X^T M^{-1} for each X of an (m, d, d) stack of pi images."""
+        j = self.require_real().j
+        return np.matmul(np.matmul(j.mat, images.transpose(0, 2, 1)), j.inv_mat)
 
     def epsilon_prime(self) -> int:
         real = self.require_real()
@@ -250,6 +337,46 @@ class AxiomReport:
         return not self.failures(require_first_order)
 
 
+def _basis_pair_scans(t: TwistedTriple) -> tuple[np.ndarray, np.ndarray]:
+    """Order-zero and first-order defects of every basis pair (E_u, E_v), as N x N grids.
+
+    inner_u = D P_u - pi(sigma(E_u)) D is held for all u, with P_u = pi(E_u).
+    Q_v = pi_opp(E_v) and Qs_v = pi_opp(sigma^{-1}(E_v)) are built per chunk of v,
+    and each tile of pairs takes two batched matmuls per condition:
+    order zero compares P_u Q_v with Q_v P_u, first order is
+    ||inner_u Q_v - Qs_v inner_u|| / max(1, ||inner_u||, ||Q_v||).
+    """
+    rep, dirac, d = t.rep, t.dirac, t.dim
+    p = rep.basis_images()
+    n = len(p)
+    sigma, sigma_inv = t.sigma.matrix(), t.sigma.inverse().matrix()
+    inner = np.matmul(dirac, p)
+    for us in _slices(n, _chunk(d, 2)):
+        inner[us] -= np.matmul(rep.images(sigma[us]), dirac)
+    inner_norms = np.sqrt(_sq_norms(inner))
+
+    rows, cols = _tile(n, d, 2)
+    flat_a = np.empty(rows * cols * d * d, dtype=complex)
+    flat_b = np.empty_like(flat_a)
+    oz = np.empty((n, n))
+    fo = np.empty((n, n))
+    for vs in _slices(n, cols):
+        q = t.opp_images(p[vs])
+        qs = t.opp_images(rep.images(sigma_inv[vs]))
+        q_norms = np.sqrt(_sq_norms(q))
+        for us in _slices(n, rows):
+            a = _tile_buffer(flat_a, us, vs, d)
+            b = _tile_buffer(flat_b, us, vs, d)
+            np.matmul(p[us, None], q[None], out=a)
+            np.matmul(q[None], p[us, None], out=b)
+            oz[us, vs] = _rel_defects(a, b)
+            np.matmul(inner[us, None], q[None], out=a)
+            np.matmul(qs[None], inner[us, None], out=b)
+            np.subtract(a, b, out=a)
+            fo[us, vs] = np.sqrt(_sq_norms(a)) / np.maximum(1.0, np.maximum.outer(inner_norms[us], q_norms))
+    return oz, fo
+
+
 def check_axioms(
     t: TwistedTriple,
     samples: int = 20,
@@ -268,8 +395,7 @@ def check_axioms(
     eye = np.eye(t.dim)
     warnings: list[str] = []
 
-    basis = [a for _, a in t.shape.basis()]
-    labels = [lab for lab, _ in t.shape.basis()]
+    labels = t.shape.labels()
     randoms = [t.shape.random_element(rng) for _ in range(samples)]
 
     dirac_sa = rel_defect(d, dagger(d))
@@ -290,7 +416,12 @@ def check_axioms(
         g = t.grading
         g_herm = rel_defect(g, dagger(g))
         g_sq = rel_defect(g @ g, eye)
-        g_comm = max(rel_defect(g @ t.pi(a), t.pi(a) @ g) for a in basis + randoms)
+        p = t.rep.basis_images()
+        g_comm = max(
+            [float(_rel_defects(np.matmul(g, p[us]), np.matmul(p[us], g)).max())
+             for us in _slices(len(p), _chunk(t.dim, 2))]
+            + [rel_defect(g @ t.pi(a), t.pi(a) @ g) for a in randoms]
+        )
         g_anti = rel_defect(g @ d, -d @ g)
 
     j_iso = eps = eps_def = epsp = epsp_def = epspp = epspp_def = ko = None
@@ -315,18 +446,21 @@ def check_axioms(
             if ko is None:
                 warnings.append("sign triple matches no KO-dimension")
 
-        order_zero = 0.0
-        first_order = 0.0
-        pairs = [(la, a, lb, b) for la, a in zip(labels, basis) for lb, b in zip(labels, basis)]
-        pairs += [(("rand", i), a, ("rand", k), b)
-                  for i, a in enumerate(randoms) for k, b in enumerate(randoms)][: 4 * samples]
-        for la, a, lb, b in pairs:
-            oz = rel_defect(t.pi(a) @ t.pi_opp(b), t.pi_opp(b) @ t.pi(a))
-            order_zero = max(order_zero, oz)
-            fo = t.first_order_defect(a, b)
-            if fo > first_order:
-                first_order = fo
-                fo_witness = (la, lb)
+        oz_grid, fo_grid = _basis_pair_scans(t)
+        rand_pairs = [(i, k) for i in range(samples) for k in range(samples)][: 4 * samples]
+        rand_oz, rand_fo = [], []
+        for i, k in rand_pairs:
+            a, b = randoms[i], randoms[k]
+            rand_oz.append(rel_defect(t.pi(a) @ t.pi_opp(b), t.pi_opp(b) @ t.pi(a)))
+            rand_fo.append(t.first_order_defect(a, b))
+        order_zero = max([float(oz_grid.max())] + rand_oz)
+        fo_all = np.concatenate([fo_grid.ravel(), rand_fo])   # basis pairs in row-major (u, v) order, then random
+        first_order = float(fo_all.max())
+        w = _witness_index(fo_all)
+        if w is not None:
+            n = len(labels)
+            fo_witness = ((labels[w // n], labels[w % n]) if w < n * n
+                          else tuple(("rand", x) for x in rand_pairs[w - n * n]))
 
     return AxiomReport(
         dirac_selfadjoint=dirac_sa,

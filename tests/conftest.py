@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import twistlab as tw
@@ -38,3 +39,34 @@ def random_pert(t, rng, n_pairs=None, scale=0.5):
 
 def random_normalized_pert(t, rng, n_pairs=None, scale=0.5):
     return tw.normalize(t, random_pert(t, rng, n_pairs, scale))
+
+
+def ladder_triple(n, seed):
+    """Seeded M_n acting on H = M_n by left multiplication (d = n^2).
+
+    J is the entrywise adjoint, D = X + J X J^-1 with X random hermitian, and
+    the twist is conjugation by a positive matrix: order zero holds exactly,
+    first order generically fails.
+    """
+    rng = np.random.default_rng(seed)
+    d = n * n
+    shape = tw.AlgebraShape((n,))
+    units = np.zeros((n, n, d, d), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            e = np.zeros((n, n))
+            e[i, j] = 1.0
+            units[i, j] = np.kron(e, np.eye(n))
+    swap = np.zeros((d, d), dtype=complex)
+    for p in range(n):
+        for q in range(n):
+            swap[p * n + q, q * n + p] = 1.0
+    j = tw.AntilinearOp(swap)
+    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    x = 0.5 * (x + np.conj(x.T))
+    h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = 0.5 * (h + np.conj(h.T))
+    s = np.eye(n) + 0.4 * h / max(1.0, float(np.linalg.norm(h)))
+    return tw.TwistedTriple(shape, tw.Representation(shape, d, (units,)), x + j.conjugate(x),
+                            tw.Automorphism(shape, (0,), (s,)),
+                            real=tw.RealStructure(j, epsilon=1, epsilon_prime=1))

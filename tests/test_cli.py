@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ import pytest
 import twistlab as tw
 from twistlab.cli import main
 from twistlab.files import (
+    complex_from_json,
     element_to_json,
     idempotent_to_json,
     load_triple,
@@ -65,6 +69,82 @@ class TestRoundTrip:
         again = pert_from_json(U1U2_SHAPE, json.loads(json.dumps(pert_to_json(p))))
         for (a, b), (a2, b2) in zip(p.pairs, again.pairs):
             assert a.defect(a2) == 0.0 and b.defect(b2) == 0.0
+
+
+def seed_matrix_from_json(v, shape=None):
+    """The per-entry conversion matrix_from_json used before its one-shot path."""
+    if not isinstance(v, list) or not v or not all(isinstance(r, list) for r in v):
+        raise ValueError("matrix must be a non-empty nested array")
+    ncols = len(v[0])
+    if any(len(r) != ncols for r in v):
+        raise ValueError("matrix rows must have equal length")
+    out = np.array([[complex_from_json(z) for z in row] for row in v])
+    if shape is not None and out.shape != shape:
+        raise ValueError(f"matrix of shape {out.shape} where {shape} expected")
+    return out
+
+
+class TestMatrixFromJson:
+    @pytest.mark.parametrize("v, shape", [
+        ([[[1.0, 2.0], [3, -4]], [[-0.0, 0.5], [1e300, -1e-300]]], None),
+        ([[[1, 2]]], (1, 1)),
+        ([[[float("inf"), float("nan")]]], None),
+        ([[[2**60 + 1, 0]]], None),
+        ([[(1.0, 2.0)]], None),
+        ([[]], None),
+    ])
+    def test_values_match_the_per_entry_path(self, v, shape):
+        got, want = matrix_from_json(v, shape), seed_matrix_from_json(v, shape)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got.view(float), want.view(float), equal_nan=True)
+
+    @pytest.mark.parametrize("v, shape", [
+        ([[[1.0, True]]], None),
+        ([[[1.0, 0.0], [1.0, "2"]]], None),
+        ([[[1.0]]], None),
+        ([[[1, 2, 3]]], None),
+        ([[[1.0, 0.0]], [[1.0, 0.0], [2.0, 0.0]]], None),
+        ([[[1.0, 0.0]]], (2, 2)),
+        ([[[1.0, None]]], None),
+        ([[[10**400, 0]]], None),
+        ([], None),
+        ([[1.0, 0.0]], None),
+    ], ids=["bool", "string", "short", "long", "ragged", "shape", "null", "huge", "empty", "flat"])
+    def test_rejections_keep_their_messages(self, v, shape):
+        with pytest.raises(Exception) as want:
+            seed_matrix_from_json(v, shape)
+        with pytest.raises(want.type) as got:
+            matrix_from_json(v, shape)
+        assert str(got.value) == str(want.value)
+
+
+class TestNumericOptions:
+    """Out-of-range --samples and --tol are usage errors: exit 2, one error line, no traceback."""
+
+    @pytest.mark.parametrize("extra", [
+        ["check", "T", "--samples", "0"],
+        ["check", "T", "--samples", "-3"],
+        ["check", "T", "--samples", "two"],
+        ["check", "T", "--tol", "-1"],
+        ["check", "T", "--tol", "0"],
+        ["check", "T", "--tol", "nan"],
+        ["fluctuate", "T", "P", "--tol", "-1"],
+        ["gauge", "T", "P", "U", "--tol", "0"],
+        ["pert-mul", "T", "P", "P", "--tol", "-1"],
+        ["model", "u1u2", "--kx", "1,0", "--ky", "1,0", "--tol", "-1"],
+        ["morita", "T", "--self", "--omega", "P", "--tol", "-1"],
+    ])
+    def test_exit_two_without_traceback(self, workdir, extra):
+        files = {"T": "u1u2.json", "P": "pert.json", "U": "unitary.json"}
+        argv = [str(workdir / files[a]) if a in files else a for a in extra]
+        src = os.path.dirname(os.path.dirname(tw.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-m", "twistlab.cli", *argv], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert "error: argument" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
 
 class TestCheck:

@@ -1,0 +1,26 @@
+"""The basis scans of check_axioms stay within a fixed memory budget.
+
+numpy reports its array allocations to tracemalloc, so the peak is
+deterministic: one (N, d, d) stack plus a few chunks of SCAN_BUDGET_BYTES.
+An unchunked scan over all basis pairs would hold several such stacks.
+"""
+import tracemalloc
+
+from twistlab.triple import SCAN_BUDGET_BYTES, check_axioms
+
+from conftest import ladder_triple
+
+
+def test_check_axioms_peak_allocation_is_bounded():
+    t = ladder_triple(6, 0)
+    check_axioms(t, samples=10)   # first call caches sigma^{-1} and J^{-1}
+    n, d = t.shape.basis_size, t.dim
+    bound = 4 * SCAN_BUDGET_BYTES + n * d * d * 16
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        check_axioms(t, samples=10)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, f"peak {peak} B above the bound {bound} B"
