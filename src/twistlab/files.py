@@ -120,10 +120,13 @@ def triple_from_json(doc: Any) -> TwistedTriple:
         dim = int(doc["hilbert_dim"])
         unit_images = doc["representation"]["unit_images"]
         dirac_json = doc["dirac"]
-        autom = doc["automorphism"]
+        perm, conjugators = doc["automorphism"]["perm"], doc["automorphism"]["conjugators"]
+        j_json = doc["real_structure"]["matrix"] if "real_structure" in doc else None
     except (KeyError, TypeError) as exc:
         raise ValueError(f"triple file missing required field: {exc}") from exc
     shape = AlgebraShape(tuple(int(b) for b in blocks))
+    if not isinstance(conjugators, list) or len(conjugators) != shape.num_blocks:
+        raise ValueError(f"automorphism needs a list of {shape.num_blocks} conjugators, one per block")
     images = []
     for k, n in enumerate(shape.block_dims):
         arr = np.zeros((n, n, dim, dim), dtype=complex)
@@ -138,13 +141,13 @@ def triple_from_json(doc: Any) -> TwistedTriple:
     dirac = matrix_from_json(dirac_json, (dim, dim))
     sigma = Automorphism(
         shape,
-        tuple(int(p) for p in autom["perm"]),
-        tuple(matrix_from_json(s, (n, n)) for n, s in zip(shape.block_dims, autom["conjugators"])),
+        tuple(int(p) for p in perm),
+        tuple(matrix_from_json(s, (n, n)) for n, s in zip(shape.block_dims, conjugators)),
     )
     grading = matrix_from_json(doc["grading"], (dim, dim)) if "grading" in doc else None
     real = None
-    if "real_structure" in doc:
-        jmat = matrix_from_json(doc["real_structure"]["matrix"], (dim, dim))
+    if j_json is not None:
+        jmat = matrix_from_json(j_json, (dim, dim))
         j = AntilinearOp(jmat)
         eps, _ = detect_sign(j.squared(), np.eye(dim))
         epsp, _ = detect_sign(j.conjugate(dirac), dirac)

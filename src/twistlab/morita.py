@@ -17,7 +17,7 @@ import numpy as np
 from .algebra import AlgebraElement, AlgebraShape
 from .linalg import DEFAULT_TOL, AntilinearOp, Tolerance, dagger, rel_defect
 from .pert import OppPerturbation, eta_opp
-from .triple import TwistedTriple
+from .triple import TwistedTriple, _basis_pair_scans
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +258,7 @@ def lift_maps(
     rng = np.random.default_rng(0)
     em = e.matrix
     eps = tol.abs_eps
+    regular = check_regularity_holds(t, tol)
     for _ in range(samples):
         xi = random_module_vector(em, rng)
         a = t.shape.random_element(rng)
@@ -273,8 +274,7 @@ def lift_maps(
             raise ValueError("lifted twist is not multiplicative on the endomorphism algebra")
         if lift.sigma_prime_inv(lift.sigma_prime(b)).defect(b) > eps:
             raise ValueError("lifted twist roundtrip fails on the endomorphism algebra")
-        if check_regularity_holds(t, tol) and \
-                lift.sigma_prime(b.star()).defect(lift.sigma_prime_inv(b).star()) > eps:
+        if regular and lift.sigma_prime(b.star()).defect(lift.sigma_prime_inv(b).star()) > eps:
             raise ValueError("lifted twist loses the regularity property")
     return lift
 
@@ -283,6 +283,50 @@ def check_regularity_holds(t: TwistedTriple, tol: Tolerance = DEFAULT_TOL) -> bo
     from .algebra import check_regularity
 
     return check_regularity(t.sigma, samples=3, tol=tol).passes
+
+
+# ---------------------------------------------------------------------------
+# block operators on H^n and M_n(H)
+# ---------------------------------------------------------------------------
+
+
+def _grid(blocks) -> np.ndarray:
+    """Operator on H^n, flattened as (r, H), whose (r, c) block is blocks[r][c]."""
+    b = np.asarray(blocks, dtype=complex)
+    n, d = b.shape[0], b.shape[2]
+    return b.transpose(0, 2, 1, 3).reshape(n * d, n * d)
+
+
+def _blocks(g: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of _grid: the (n, n, d, d) blocks of an operator on H^n."""
+    d = g.shape[0] // n
+    return g.reshape(n, d, n, d).transpose(0, 2, 1, 3)
+
+
+def _pi_grid(t: TwistedTriple, m: AlgebraMatrix) -> np.ndarray:
+    """Left multiplication on columns: (m xi)_r = sum_c pi(m_r^c) xi_c."""
+    return _grid([[t.pi(x) for x in row] for row in m.entries])
+
+
+def _opp_grid(t: TwistedTriple, m: AlgebraMatrix) -> np.ndarray:
+    """Right multiplication on row vectors: (Phi m)^j = sum_l pi_opp(m_l^j) psi^l."""
+    return _grid(list(zip(*([t.pi_opp(x) for x in row] for row in m.entries))))
+
+
+def _on_rows(g: np.ndarray, n: int) -> np.ndarray:
+    """Lift of an operator on H^n to M_n(H), flattened as (i, j, H), acting on the row index i."""
+    d = g.shape[0] // n
+    return np.einsum("ahbc,jk->ajhbkc", g.reshape(n, d, n, d), np.eye(n)).reshape(n * n * d, n * n * d)
+
+
+def _on_cols(g: np.ndarray, n: int) -> np.ndarray:
+    """Lift of an operator on H^n to M_n(H) acting on the column index j."""
+    return np.kron(np.eye(n), g)
+
+
+def _dirac_grid(t: TwistedTriple, ops) -> np.ndarray:
+    """D on every copy of H plus the one-form blocks ops[r][c]."""
+    return np.kron(np.eye(len(ops)), t.dirac) + _grid(ops)
 
 
 # ---------------------------------------------------------------------------
@@ -384,23 +428,19 @@ class HermiticityReport:
         return max(self.identity_defect, self.selfadjoint_defect, self.sandwich_defect) <= eps
 
 
-def _sandwich_right(t: TwistedTriple, e: AlgebraMatrix, m) -> list[list[np.ndarray]]:
-    """e . M . e with a.w = sigma(a) w on the left and w.a = w a on the right."""
-    n = e.n
-    left = [[sum(t.pi(t.sigma(e.entries[i][k])) @ m[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)]
-    return [[sum(left[i][k] @ t.pi(e.entries[k][j]) for k in range(n)) for j in range(n)]
-            for i in range(n)]
+def _sandwich_right(t: TwistedTriple, e: AlgebraMatrix, m) -> np.ndarray:
+    """e . M . e with a.w = sigma(a) w on the left and w.a = w a on the right, as (n, n, d, d) blocks."""
+    return _blocks(_pi_grid(t, e.map(t.sigma)) @ _grid(m) @ _pi_grid(t, e), e.n)
 
 
-def _sandwich_left(t: TwistedTriple, e: AlgebraMatrix, m) -> list[list[np.ndarray]]:
-    """e . N . e for opposite one-forms: a.w = w pi_opp(a), w.a = pi_opp(sigma^{-1}(a)) w."""
-    n = e.n
-    sinv = t.sigma.inverse()
-    right = [[sum(t.pi_opp(sinv(e.entries[k][j])) @ m[i][k] for k in range(n)) for j in range(n)]
-             for i in range(n)]
-    return [[sum(right[k][j] @ t.pi_opp(e.entries[i][k]) for k in range(n)) for j in range(n)]
-            for i in range(n)]
+def _sandwich_left(t: TwistedTriple, e: AlgebraMatrix, m) -> np.ndarray:
+    """e . N . e for opposite one-forms: a.w = w pi_opp(a), w.a = pi_opp(sigma^{-1}(a)) w.
+
+    On the transposed layout of H^n e (block (l, j) holds N_j^l) both legs act by
+    right multiplication, so the sandwich is a product of three grids.
+    """
+    g = _opp_grid(t, e.map(t.sigma.inverse())) @ _grid(list(zip(*m))) @ _opp_grid(t, e)
+    return _blocks(g, e.n).swapaxes(0, 1)
 
 
 def check_hermitian(
@@ -469,44 +509,8 @@ def conjugate_connection(t: TwistedTriple, conn: Connection, tol: Tolerance = DE
 
 
 def _triple_first_order_defect(t: TwistedTriple) -> float:
-    worst = 0.0
-    for _, a in t.shape.basis():
-        for _, b in t.shape.basis():
-            worst = max(worst, t.first_order_defect(a, b))
-    return worst
-
-
-# ---------------------------------------------------------------------------
-# block operators on H^n and M_n(H)
-# ---------------------------------------------------------------------------
-
-
-def _blk_pi(t: TwistedTriple, m: AlgebraMatrix) -> np.ndarray:
-    n, d = m.n, t.dim
-    out = np.zeros((n * d, n * d), complex)
-    for i in range(n):
-        for j in range(n):
-            out[i * d:(i + 1) * d, j * d:(j + 1) * d] = t.pi(m.entries[i][j])
-    return out
-
-
-def _blk_ops(ops, d: int) -> np.ndarray:
-    n = len(ops)
-    out = np.zeros((n * d, n * d), complex)
-    for i in range(n):
-        for j in range(n):
-            out[i * d:(i + 1) * d, j * d:(j + 1) * d] = ops[i][j]
-    return out
-
-
-def _blk_right(t: TwistedTriple, m: AlgebraMatrix) -> np.ndarray:
-    """Right multiplication on row vectors: (Phi m)^j = sum_l pi_opp(m_l^j) psi^l."""
-    n, d = m.n, t.dim
-    out = np.zeros((n * d, n * d), complex)
-    for j in range(n):
-        for l in range(n):
-            out[j * d:(j + 1) * d, l * d:(l + 1) * d] = t.pi_opp(m.entries[l][j])
-    return out
+    """Max first-order defect over all basis pairs, from the batched scan of `check_axioms`."""
+    return float(_basis_pair_scans(t)[1].max())
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +530,7 @@ class RightTriple:
     report: "MoritaTripleReport | None" = None
 
     def pi_r(self, b: AlgebraMatrix) -> np.ndarray:
-        return _blk_pi(self.triple, b) @ self.projection
+        return _pi_grid(self.triple, b) @ self.projection
 
     def bracket(self, b: AlgebraMatrix) -> np.ndarray:
         """[D_R, pi_R(b)]_{sigma'} as an ambient matrix."""
@@ -545,7 +549,7 @@ class LeftTriple:
     report: "MoritaTripleReport | None" = None
 
     def pi_l(self, b: AlgebraMatrix) -> np.ndarray:
-        return _blk_right(self.triple, b) @ self.projection
+        return _opp_grid(self.triple, b) @ self.projection
 
     def bracket(self, b: AlgebraMatrix) -> np.ndarray:
         return self.d_l @ self.pi_l(b) - self.pi_l(self.lift.sigma_prime_inv(b)) @ self.d_l
@@ -556,7 +560,8 @@ def _require_hermitian(t: TwistedTriple, conn: Connection, tol: Tolerance) -> No
     if not report.passes:
         raise ValueError(
             "connection is not hermitian "
-            f"(identity {report.identity_defect:.2e}, selfadjoint {report.selfadjoint_defect:.2e})"
+            f"(identity {report.identity_defect:.2e}, selfadjoint {report.selfadjoint_defect:.2e}, "
+            f"sandwich {report.sandwich_defect:.2e})"
         )
 
 
@@ -568,11 +573,8 @@ def build_right_triple(
         raise ValueError("right triple needs a right connection")
     _require_hermitian(t, conn, tol)
     em = e.matrix
-    d = t.dim
-    proj = _blk_pi(t, em)
-    amp_d = np.kron(np.eye(e.n), t.dirac)
-    m_blk = _blk_ops(conn.one_forms, d)
-    d_r = _blk_pi(t, em * em.map(t.sigma)) @ (amp_d + m_blk) @ proj
+    proj = _pi_grid(t, em)
+    d_r = _pi_grid(t, em * em.map(t.sigma)) @ _dirac_grid(t, conn.one_forms) @ proj
     rt = RightTriple(t, lift, conn, proj, d_r)
     report = check_morita_triple(rt, samples=4, tol=tol)
     if not report.passes:
@@ -589,15 +591,10 @@ def build_left_triple(
         raise ValueError("left triple needs a left connection")
     _require_hermitian(t, conn, tol)
     em = e.matrix
-    n, d = e.n, t.dim
-    proj = _blk_right(t, em)
-    amp_d = np.kron(np.eye(n), t.dirac)
+    proj = _opp_grid(t, em)
     # (Phi N)^l = sum_j N_j^l psi^j: block (l, j) carries the (j, l) one-form
-    n_blk = np.zeros((n * d, n * d), complex)
-    for l in range(n):
-        for j in range(n):
-            n_blk[l * d:(l + 1) * d, j * d:(j + 1) * d] = conn.one_forms[j][l]
-    d_l = _blk_right(t, em.map(t.sigma.inverse()) * em) @ (amp_d + n_blk) @ proj
+    dn = _dirac_grid(t, list(zip(*conn.one_forms)))
+    d_l = _opp_grid(t, em.map(t.sigma.inverse()) * em) @ dn @ proj
     lt = LeftTriple(t, lift, conn, proj, d_l)
     report = check_morita_triple(lt, samples=4, tol=tol)
     if not report.passes:
@@ -649,9 +646,7 @@ def check_morita_triple(
     sa = rel_defect(proj @ dd @ proj, dagger(proj @ dd @ proj))
     mult = reg = hom = inv = 0.0
     bracket_id = 0.0 if isinstance(rt, RightTriple) else None
-    d = t.dim
-    amp_d = np.kron(np.eye(e.n), t.dirac)
-    m_blk = _blk_ops(rt.connection.one_forms, d)
+    dm = _dirac_grid(t, rt.connection.one_forms)
     for _ in range(samples):
         b, c = _random_b(e, rng), _random_b(e, rng)
         mult = max(mult, sp(b * c).defect(sp(b) * sp(c)))
@@ -661,8 +656,8 @@ def check_morita_triple(
         hom = max(hom, rel_defect(rep(b) @ rep(c), rep(prod)))
         inv = max(inv, rel_defect(dagger(proj @ rep(b) @ proj), proj @ rep(b.star()) @ proj))
         if isinstance(rt, RightTriple):
-            inner = (amp_d + m_blk) @ _blk_pi(t, b) - _blk_pi(t, b.map(t.sigma)) @ (amp_d + m_blk)
-            rhs = _blk_pi(t, e) @ inner @ proj
+            inner = dm @ _pi_grid(t, b) - _pi_grid(t, b.map(t.sigma)) @ dm
+            rhs = _pi_grid(t, e) @ inner @ proj
             bracket_id = max(bracket_id, rel_defect(rt.bracket(b) @ proj, rhs))
     return MoritaTripleReport(sa, bracket_id, mult, reg, hom, inv, tol)
 
@@ -670,53 +665,6 @@ def check_morita_triple(
 # ---------------------------------------------------------------------------
 # the real construction on e M_n(H) e
 # ---------------------------------------------------------------------------
-
-
-def _left_op_alg(t: TwistedTriple, m: AlgebraMatrix) -> np.ndarray:
-    """(X Psi)_i^j = sum_k pi(X_i^k) Psi_k^j on M_n(H) flattened as (i, j, H)."""
-    n, d = m.n, t.dim
-    out = np.zeros((n * n * d, n * n * d), complex)
-    for i in range(n):
-        for k in range(n):
-            blk = t.pi(m.entries[i][k])
-            for j in range(n):
-                r, c = (i * n + j) * d, (k * n + j) * d
-                out[r:r + d, c:c + d] += blk
-    return out
-
-
-def _right_op_alg(t: TwistedTriple, m: AlgebraMatrix) -> np.ndarray:
-    """(Psi X)_i^j = sum_l pi_opp(X_l^j) Psi_i^l."""
-    n, d = m.n, t.dim
-    out = np.zeros((n * n * d, n * n * d), complex)
-    for j in range(n):
-        for l in range(n):
-            blk = t.pi_opp(m.entries[l][j])
-            for i in range(n):
-                r, c = (i * n + j) * d, (i * n + l) * d
-                out[r:r + d, c:c + d] += blk
-    return out
-
-
-def _left_op(ops, n: int, d: int) -> np.ndarray:
-    out = np.zeros((n * n * d, n * n * d), complex)
-    for i in range(n):
-        for k in range(n):
-            for j in range(n):
-                r, c = (i * n + j) * d, (k * n + j) * d
-                out[r:r + d, c:c + d] += ops[i][k]
-    return out
-
-
-def _right_op(ops, n: int, d: int) -> np.ndarray:
-    """(Psi Y)_i^j = sum_l Y_l^j Psi_i^l with operator entries Y[l][j]."""
-    out = np.zeros((n * n * d, n * n * d), complex)
-    for j in range(n):
-        for l in range(n):
-            for i in range(n):
-                r, c = (i * n + j) * d, (i * n + l) * d
-                out[r:r + d, c:c + d] += ops[l][j]
-    return out
 
 
 @dataclass(frozen=True)
@@ -734,10 +682,10 @@ class RealTriple:
     report: "RealTripleReport | None" = None
 
     def pi_prime(self, b: AlgebraMatrix) -> np.ndarray:
-        return _left_op_alg(self.triple, b) @ self.projection
+        return _on_rows(_pi_grid(self.triple, b), b.n) @ self.projection
 
     def pi_prime_opp(self, c: AlgebraMatrix) -> np.ndarray:
-        return _right_op_alg(self.triple, c) @ self.projection
+        return _on_cols(_opp_grid(self.triple, c), c.n) @ self.projection
 
 
 def build_real_triple(
@@ -758,13 +706,13 @@ def build_real_triple(
     _require_hermitian(t, conn, tol)
 
     em = e.matrix
-    n, d = e.n, t.dim
+    n = e.n
     ep = t.epsilon_prime()
     j = t.real.j
 
-    proj = _left_op_alg(t, em) @ _right_op_alg(t, em)
-    e_sig_e = em * em.map(t.sigma)
-    sinv_e_e = em.map(t.sigma.inverse()) * em
+    proj = _on_rows(_pi_grid(t, em), n) @ _on_cols(_opp_grid(t, em), n)
+    left = _on_rows(_pi_grid(t, em * em.map(t.sigma)), n)                  # e sigma(e) on the rows
+    right = _on_cols(_opp_grid(t, em.map(t.sigma.inverse()) * em), n)      # sigma^{-1}(e) e on the columns
     d_full = np.kron(np.eye(n * n), t.dirac)
 
     # connection entries of nabla(e-columns): delta(e_p^k) + (M e)_p^k
@@ -773,25 +721,18 @@ def build_real_triple(
           for p in range(n)]
     w = [[t.twisted_commutator(em.entries[p][k]) + me[p][k] for k in range(n)] for p in range(n)]
 
-    term12 = _right_op_alg(t, sinv_e_e) @ _left_op_alg(t, e_sig_e) @ (d_full + _left_op(w, n, d))
-    v = [[ep * j.conjugate(w[p][l]) for p in range(n)] for l in range(n)]
-    term3 = _left_op_alg(t, e_sig_e) @ _right_op_alg(t, sinv_e_e) @ _right_op(v, n, d)
-    d_prime = (term12 + term3) @ proj
-
+    # the column index carries the conjugate entries: block (j, l) is eps' J x_j^l J^{-1}
+    conj = lambda ops: _on_cols(_grid([[ep * j.conjugate(x) for x in row] for row in ops]), n)
+    w_rows = _on_rows(_grid(w), n)
+    left_right = left @ right
+    d_prime = (right @ left @ (d_full + w_rows) + left_right @ conj(w)) @ proj
     # left-then-right assembly with the conjugate connection entries eps' J m^T J^{-1}
-    n_ops = [[ep * j.conjugate(m[l][r]) for l in range(n)] for r in range(n)]
-    d_second = (
-        _left_op_alg(t, e_sig_e) @ _right_op_alg(t, sinv_e_e)
-        @ (d_full + _right_op(n_ops, n, d) + _left_op(w, n, d)) @ proj
-    )
+    d_second = left_right @ (d_full + conj(m) + w_rows) @ proj
 
-    jp = np.zeros((n * n * d, n * n * d), complex)
-    for i in range(n):
-        for jj in range(n):
-            r, c = (i * n + jj) * d, (jj * n + i) * d
-            jp[r:r + d, c:c + d] = j.mat
+    # (J' Psi)_i^j = J Psi_j^i
+    swap = np.eye(n * n).reshape(n, n, n, n).transpose(0, 1, 3, 2).reshape(n * n, n * n)
     gamma_p = np.kron(np.eye(n * n), t.grading)
-    rt = RealTriple(t, lift, conn, proj, d_prime, d_second, AntilinearOp(jp), gamma_p)
+    rt = RealTriple(t, lift, conn, proj, d_prime, d_second, AntilinearOp(np.kron(swap, j.mat)), gamma_p)
     report = check_real_triple(rt, samples=4, tol=tol)
     if not report.passes:
         raise ValueError(f"exported real triple fails verification: {report}")

@@ -18,56 +18,61 @@ from .triple import TwistedTriple
 Pairs = tuple[tuple[AlgebraElement, AlgebraElement], ...]
 
 
-def _coerce_pairs(shape: AlgebraShape, pairs) -> Pairs:
-    out = []
-    for a, b in pairs:
-        if a.shape != shape or b.shape != shape:
-            raise ValueError("pair element with mismatched algebra shape")
-        out.append((a, b))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
-class Perturbation:
-    """Formal sum sum_j a_j (x) b_j^opp acting from both sides of an operator."""
+class _PairSum:
+    """Formal sum of element pairs; the two sides differ only in the normalisation product."""
 
     shape: AlgebraShape
     pairs: Pairs
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pairs", _coerce_pairs(self.shape, self.pairs))
+        pairs = tuple((a, b) for a, b in self.pairs)
+        if any(a.shape != self.shape or b.shape != self.shape for a, b in pairs):
+            raise ValueError("pair element with mismatched algebra shape")
+        object.__setattr__(self, "pairs", pairs)
 
-    def normalization_defect(self, sigma) -> float:
+    @staticmethod
+    def _normalizer(a: AlgebraElement, b: AlgebraElement, sigma) -> AlgebraElement:
+        raise NotImplementedError
+
+    def _normalization_sum(self, sigma) -> AlgebraElement:
         acc = self.shape.zero()
         for a, b in self.pairs:
-            acc = acc + a * sigma(b)
-        return acc.defect(self.shape.unit())
+            acc = acc + self._normalizer(a, b, sigma)
+        return acc
+
+    def normalization_defect(self, sigma) -> float:
+        return self._normalization_sum(sigma).defect(self.shape.unit())
 
     def is_normalized(self, sigma, tol: Tolerance = DEFAULT_TOL) -> bool:
         return self.normalization_defect(sigma) <= tol.abs_eps
+
+
+@dataclass(frozen=True)
+class Perturbation(_PairSum):
+    """Formal sum sum_j a_j (x) b_j^opp acting from both sides of an operator."""
+
+    @staticmethod
+    def _normalizer(a, b, sigma):
+        return a * sigma(b)
 
     def elements(self) -> list[AlgebraElement]:
         return [x for pair in self.pairs for x in pair]
 
 
 @dataclass(frozen=True)
-class OppPerturbation:
+class OppPerturbation(_PairSum):
     """Formal sum sum_j a_j^opp (x) b_j; normalised iff sum_j b_j sigma(a_j) = e."""
 
-    shape: AlgebraShape
-    pairs: Pairs
+    @staticmethod
+    def _normalizer(a, b, sigma):
+        return b * sigma(a)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pairs", _coerce_pairs(self.shape, self.pairs))
 
-    def normalization_defect(self, sigma) -> float:
-        acc = self.shape.zero()
-        for a, b in self.pairs:
-            acc = acc + b * sigma(a)
-        return acc.defect(self.shape.unit())
-
-    def is_normalized(self, sigma, tol: Tolerance = DEFAULT_TOL) -> bool:
-        return self.normalization_defect(sigma) <= tol.abs_eps
+def _adjoint_pairs(t: TwistedTriple, p: _PairSum, tol: Tolerance):
+    if not p.is_normalized(t.sigma, tol):
+        raise ValueError("adjoint pairs require a twisted-normalised perturbation")
+    return type(p)(p.shape, tuple((b.star(), a.star()) for a, b in p.pairs))
 
 
 @dataclass(frozen=True)
@@ -100,10 +105,7 @@ def opp_mul(p: OppPerturbation, q: OppPerturbation) -> OppPerturbation:
 def normalize(t: TwistedTriple, p: Perturbation) -> Perturbation:
     """Append the pair (e - sum_j a_j sigma(b_j), e); eta is unchanged since delta(e) = 0."""
     e = p.shape.unit()
-    acc = p.shape.zero()
-    for a, b in p.pairs:
-        acc = acc + a * t.sigma(b)
-    return Perturbation(p.shape, p.pairs + ((e - acc, e),))
+    return Perturbation(p.shape, p.pairs + ((e - p._normalization_sum(t.sigma), e),))
 
 
 def eta(t: TwistedTriple, p: Perturbation) -> TwistedOneForm:
@@ -116,9 +118,7 @@ def eta(t: TwistedTriple, p: Perturbation) -> TwistedOneForm:
 
 def eta_adjoint_pairs(t: TwistedTriple, p: Perturbation, tol: Tolerance = DEFAULT_TOL) -> Perturbation:
     """Pairs (b_j*, a_j*), realizing eta(p)^dagger; requires a twisted-normalised input."""
-    if not p.is_normalized(t.sigma, tol):
-        raise ValueError("adjoint pairs require a twisted-normalised perturbation")
-    return Perturbation(p.shape, tuple((b.star(), a.star()) for a, b in p.pairs))
+    return _adjoint_pairs(t, p, tol)
 
 
 def eta_opp(t: TwistedTriple, p: OppPerturbation) -> np.ndarray:
@@ -130,9 +130,7 @@ def eta_opp(t: TwistedTriple, p: OppPerturbation) -> np.ndarray:
 
 
 def opp_adjoint_pairs(t: TwistedTriple, p: OppPerturbation, tol: Tolerance = DEFAULT_TOL) -> OppPerturbation:
-    if not p.is_normalized(t.sigma, tol):
-        raise ValueError("adjoint pairs require a twisted-normalised perturbation")
-    return OppPerturbation(p.shape, tuple((b.star(), a.star()) for a, b in p.pairs))
+    return _adjoint_pairs(t, p, tol)
 
 
 def hat_pert(t: TwistedTriple, p: Perturbation, tol: Tolerance = DEFAULT_TOL) -> OppPerturbation:

@@ -166,6 +166,21 @@ class TestCheck:
     def test_missing_file_exits_two(self, workdir):
         assert main(["check", str(workdir / "missing.json")]) == 2
 
+    @pytest.mark.parametrize("mutation", ["no_perm", "short_conjugators", "empty_real_structure"])
+    def test_malformed_triple_exits_two(self, workdir, capsys, mutation):
+        doc = json.loads((workdir / "u1u2.json").read_text())
+        if mutation == "no_perm":
+            del doc["automorphism"]["perm"]
+        elif mutation == "short_conjugators":
+            doc["automorphism"]["conjugators"] = doc["automorphism"]["conjugators"][:-1]
+        else:
+            doc["real_structure"] = {}
+        bad = workdir / f"{mutation}.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["check", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
     def test_json_output_deterministic(self, workdir, capsys):
         rc = main(["check", str(workdir / "u1u2.json"), "--json", "--seed", "3"])
         first = capsys.readouterr().out

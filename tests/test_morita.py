@@ -328,6 +328,20 @@ class TestRightTriple:
         with pytest.raises(ValueError, match="not hermitian"):
             build_right_triple(t, e, conn)
 
+    def test_rejection_names_the_sandwich_defect(self, u1u2):
+        # equal blocks are selfadjoint and satisfy the identity, but e . M . e != M
+        # for the idempotent onto (1, -i)/sqrt(2)
+        t = u1u2.triple
+        w = selfadjoint_one_form(t, np.random.default_rng(42))
+        h = 0.5 * t.shape.unit()
+        e = IdempotentData(AlgebraMatrix(t.shape, ((h, 1j * h), (-1j * h, h))))
+        conn = connection_with(t, e, [[0.5 * w, 0.5 * w], [0.5 * w, 0.5 * w]], "right")
+        report = check_hermitian(t, conn)
+        assert max(report.identity_defect, report.selfadjoint_defect) <= 1e-12
+        assert report.sandwich_defect > 1e-3
+        with pytest.raises(ValueError, match=r"not hermitian .*sandwich \d"):
+            build_right_triple(t, e, conn)
+
 
 class TestLeftTriple:
     def test_self_morita_is_opposite_fluctuation(self, u1u2_ky0):
