@@ -34,6 +34,7 @@ from .morita import (
     check_real_triple,
     conjugate_connection,
     grassmann,
+    lift_maps,
 )
 from .pert import act_mu, eta, fluctuate, normalize, pert_mul
 from .triple import check_axioms
@@ -301,9 +302,10 @@ def cmd_morita(args) -> int:
         idem = IdempotentData(amat_unit(t.shape, 1))
         try:
             ep = t.epsilon_prime()
-            rt = build_right_triple(t, idem, connection_with(t, idem, [[w]], "right"), tol)
+            lift = lift_maps(t, idem, tol)
+            rt = build_right_triple(lift, connection_with(t, idem, [[w]], "right"), tol)
             wbar = ep * t.real.j.conjugate(w)
-            lt = build_left_triple(t, idem, connection_with(t, idem, [[wbar]], "left"), tol)
+            lt = build_left_triple(lift, connection_with(t, idem, [[wbar]], "left"), tol)
         except ValueError as exc:
             return _fail(str(exc))
         doc = {
@@ -312,7 +314,13 @@ def cmd_morita(args) -> int:
             "omega_selfadjoint": rel_defect(w, dagger(w)),
         }
         _emit(doc, args.json)
-        return 0 if max(doc.values()) <= tol.abs_eps else 1
+        exports_pass = True
+        for side, x in (("right", rt), ("left", lt)):
+            report = check_morita_triple(x, seed=args.seed, tol=tol)
+            if not report.passes:
+                print(f"error: exported {side} triple fails verification: {report}", file=sys.stderr)
+                exports_pass = False
+        return 0 if exports_pass and max(doc.values()) <= tol.abs_eps else 1
 
     if not args.idempotent:
         return _fail("choose --self --omega PERT or --idempotent FILE")
@@ -320,16 +328,7 @@ def cmd_morita(args) -> int:
         e = load_idempotent(args.idempotent, t.shape)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         return _fail(str(exc))
-    idem_report = check_idempotent(t, e, tol)
-    doc = {
-        "idempotent_defect": idem_report.idempotent_defect,
-        "selfadjoint_defect": idem_report.selfadjoint_defect,
-        "lift_defect": idem_report.lift_defect,
-        "lift_inverse_defect": idem_report.lift_inverse_defect,
-        "twist_invariant": idem_report.twist_invariant,
-        "twist_commuting": idem_report.twist_commuting,
-    }
-    ok = idem_report.passes
+    doc, ok, lift = {}, True, None
     try:
         if args.connection:
             from .files import connection_from_json, load_json
@@ -337,7 +336,8 @@ def cmd_morita(args) -> int:
             conn = connection_from_json(t, e, load_json(args.connection), "right")
         else:
             conn = grassmann(t, e, "right")
-        rt = build_right_triple(t, e, conn, tol)
+        lift = lift_maps(t, e, tol)
+        rt = build_right_triple(lift, conn, tol)
         right_report = check_morita_triple(rt, seed=args.seed, tol=tol)
         doc["right_triple_passes"] = right_report.passes
         doc["right_selfadjoint_defect"] = right_report.selfadjoint_defect
@@ -346,7 +346,7 @@ def cmd_morita(args) -> int:
         if t.real is not None:
             try:
                 lconn = conjugate_connection(t, conn, tol)
-                lt = build_left_triple(t, e, lconn, tol)
+                lt = build_left_triple(lift, lconn, tol)
                 left_report = check_morita_triple(lt, seed=args.seed, tol=tol)
                 doc["left_triple_passes"] = left_report.passes
                 ok = ok and left_report.passes
@@ -354,7 +354,7 @@ def cmd_morita(args) -> int:
                 doc["left_triple_error"] = str(exc)
         if t.real is not None and t.grading is not None:
             try:
-                real = build_real_triple(t, e, conn, tol)
+                real = build_real_triple(lift, conn, tol)
                 real_report = check_real_triple(real, seed=args.seed, tol=tol)
                 doc["real_triple_passes"] = real_report.passes
                 doc["real_d_second_defect"] = real_report.d_second_defect
@@ -365,6 +365,11 @@ def cmd_morita(args) -> int:
     except ValueError as exc:
         doc["construction_error"] = str(exc)
         ok = False
+    # a lift exists only once its idempotent has passed check_idempotent
+    idem_report = lift.report if lift is not None else check_idempotent(t, e, tol)
+    fields = ("idempotent_defect", "selfadjoint_defect", "lift_defect", "lift_inverse_defect",
+              "twist_invariant", "twist_commuting")
+    doc = {**{k: getattr(idem_report, k) for k in fields}, **doc}
     _emit(doc, args.json)
     return 0 if ok else 1
 
@@ -428,7 +433,7 @@ def main(argv=None) -> int:
     p.add_argument("which", choices=["u1u2"])
     p.add_argument("--kx", required=True, help="RE,IM")
     p.add_argument("--ky", required=True, help="RE,IM")
-    p.add_argument("--verify", type=int, default=20, help="number of random formula checks")
+    p.add_argument("--verify", type=_positive_int, default=20, help="number of random formula checks (>= 1)")
     p.add_argument("--out", help="write the triple file here")
     common(p)
     p.set_defaults(func=cmd_model)

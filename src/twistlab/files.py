@@ -112,19 +112,33 @@ def triple_to_json(t: TwistedTriple) -> dict:
     return doc
 
 
+def _integer(v: Any, field: str) -> int:
+    """A JSON integer; a bool, float, null or container raises ValueError naming the field."""
+    if type(v) is not int:
+        raise ValueError(f"{field} must be a JSON integer, got {v!r}")
+    return v
+
+
+def _integers(v: Any, field: str) -> tuple[int, ...]:
+    if not isinstance(v, list):
+        raise ValueError(f"{field} must be a list of JSON integers, got {v!r}")
+    return tuple(_integer(x, f"{field} entry") for x in v)
+
+
 def triple_from_json(doc: Any) -> TwistedTriple:
     if not isinstance(doc, dict):
         raise ValueError("triple file must be a JSON object")
     try:
         blocks = doc["algebra"]["blocks"]
-        dim = int(doc["hilbert_dim"])
+        dim = doc["hilbert_dim"]
         unit_images = doc["representation"]["unit_images"]
         dirac_json = doc["dirac"]
         perm, conjugators = doc["automorphism"]["perm"], doc["automorphism"]["conjugators"]
         j_json = doc["real_structure"]["matrix"] if "real_structure" in doc else None
     except (KeyError, TypeError) as exc:
         raise ValueError(f"triple file missing required field: {exc}") from exc
-    shape = AlgebraShape(tuple(int(b) for b in blocks))
+    shape = AlgebraShape(_integers(blocks, "algebra.blocks"))
+    dim = _integer(dim, "hilbert_dim")
     if not isinstance(conjugators, list) or len(conjugators) != shape.num_blocks:
         raise ValueError(f"automorphism needs a list of {shape.num_blocks} conjugators, one per block")
     images = []
@@ -141,7 +155,7 @@ def triple_from_json(doc: Any) -> TwistedTriple:
     dirac = matrix_from_json(dirac_json, (dim, dim))
     sigma = Automorphism(
         shape,
-        tuple(int(p) for p in perm),
+        _integers(perm, "automorphism.perm"),
         tuple(matrix_from_json(s, (n, n)) for n, s in zip(shape.block_dims, conjugators)),
     )
     grading = matrix_from_json(doc["grading"], (dim, dim)) if "grading" in doc else None

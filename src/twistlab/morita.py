@@ -216,7 +216,7 @@ def check_idempotent(t: TwistedTriple, e: IdempotentData, tol: Tolerance = DEFAU
 
 @dataclass(frozen=True)
 class ModuleLift:
-    """Lift of the twist to e A^n and to B = e M_n(A) e."""
+    """Lift of the twist to e A^n and to B = e M_n(A) e; builders assume one from `lift_maps`, which checks e."""
 
     triple: TwistedTriple
     idempotent: IdempotentData
@@ -527,7 +527,6 @@ class RightTriple:
     connection: Connection
     projection: np.ndarray
     d_r: np.ndarray
-    report: "MoritaTripleReport | None" = None
 
     def pi_r(self, b: AlgebraMatrix) -> np.ndarray:
         return _pi_grid(self.triple, b) @ self.projection
@@ -546,7 +545,6 @@ class LeftTriple:
     connection: Connection
     projection: np.ndarray
     d_l: np.ndarray
-    report: "MoritaTripleReport | None" = None
 
     def pi_l(self, b: AlgebraMatrix) -> np.ndarray:
         return _opp_grid(self.triple, b) @ self.projection
@@ -565,28 +563,21 @@ def _require_hermitian(t: TwistedTriple, conn: Connection, tol: Tolerance) -> No
         )
 
 
-def build_right_triple(
-    t: TwistedTriple, e: IdempotentData, conn: Connection, tol: Tolerance = DEFAULT_TOL
-) -> RightTriple:
-    lift = lift_maps(t, e, tol)
+def build_right_triple(lift: ModuleLift, conn: Connection, tol: Tolerance = DEFAULT_TOL) -> RightTriple:
+    """Right export through e A^n, unverified: `check_morita_triple` checks it."""
+    t, e = lift.triple, lift.idempotent
     if conn.side != "right":
         raise ValueError("right triple needs a right connection")
     _require_hermitian(t, conn, tol)
     em = e.matrix
     proj = _pi_grid(t, em)
     d_r = _pi_grid(t, em * em.map(t.sigma)) @ _dirac_grid(t, conn.one_forms) @ proj
-    rt = RightTriple(t, lift, conn, proj, d_r)
-    report = check_morita_triple(rt, samples=4, tol=tol)
-    if not report.passes:
-        raise ValueError(f"exported right triple fails verification: {report}")
-    object.__setattr__(rt, "report", report)
-    return rt
+    return RightTriple(t, lift, conn, proj, d_r)
 
 
-def build_left_triple(
-    t: TwistedTriple, e: IdempotentData, conn: Connection, tol: Tolerance = DEFAULT_TOL
-) -> LeftTriple:
-    lift = lift_maps(t, e, tol)
+def build_left_triple(lift: ModuleLift, conn: Connection, tol: Tolerance = DEFAULT_TOL) -> LeftTriple:
+    """Left export through A^n e, unverified: `check_morita_triple` checks it."""
+    t, e = lift.triple, lift.idempotent
     if conn.side != "left":
         raise ValueError("left triple needs a left connection")
     _require_hermitian(t, conn, tol)
@@ -595,12 +586,7 @@ def build_left_triple(
     # (Phi N)^l = sum_j N_j^l psi^j: block (l, j) carries the (j, l) one-form
     dn = _dirac_grid(t, list(zip(*conn.one_forms)))
     d_l = _opp_grid(t, em.map(t.sigma.inverse()) * em) @ dn @ proj
-    lt = LeftTriple(t, lift, conn, proj, d_l)
-    report = check_morita_triple(lt, samples=4, tol=tol)
-    if not report.passes:
-        raise ValueError(f"exported left triple fails verification: {report}")
-    object.__setattr__(lt, "report", report)
-    return lt
+    return LeftTriple(t, lift, conn, proj, d_l)
 
 
 @dataclass(frozen=True)
@@ -679,7 +665,6 @@ class RealTriple:
     d_second: np.ndarray
     j_prime: AntilinearOp
     gamma_prime: np.ndarray
-    report: "RealTripleReport | None" = None
 
     def pi_prime(self, b: AlgebraMatrix) -> np.ndarray:
         return _on_rows(_pi_grid(self.triple, b), b.n) @ self.projection
@@ -688,19 +673,17 @@ class RealTriple:
         return _on_cols(_opp_grid(self.triple, c), c.n) @ self.projection
 
 
-def build_real_triple(
-    t: TwistedTriple, e: IdempotentData, conn: Connection, tol: Tolerance = DEFAULT_TOL
-) -> RealTriple:
-    """Real, graded export through e A^n; demands the first-order condition on the input.
+def build_real_triple(lift: ModuleLift, conn: Connection, tol: Tolerance = DEFAULT_TOL) -> RealTriple:
+    """Real, graded export through e A^n, unverified: `check_real_triple` checks it.
 
-    The self-Morita case without first order is handled by the fluctuation
-    machinery in `pert` instead.
+    Demands the first-order condition on the input; the self-Morita case
+    without first order is handled by the fluctuation machinery in `pert` instead.
     """
+    t, e = lift.triple, lift.idempotent
     if t.real is None or t.grading is None:
         raise ValueError("real construction requires a real, graded triple")
     if _triple_first_order_defect(t) > tol.abs_eps:
         raise ValueError("real construction requires the twisted first-order condition")
-    lift = lift_maps(t, e, tol)
     if conn.side != "right":
         raise ValueError("real construction starts from a right connection")
     _require_hermitian(t, conn, tol)
@@ -732,12 +715,7 @@ def build_real_triple(
     # (J' Psi)_i^j = J Psi_j^i
     swap = np.eye(n * n).reshape(n, n, n, n).transpose(0, 1, 3, 2).reshape(n * n, n * n)
     gamma_p = np.kron(np.eye(n * n), t.grading)
-    rt = RealTriple(t, lift, conn, proj, d_prime, d_second, AntilinearOp(np.kron(swap, j.mat)), gamma_p)
-    report = check_real_triple(rt, samples=4, tol=tol)
-    if not report.passes:
-        raise ValueError(f"exported real triple fails verification: {report}")
-    object.__setattr__(rt, "report", report)
-    return rt
+    return RealTriple(t, lift, conn, proj, d_prime, d_second, AntilinearOp(np.kron(swap, j.mat)), gamma_p)
 
 
 @dataclass(frozen=True)

@@ -222,10 +222,12 @@ def test_criterion_7_morita_suite(model):
     # self-Morita fluctuations
     w = eta(ky0, selfadjoint_pert(ky0, rng)).op
     e1 = IdempotentData(amat_unit(ky0.shape, 1))
-    rt = build_right_triple(ky0, e1, connection_with(ky0, e1, [[w]], "right"))
+    rt = build_right_triple(lift_maps(ky0, e1), connection_with(ky0, e1, [[w]], "right"))
+    assert check_morita_triple(rt, samples=4).passes
     worst = max(worst, rel_defect(rt.d_r, ky0.dirac + w))
     rconn = connection_with(ky0, e1, [[w]], "right")
-    lt = build_left_triple(ky0, e1, conjugate_connection(ky0, rconn))
+    lt = build_left_triple(lift_maps(ky0, e1), conjugate_connection(ky0, rconn))
+    assert check_morita_triple(lt, samples=4).passes
     worst = max(worst, rel_defect(lt.d_l, ky0.dirac + ky0.epsilon_prime() * ky0.real.j.conjugate(w)))
     # conjugate of Grassmann is the left Grassmann
     e2 = IdempotentData(AlgebraMatrix(ky0.shape, ((0.5 * ky0.shape.unit(),) * 2,) * 2))
@@ -236,14 +238,14 @@ def test_criterion_7_morita_suite(model):
     # twist-invariant idempotent in M2(A): full right-triple axiom suite (ky != 0 is fine here)
     t = model.triple
     e2_full = IdempotentData(AlgebraMatrix(t.shape, ((0.5 * t.shape.unit(),) * 2,) * 2))
-    right_report = check_morita_triple(build_right_triple(t, e2_full, grassmann(t, e2_full, "right")))
+    right_report = check_morita_triple(build_right_triple(lift_maps(t, e2_full), grassmann(t, e2_full, "right")))
     assert right_report.passes
     # sigma' regularity is part of the report; surface it in the defect track
     worst = max(worst, right_report.sigma_prime_regularity)
     # real construction: D'' = D'
     wsym = eta(ky0, selfadjoint_pert(ky0, rng)).op
     conn = connection_with(ky0, e2, [[0.5 * wsym, 0.5 * wsym], [0.5 * wsym, 0.5 * wsym]], "right")
-    real = build_real_triple(ky0, e2, conn)
+    real = build_real_triple(lift_maps(ky0, e2), conn)
     real_report = check_real_triple(real)
     assert real_report.passes
     worst = max(worst, real_report.d_second_defect)

@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import json
 import os
 import subprocess
@@ -133,6 +135,8 @@ class TestNumericOptions:
         ["pert-mul", "T", "P", "P", "--tol", "-1"],
         ["model", "u1u2", "--kx", "1,0", "--ky", "1,0", "--tol", "-1"],
         ["morita", "T", "--self", "--omega", "P", "--tol", "-1"],
+        ["model", "u1u2", "--kx", "1,0", "--ky", "1,0", "--verify", "0"],
+        ["model", "u1u2", "--kx", "1,0", "--ky", "1,0", "--verify", "-3"],
     ])
     def test_exit_two_without_traceback(self, workdir, extra):
         files = {"T": "u1u2.json", "P": "pert.json", "U": "unitary.json"}
@@ -145,6 +149,17 @@ class TestNumericOptions:
         assert "error: argument" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+
+# integer fields of a triple file holding a value that is not a JSON integer: (section, key, value)
+INTEGER_FIELD_MUTATIONS = {
+    "perm_scalar": ("automorphism", "perm", 5),
+    "perm_null": ("automorphism", "perm", [None, 4, 5, 0, 1, 2]),
+    "perm_float": ("automorphism", "perm", [0.5, 1, 2, 3, 4, 5]),
+    "blocks_null": ("algebra", "blocks", [None]),
+    "blocks_bool": ("algebra", "blocks", [True, True, 2, True, True, 2]),
+    "hilbert_dim_list": (None, "hilbert_dim", [8]),
+}
 
 
 class TestCheck:
@@ -166,20 +181,27 @@ class TestCheck:
     def test_missing_file_exits_two(self, workdir):
         assert main(["check", str(workdir / "missing.json")]) == 2
 
-    @pytest.mark.parametrize("mutation", ["no_perm", "short_conjugators", "empty_real_structure"])
+    @pytest.mark.parametrize("mutation", ["no_perm", "short_conjugators", "empty_real_structure",
+                                          *INTEGER_FIELD_MUTATIONS])
     def test_malformed_triple_exits_two(self, workdir, capsys, mutation):
         doc = json.loads((workdir / "u1u2.json").read_text())
         if mutation == "no_perm":
             del doc["automorphism"]["perm"]
         elif mutation == "short_conjugators":
             doc["automorphism"]["conjugators"] = doc["automorphism"]["conjugators"][:-1]
-        else:
+        elif mutation == "empty_real_structure":
             doc["real_structure"] = {}
+        else:
+            section, key, value = INTEGER_FIELD_MUTATIONS[mutation]
+            (doc[section] if section else doc)[key] = value
         bad = workdir / f"{mutation}.json"
         bad.write_text(json.dumps(doc))
         assert main(["check", str(bad)]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
+        if mutation in INTEGER_FIELD_MUTATIONS:
+            key = INTEGER_FIELD_MUTATIONS[mutation][1]
+            assert "JSON integer" in err and key in err and "missing" not in err
 
     def test_json_output_deterministic(self, workdir, capsys):
         rc = main(["check", str(workdir / "u1u2.json"), "--json", "--seed", "3"])
@@ -274,6 +296,16 @@ class TestModelAndMorita:
         assert "first order" in doc.get("left_triple_error", "")
         assert "first-order" in doc.get("real_triple_error", "")
 
+    def test_morita_rejected_idempotent_still_reports_its_defects(self, workdir, capsys):
+        h = 0.5 * U1U2_SHAPE.unit()
+        bad = IdempotentData(AlgebraMatrix(U1U2_SHAPE, ((h, 0.3 * h), (0.3 * h, h))))
+        (workdir / "idem_bad.json").write_text(json.dumps(idempotent_to_json(bad)))
+        rc = main(["morita", str(workdir / "u1u2_ky0.json"),
+                   "--idempotent", str(workdir / "idem_bad.json"), "--json"])
+        assert rc == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["idempotent_defect"] > 0.1 and "not a selfadjoint idempotent" in doc["construction_error"]
+
     def test_morita_connection_file(self, workdir, capsys, u1u2_ky0):
         from twistlab.pert import eta_adjoint_pairs, normalize
 
@@ -292,3 +324,46 @@ class TestModelAndMorita:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["right_triple_passes"] and doc["real_triple_passes"]
+
+
+class TestMoritaCallCounts:
+    """One lift per command and one verification per export, counted through both module names."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import twistlab.cli as cli
+        import twistlab.morita as morita
+
+        counts = collections.Counter()
+        for name in ("lift_maps", "check_morita_triple", "check_real_triple"):
+            def counted(*args, _name=name, _f=getattr(morita, name), **kwargs):
+                counts[_name] += 1
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(morita, name, counted)
+            monkeypatch.setattr(cli, name, counted, raising=False)
+        return counts
+
+    def test_idempotent_builds_one_lift_and_checks_each_export_once(self, workdir, capsys, calls):
+        rc = main(["morita", str(workdir / "u1u2_ky0.json"), "--idempotent", str(workdir / "idem.json")])
+        assert rc == 0
+        assert calls == {"lift_maps": 1, "check_morita_triple": 2, "check_real_triple": 1}
+
+    def test_self_builds_one_lift(self, workdir, capsys, calls):
+        rc = main(["morita", str(workdir / "u1u2.json"), "--self", "--omega", str(workdir / "pert.json")])
+        assert rc == 0
+        assert calls["lift_maps"] == 1
+
+    def test_self_exits_one_when_an_export_fails_its_check(self, workdir, capsys, monkeypatch):
+        import twistlab.cli as cli
+        import twistlab.morita as morita
+
+        def failing(*args, _f=morita.check_morita_triple, **kwargs):
+            return dataclasses.replace(_f(*args, **kwargs), selfadjoint_defect=1.0)
+        monkeypatch.setattr(morita, "check_morita_triple", failing)
+        monkeypatch.setattr(cli, "check_morita_triple", failing)
+        rc = main(["morita", str(workdir / "u1u2.json"), "--self", "--omega", str(workdir / "pert.json")])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert "d_r_equals_d_plus_omega" in out
+        assert "error: exported right triple fails verification" in err
+        assert "error: exported left triple fails verification" in err

@@ -292,19 +292,21 @@ class TestRightTriple:
         rng = np.random.default_rng(12)
         w = selfadjoint_one_form(t, rng)
         e = unit_idempotent(t.shape, 1)
-        rt = build_right_triple(t, e, connection_with(t, e, [[w]], "right"))
+        rt = build_right_triple(lift_maps(t, e), connection_with(t, e, [[w]], "right"))
+        assert check_morita_triple(rt, samples=4).passes
         assert rel_defect(rt.d_r, t.dirac + w) <= 1e-13
 
     def test_unit_idempotent_amplifies_dirac(self, u1u2):
         t = u1u2.triple
         e = unit_idempotent(t.shape, 2)
-        rt = build_right_triple(t, e, grassmann(t, e, "right"))
+        rt = build_right_triple(lift_maps(t, e), grassmann(t, e, "right"))
+        assert check_morita_triple(rt, samples=4).passes
         assert rel_defect(rt.d_r, np.kron(np.eye(2), t.dirac)) <= 1e-13
 
     def test_axiom_suite_on_twist_invariant_idempotent(self, u1u2):
         t = u1u2.triple
         e = half_idempotent(t.shape)
-        rt = build_right_triple(t, e, grassmann(t, e, "right"))
+        rt = build_right_triple(lift_maps(t, e), grassmann(t, e, "right"))
         report = check_morita_triple(rt)
         assert report.passes
 
@@ -314,7 +316,7 @@ class TestRightTriple:
         w = selfadjoint_one_form(t, rng)
         e = half_idempotent(t.shape)
         conn = connection_with(t, e, [[0.5 * w, 0.5 * w], [0.5 * w, 0.5 * w]], "right")
-        rt = build_right_triple(t, e, conn)
+        rt = build_right_triple(lift_maps(t, e), conn)
         report = check_morita_triple(rt)
         assert report.passes
         assert report.bracket_identity_defect <= 1e-11
@@ -326,7 +328,7 @@ class TestRightTriple:
         e = unit_idempotent(t.shape, 1)
         conn = connection_with(t, e, [[1j * t.twisted_commutator(b)]], "right")
         with pytest.raises(ValueError, match="not hermitian"):
-            build_right_triple(t, e, conn)
+            build_right_triple(lift_maps(t, e), conn)
 
     def test_rejection_names_the_sandwich_defect(self, u1u2):
         # equal blocks are selfadjoint and satisfy the identity, but e . M . e != M
@@ -340,7 +342,7 @@ class TestRightTriple:
         assert max(report.identity_defect, report.selfadjoint_defect) <= 1e-12
         assert report.sandwich_defect > 1e-3
         with pytest.raises(ValueError, match=r"not hermitian .*sandwich \d"):
-            build_right_triple(t, e, conn)
+            build_right_triple(lift_maps(t, e), conn)
 
 
 class TestLeftTriple:
@@ -350,20 +352,22 @@ class TestLeftTriple:
         w = selfadjoint_one_form(t, rng)
         e = unit_idempotent(t.shape, 1)
         left = conjugate_connection(t, connection_with(t, e, [[w]], "right"))
-        lt = build_left_triple(t, e, left)
+        lt = build_left_triple(lift_maps(t, e), left)
+        assert check_morita_triple(lt, samples=4).passes
         expected = t.dirac + t.epsilon_prime() * t.real.j.conjugate(w)
         assert rel_defect(lt.d_l, expected) <= 1e-12
 
     def test_unit_idempotent_amplifies_dirac(self, u1u2_ky0):
         t = u1u2_ky0.triple
         e = unit_idempotent(t.shape, 2)
-        lt = build_left_triple(t, e, conjugate_connection(t, grassmann(t, e, "right")))
+        lt = build_left_triple(lift_maps(t, e), conjugate_connection(t, grassmann(t, e, "right")))
+        assert check_morita_triple(lt, samples=4).passes
         assert rel_defect(lt.d_l, np.kron(np.eye(2), t.dirac)) <= 1e-13
 
     def test_axiom_suite(self, u1u2_ky0):
         t = u1u2_ky0.triple
         e = half_idempotent(t.shape)
-        lt = build_left_triple(t, e, conjugate_connection(t, grassmann(t, e, "right")))
+        lt = build_left_triple(lift_maps(t, e), conjugate_connection(t, grassmann(t, e, "right")))
         assert check_morita_triple(lt).passes
 
 
@@ -374,7 +378,8 @@ class TestRealTriple:
         rng = np.random.default_rng(16)
         w = selfadjoint_one_form(t, rng)
         e = unit_idempotent(t.shape, 1)
-        real = build_real_triple(t, e, connection_with(t, e, [[w]], "right"))
+        real = build_real_triple(lift_maps(t, e), connection_with(t, e, [[w]], "right"))
+        assert check_real_triple(real, samples=4).passes
         expected = t.dirac + w + t.epsilon_prime() * t.real.j.conjugate(w)
         assert rel_defect(real.d_prime, expected) <= 1e-12
         assert rel_defect(real.d_second, expected) <= 1e-12
@@ -382,7 +387,7 @@ class TestRealTriple:
     def test_grassmann_amplification(self, u1u2_ky0):
         t = u1u2_ky0.triple
         e = unit_idempotent(t.shape, 2)
-        real = build_real_triple(t, e, grassmann(t, e, "right"))
+        real = build_real_triple(lift_maps(t, e), grassmann(t, e, "right"))
         report = check_real_triple(real)
         assert report.passes
         assert rel_defect(real.d_prime @ real.projection,
@@ -394,7 +399,7 @@ class TestRealTriple:
         w = selfadjoint_one_form(t, rng)
         e = half_idempotent(t.shape)
         conn = connection_with(t, e, [[0.5 * w, 0.5 * w], [0.5 * w, 0.5 * w]], "right")
-        real = build_real_triple(t, e, conn)
+        real = build_real_triple(lift_maps(t, e), conn)
         report = check_real_triple(real)
         assert report.passes
         assert report.d_second_defect <= 1e-10
@@ -407,7 +412,7 @@ class TestRealTriple:
         w = selfadjoint_one_form(toy, rng)
         e = half_idempotent(toy.shape)
         conn = connection_with(toy, e, [[0.5 * w, 0.5 * w], [0.5 * w, 0.5 * w]], "right")
-        real = build_real_triple(toy, e, conn)
+        real = build_real_triple(lift_maps(toy, e), conn)
         report = check_real_triple(real)
         assert report.passes
         assert report.ko_dimension == 0
@@ -416,12 +421,12 @@ class TestRealTriple:
         t = u1u2.triple
         e = unit_idempotent(t.shape, 1)
         with pytest.raises(ValueError, match="first-order"):
-            build_real_triple(t, e, grassmann(t, e, "right"))
+            build_real_triple(lift_maps(t, e), grassmann(t, e, "right"))
 
     def test_requires_real_and_graded(self, rand6):
         e = unit_idempotent(rand6.shape, 1)
         with pytest.raises(ValueError, match="real, graded"):
-            build_real_triple(rand6, e, grassmann(rand6, e, "right"))
+            build_real_triple(lift_maps(rand6, e), grassmann(rand6, e, "right"))
 
 
 class TestCrossModuleAgreement:

@@ -25,9 +25,12 @@ from twistlab.morita import (
     build_left_triple,
     build_real_triple,
     build_right_triple,
+    check_morita_triple,
+    check_real_triple,
     conjugate_connection,
     connection_with,
     grassmann,
+    lift_maps,
 )
 
 from twistlab.pert import eta, eta_adjoint_pairs
@@ -284,16 +287,19 @@ def export_cases():
 @pytest.mark.parametrize("t, e, conn", export_cases())
 def test_exports_equal_the_loop_assembly(t, e, conn):
     em = e.matrix
-    rt = build_right_triple(t, e, conn)
+    rt = build_right_triple(lift_maps(t, e), conn)
+    assert check_morita_triple(rt, samples=4).passes
     proj, d_r = loop_right_export(t, em, conn.one_forms)
     assert np.array_equal(rt.projection, proj) and np.array_equal(rt.d_r, d_r)
 
     left = conjugate_connection(t, conn)
-    lt = build_left_triple(t, e, left)
+    lt = build_left_triple(lift_maps(t, e), left)
+    assert check_morita_triple(lt, samples=4).passes
     proj, d_l = loop_left_export(t, em, left.one_forms)
     assert np.array_equal(lt.projection, proj) and np.array_equal(lt.d_l, d_l)
 
-    real = build_real_triple(t, e, conn)
+    real = build_real_triple(lift_maps(t, e), conn)
+    assert check_real_triple(real, samples=4).passes
     proj, d_prime, d_second, jp = loop_real_export(t, em, conn.one_forms)
     assert np.array_equal(real.projection, proj)
     assert np.array_equal(real.d_prime, d_prime)
