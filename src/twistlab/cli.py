@@ -14,7 +14,9 @@ import numpy as np
 
 from . import __version__
 from .files import (
+    connection_from_json,
     load_idempotent,
+    load_json,
     load_pert,
     load_triple,
     load_unitary,
@@ -326,14 +328,13 @@ def cmd_morita(args) -> int:
         return _fail("choose --self --omega PERT or --idempotent FILE")
     try:
         e = load_idempotent(args.idempotent, t.shape)
+        conn_doc = load_json(args.connection) if args.connection else None
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         return _fail(str(exc))
     doc, ok, lift = {}, True, None
     try:
         if args.connection:
-            from .files import connection_from_json, load_json
-
-            conn = connection_from_json(t, e, load_json(args.connection), "right")
+            conn = connection_from_json(t, e, conn_doc, "right")
         else:
             conn = grassmann(t, e, "right")
         lift = lift_maps(t, e, tol)

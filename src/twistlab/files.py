@@ -119,6 +119,13 @@ def _integer(v: Any, field: str) -> int:
     return v
 
 
+def _object(v: Any, field: str) -> dict:
+    """A JSON object; any other value raises ValueError naming the field."""
+    if not isinstance(v, dict):
+        raise ValueError(f"{field} must be a JSON object, got {type(v).__name__}")
+    return v
+
+
 def _integers(v: Any, field: str) -> tuple[int, ...]:
     if not isinstance(v, list):
         raise ValueError(f"{field} must be a list of JSON integers, got {v!r}")
@@ -129,13 +136,16 @@ def triple_from_json(doc: Any) -> TwistedTriple:
     if not isinstance(doc, dict):
         raise ValueError("triple file must be a JSON object")
     try:
-        blocks = doc["algebra"]["blocks"]
+        blocks = _object(doc["algebra"], "algebra")["blocks"]
         dim = doc["hilbert_dim"]
-        unit_images = doc["representation"]["unit_images"]
+        representation = _object(doc["representation"], "representation")
+        unit_images = _object(representation["unit_images"], "representation.unit_images")
         dirac_json = doc["dirac"]
-        perm, conjugators = doc["automorphism"]["perm"], doc["automorphism"]["conjugators"]
-        j_json = doc["real_structure"]["matrix"] if "real_structure" in doc else None
-    except (KeyError, TypeError) as exc:
+        auto = _object(doc["automorphism"], "automorphism")
+        perm, conjugators = auto["perm"], auto["conjugators"]
+        j_json = (_object(doc["real_structure"], "real_structure")["matrix"]
+                  if "real_structure" in doc else None)
+    except KeyError as exc:
         raise ValueError(f"triple file missing required field: {exc}") from exc
     shape = AlgebraShape(_integers(blocks, "algebra.blocks"))
     dim = _integer(dim, "hilbert_dim")

@@ -11,10 +11,11 @@ for an opposite one-form, a.w = w a^opp and w.a = sigma_opp(a^opp) w.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraShape
+from .algebra import AlgebraElement, AlgebraShape, Automorphism, check_regularity
 from .linalg import DEFAULT_TOL, AntilinearOp, Tolerance, dagger, rel_defect
 from .pert import OppPerturbation, eta_opp
 from .triple import TwistedTriple, _basis_pair_scans
@@ -24,91 +25,85 @@ from .triple import TwistedTriple, _basis_pair_scans
 # matrices over the algebra and module vectors
 # ---------------------------------------------------------------------------
 
-AEntries = tuple[tuple[AlgebraElement, ...], ...]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AlgebraMatrix:
-    """n x n matrix with entries in the algebra (houses idempotents and B = eM_n(A)e)."""
+    """n x n matrix over A (houses idempotents and B = eM_n(A)e), held as one element of M_n(A).
+
+    M_n(A) = + M_{n n_k}(C) is itself a multi-matrix algebra: entry (i, j) of block k
+    is the n_k x n_k tile at rows i n_k.. and columns j n_k.. of the element's block k.
+    """
 
     shape: AlgebraShape
-    entries: AEntries
+    n: int
+    element: AlgebraElement
 
-    def __post_init__(self) -> None:
-        n = len(self.entries)
-        rows = []
-        for row in self.entries:
-            if len(row) != n:
-                raise ValueError("algebra matrix must be square")
-            for x in row:
-                if x.shape != self.shape:
-                    raise ValueError("entry with mismatched algebra shape")
-            rows.append(tuple(row))
-        object.__setattr__(self, "entries", tuple(rows))
+    def __init__(self, shape: AlgebraShape, entries) -> None:
+        n = len(entries)
+        if any(len(row) != n for row in entries):
+            raise ValueError("algebra matrix must be square")
+        if any(x.shape != shape for row in entries for x in row):
+            raise ValueError("entry with mismatched algebra shape")
+        blocks = tuple(np.block([[x.blocks[k] for x in row] for row in entries])
+                       for k in range(shape.num_blocks))
+        self.__dict__.update(shape=shape, n=n, element=AlgebraElement(_amplified(shape, n), blocks))
 
-    @property
-    def n(self) -> int:
-        return len(self.entries)
+    @cached_property
+    def entries(self) -> tuple[tuple[AlgebraElement, ...], ...]:
+        """Entry (i, j) as an AlgebraElement whose blocks are views of the tiles."""
+        n = self.n
+        tiles = [b.reshape(n, nk, n, nk) for b, nk in zip(self.element.blocks, self.shape.block_dims)]
+        return tuple(tuple(AlgebraElement(self.shape, tuple(x[i, :, j] for x in tiles)) for j in range(n))
+                     for i in range(n))
 
     def __add__(self, other: AlgebraMatrix) -> AlgebraMatrix:
-        self._compat(other)
-        return AlgebraMatrix(self.shape, tuple(
-            tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.entries, other.entries)
-        ))
+        return _packed(self.shape, self.n, self.element + self._compat(other))
 
     def __sub__(self, other: AlgebraMatrix) -> AlgebraMatrix:
-        self._compat(other)
-        return AlgebraMatrix(self.shape, tuple(
-            tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.entries, other.entries)
-        ))
+        return _packed(self.shape, self.n, self.element - self._compat(other))
 
     def __mul__(self, other: AlgebraMatrix) -> AlgebraMatrix:
-        self._compat(other)
-        n = self.n
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = self.shape.zero()
-                for k in range(n):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(tuple(row))
-        return AlgebraMatrix(self.shape, tuple(out))
+        return _packed(self.shape, self.n, self.element * self._compat(other))
 
-    def _compat(self, other: AlgebraMatrix) -> None:
+    def _compat(self, other: AlgebraMatrix) -> AlgebraElement:
         if self.shape != other.shape or self.n != other.n:
             raise ValueError("algebra matrix mismatch")
+        return other.element
 
     def star(self) -> AlgebraMatrix:
         """Transpose composed with the entrywise involution."""
-        n = self.n
-        return AlgebraMatrix(self.shape, tuple(
-            tuple(self.entries[j][i].star() for j in range(n)) for i in range(n)
-        ))
+        return _packed(self.shape, self.n, self.element.star())
 
-    def map(self, f) -> AlgebraMatrix:
-        return AlgebraMatrix(self.shape, tuple(tuple(f(x) for x in row) for row in self.entries))
+    def map(self, sigma: Automorphism) -> AlgebraMatrix:
+        """Entrywise sigma, which is id (x) sigma on M_n(A): the same perm, conjugators kron(1_n, S_k)."""
+        amplified = Automorphism(self.element.shape, sigma.perm,
+                                 tuple(np.kron(np.eye(self.n), s) for s in sigma.conjugators))
+        return _packed(self.shape, self.n, amplified(self.element))
 
     def norm(self) -> float:
-        return float(np.sqrt(sum(x.norm() ** 2 for row in self.entries for x in row)))
+        return self.element.norm()
 
     def defect(self, other: AlgebraMatrix) -> float:
         scale = max(1.0, self.norm(), other.norm())
         return (self - other).norm() / scale
 
 
+def _amplified(shape: AlgebraShape, n: int) -> AlgebraShape:
+    return AlgebraShape(tuple(n * nk for nk in shape.block_dims))
+
+
+def _packed(shape: AlgebraShape, n: int, element: AlgebraElement) -> AlgebraMatrix:
+    """The n x n matrix held as `element` of M_n(A), trusted: no re-packing, no checks."""
+    out = object.__new__(AlgebraMatrix)
+    out.__dict__.update(shape=shape, n=n, element=element)
+    return out
+
+
 def amat_unit(shape: AlgebraShape, n: int) -> AlgebraMatrix:
-    e, z = shape.unit(), shape.zero()
-    return AlgebraMatrix(shape, tuple(
-        tuple(e if i == j else z for j in range(n)) for i in range(n)
-    ))
+    return _packed(shape, n, _amplified(shape, n).unit())
 
 
 def amat_random(shape: AlgebraShape, n: int, rng: np.random.Generator, scale: float = 1.0) -> AlgebraMatrix:
-    return AlgebraMatrix(shape, tuple(
-        tuple(shape.random_element(rng, scale) for _ in range(n)) for _ in range(n)
-    ))
+    return AlgebraMatrix(shape, [[shape.random_element(rng, scale) for _ in range(n)] for _ in range(n)])
 
 
 ModuleVector = tuple[AlgebraElement, ...]
@@ -199,10 +194,9 @@ def check_idempotent(t: TwistedTriple, e: IdempotentData, tol: Tolerance = DEFAU
     m = e.matrix
     sig = m.map(t.sigma)
     sig_inv = m.map(t.sigma.inverse())
-    tc = max(
-        (float(np.linalg.norm(t.twisted_commutator(x))) for row in m.entries for x in row),
-        default=0.0,
-    )
+    d = np.kron(np.eye(m.n), t.dirac)
+    delta = _blocks(d @ _pi_grid(t, m) - _pi_grid(t, sig) @ d, m.n)     # delta(m_i^j) as blocks
+    tc = float(np.linalg.norm(delta, axis=(2, 3)).max())
     return IdempotentReport(
         idempotent_defect=(m * m).defect(m),
         selfadjoint_defect=m.star().defect(m),
@@ -258,7 +252,7 @@ def lift_maps(
     rng = np.random.default_rng(0)
     em = e.matrix
     eps = tol.abs_eps
-    regular = check_regularity_holds(t, tol)
+    regular = check_regularity(t.sigma, samples=3, tol=tol).passes
     for _ in range(samples):
         xi = random_module_vector(em, rng)
         a = t.shape.random_element(rng)
@@ -279,12 +273,6 @@ def lift_maps(
     return lift
 
 
-def check_regularity_holds(t: TwistedTriple, tol: Tolerance = DEFAULT_TOL) -> bool:
-    from .algebra import check_regularity
-
-    return check_regularity(t.sigma, samples=3, tol=tol).passes
-
-
 # ---------------------------------------------------------------------------
 # block operators on H^n and M_n(H)
 # ---------------------------------------------------------------------------
@@ -303,14 +291,22 @@ def _blocks(g: np.ndarray, n: int) -> np.ndarray:
     return g.reshape(n, d, n, d).transpose(0, 2, 1, 3)
 
 
+def _images(t: TwistedTriple, m: AlgebraMatrix) -> np.ndarray:
+    """pi of the entries in row-major order, as an (n*n, d, d) stack: one GEMM of their block coefficients."""
+    n = m.n
+    coeffs = [b.reshape(n, nk, n, nk).transpose(0, 2, 1, 3).reshape(n * n, nk * nk)
+              for nk, b in zip(m.shape.block_dims, m.element.blocks)]
+    return t.rep.images(np.concatenate(coeffs, axis=1))
+
+
 def _pi_grid(t: TwistedTriple, m: AlgebraMatrix) -> np.ndarray:
     """Left multiplication on columns: (m xi)_r = sum_c pi(m_r^c) xi_c."""
-    return _grid([[t.pi(x) for x in row] for row in m.entries])
+    return _grid(_images(t, m).reshape(m.n, m.n, t.dim, t.dim))
 
 
 def _opp_grid(t: TwistedTriple, m: AlgebraMatrix) -> np.ndarray:
     """Right multiplication on row vectors: (Phi m)^j = sum_l pi_opp(m_l^j) psi^l."""
-    return _grid(list(zip(*([t.pi_opp(x) for x in row] for row in m.entries))))
+    return _grid(t.opp_images(_images(t, m)).reshape(m.n, m.n, t.dim, t.dim).swapaxes(0, 1))
 
 
 def _on_rows(g: np.ndarray, n: int) -> np.ndarray:
@@ -509,8 +505,12 @@ def conjugate_connection(t: TwistedTriple, conn: Connection, tol: Tolerance = DE
 
 
 def _triple_first_order_defect(t: TwistedTriple) -> float:
-    """Max first-order defect over all basis pairs, from the batched scan of `check_axioms`."""
-    return float(_basis_pair_scans(t)[1].max())
+    """Max first-order defect over all basis pairs, from the batched scan of `check_axioms`; cached on t."""
+    cached = getattr(t, "_first_order_defect", None)
+    if cached is None:
+        cached = float(_basis_pair_scans(t)[1].max())
+        object.__setattr__(t, "_first_order_defect", cached)
+    return cached
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,13 @@ INTEGER_FIELD_MUTATIONS = {
     "hilbert_dim_list": (None, "hilbert_dim", [8]),
 }
 
+# sections of a triple file holding a value that is not a JSON object: (section, value)
+SECTION_MUTATIONS = {
+    "automorphism_scalar": ("automorphism", 5),
+    "algebra_list": ("algebra", [1]),
+    "representation_scalar": ("representation", 7),
+}
+
 
 class TestCheck:
     def test_exit_zero_with_first_order_violated(self, workdir, capsys):
@@ -182,7 +189,7 @@ class TestCheck:
         assert main(["check", str(workdir / "missing.json")]) == 2
 
     @pytest.mark.parametrize("mutation", ["no_perm", "short_conjugators", "empty_real_structure",
-                                          *INTEGER_FIELD_MUTATIONS])
+                                          *INTEGER_FIELD_MUTATIONS, *SECTION_MUTATIONS])
     def test_malformed_triple_exits_two(self, workdir, capsys, mutation):
         doc = json.loads((workdir / "u1u2.json").read_text())
         if mutation == "no_perm":
@@ -191,6 +198,9 @@ class TestCheck:
             doc["automorphism"]["conjugators"] = doc["automorphism"]["conjugators"][:-1]
         elif mutation == "empty_real_structure":
             doc["real_structure"] = {}
+        elif mutation in SECTION_MUTATIONS:
+            section, value = SECTION_MUTATIONS[mutation]
+            doc[section] = value
         else:
             section, key, value = INTEGER_FIELD_MUTATIONS[mutation]
             (doc[section] if section else doc)[key] = value
@@ -202,6 +212,9 @@ class TestCheck:
         if mutation in INTEGER_FIELD_MUTATIONS:
             key = INTEGER_FIELD_MUTATIONS[mutation][1]
             assert "JSON integer" in err and key in err and "missing" not in err
+        if mutation in SECTION_MUTATIONS:
+            section = SECTION_MUTATIONS[mutation][0]
+            assert f"{section} must be a JSON object" in err and "missing" not in err
 
     def test_json_output_deterministic(self, workdir, capsys):
         rc = main(["check", str(workdir / "u1u2.json"), "--json", "--seed", "3"])
@@ -325,6 +338,20 @@ class TestModelAndMorita:
         doc = json.loads(capsys.readouterr().out)
         assert doc["right_triple_passes"] and doc["real_triple_passes"]
 
+    def test_morita_missing_connection_file_exits_two(self, workdir, capsys):
+        rc = main(["morita", str(workdir / "u1u2_ky0.json"), "--idempotent", str(workdir / "idem.json"),
+                   "--connection", str(workdir / "no_such_connection.json")])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "error:" in err and "no_such_connection.json" in err
+
+    def test_morita_wrong_size_connection_is_a_construction_error(self, workdir, capsys):
+        (workdir / "conn_1x1.json").write_text(json.dumps([[[]]]))
+        rc = main(["morita", str(workdir / "u1u2_ky0.json"), "--idempotent", str(workdir / "idem.json"),
+                   "--connection", str(workdir / "conn_1x1.json"), "--json"])
+        assert rc == 1
+        assert "n x n" in json.loads(capsys.readouterr().out)["construction_error"]
+
 
 class TestMoritaCallCounts:
     """One lift per command and one verification per export, counted through both module names."""
@@ -347,6 +374,18 @@ class TestMoritaCallCounts:
         rc = main(["morita", str(workdir / "u1u2_ky0.json"), "--idempotent", str(workdir / "idem.json")])
         assert rc == 0
         assert calls == {"lift_maps": 1, "check_morita_triple": 2, "check_real_triple": 1}
+
+    def test_idempotent_runs_the_first_order_gate_once(self, workdir, capsys, monkeypatch):
+        import twistlab.morita as morita
+
+        scans = []
+        def counted(t, _f=morita._basis_pair_scans):
+            scans.append(t)
+            return _f(t)
+        monkeypatch.setattr(morita, "_basis_pair_scans", counted)
+        rc = main(["morita", str(workdir / "u1u2_ky0.json"), "--idempotent", str(workdir / "idem.json")])
+        assert rc == 0
+        assert len(scans) == 1
 
     def test_self_builds_one_lift(self, workdir, capsys, calls):
         rc = main(["morita", str(workdir / "u1u2.json"), "--self", "--omega", str(workdir / "pert.json")])

@@ -1,8 +1,9 @@
-"""The Morita block assemblers and the first-order gate against the per-block loops they replaced.
+"""The packed algebra matrices, the Morita block assemblers and the first-order gate against the loops they replaced.
 
 The loops below are the reference oracles: block placement is exact, so the
-grid assemblers and the exported operators must equal them bit for bit; the
-sandwiches and the first-order gate reassociate sums and agree to rtol 1e-13.
+entries, +, - and star of a packed matrix, the grid assemblers and the exported
+operators must equal them bit for bit; products, the entrywise twist, norms,
+the sandwiches and the first-order gate reassociate sums and agree to rtol 1e-13.
 """
 import numpy as np
 import pytest
@@ -44,6 +45,45 @@ RTOL = 1e-13
 # ---------------------------------------------------------------------------
 # loop oracles
 # ---------------------------------------------------------------------------
+
+
+def loop_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.entries, b.entries)]
+
+
+def loop_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a.entries, b.entries)]
+
+
+def loop_mul(a, b):
+    n = a.n
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = a.shape.zero()
+            for k in range(n):
+                acc = acc + a.entries[i][k] * b.entries[k][j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def loop_star(a):
+    return [[a.entries[j][i].star() for j in range(a.n)] for i in range(a.n)]
+
+
+def loop_map(a, f):
+    return [[f(x) for x in row] for row in a.entries]
+
+
+def loop_norm(entries):
+    return float(np.sqrt(sum(x.norm() ** 2 for row in entries for x in row)))
+
+
+def loop_random(shape, n, rng, scale=1.0):
+    """The entries `amat_random` samples, drawn entry by entry in row-major order."""
+    return [[shape.random_element(rng, scale) for _ in range(n)] for _ in range(n)]
 
 
 def _blk_pi(t, m):
@@ -224,6 +264,74 @@ CASE_IDS = [f"d{t.dim}-n{m.n}-{k}" for k, (t, m, _) in enumerate(CASES)]
 # ---------------------------------------------------------------------------
 # tests
 # ---------------------------------------------------------------------------
+
+
+def _entries_equal(m, loop):
+    return all(np.array_equal(x, y) for rm, rl in zip(m.entries, loop) for a, b in zip(rm, rl)
+               for x, y in zip(a.blocks, b.blocks))
+
+
+def _entries_close(m, loop):
+    diff = loop_norm([[a - b for a, b in zip(rm, rl)] for rm, rl in zip(m.entries, loop)])
+    return diff <= RTOL * loop_norm(loop)
+
+
+def packed_cases():
+    """(sigma, n): U(1)xU(2) with its flip twist and random_real_triple(3), n = 1..3."""
+    u1u2 = tw.build_u1u2(1 + 0.5j, 0.7 - 0.2j).triple
+    rand6 = tw.random_real_triple(3)
+    return [pytest.param(t.sigma, n, id=f"{name}-n{n}")
+            for name, t in (("u1u2", u1u2), ("rand6", rand6)) for n in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("sigma, n", packed_cases())
+class TestPackedArithmetic:
+    """M_n(A) held as one element of + M_{n n_k}(C) against the entrywise loops it replaced."""
+
+    @pytest.fixture
+    def pair(self, sigma, n):
+        rng = np.random.default_rng(31 + n)
+        a, b = amat_random(sigma.shape, n, rng), amat_random(sigma.shape, n, rng, 0.5)
+        rng = np.random.default_rng(31 + n)
+        return a, b, loop_random(sigma.shape, n, rng), loop_random(sigma.shape, n, rng, 0.5)
+
+    def test_entries_follow_the_rng_entry_by_entry(self, pair):
+        a, b, la, lb = pair
+        assert _entries_equal(a, la) and _entries_equal(b, lb)
+
+    def test_exact_operations(self, pair):
+        a, b, _, _ = pair
+        assert _entries_equal(a + b, loop_add(a, b))
+        assert _entries_equal(a - b, loop_sub(a, b))
+        assert _entries_equal(a.star(), loop_star(a))
+
+    def test_reassociated_operations(self, pair, sigma):
+        a, b, _, _ = pair
+        assert _entries_close(a * b, loop_mul(a, b))
+        assert _entries_close(b * a, loop_mul(b, a))
+        assert _entries_close(a.map(sigma), loop_map(a, sigma))
+        assert _entries_close(a.map(sigma.inverse()), loop_map(a, sigma.inverse()))
+        assert abs(a.norm() - loop_norm(a.entries)) <= RTOL * loop_norm(a.entries)
+
+    def test_repacking_the_entries_round_trips(self, pair):
+        a, _, _, _ = pair
+        again = AlgebraMatrix(a.shape, a.entries)
+        assert again.n == a.n
+        assert all(np.array_equal(x, y) for x, y in zip(again.element.blocks, a.element.blocks))
+
+    def test_unit(self, sigma, n):
+        unit = amat_unit(sigma.shape, n)
+        e, z = sigma.shape.unit(), sigma.shape.zero()
+        assert _entries_equal(unit, [[e if i == j else z for j in range(n)] for i in range(n)])
+
+
+def test_packing_validates_the_entries():
+    shape = tw.build_u1u2(1 + 0.5j, 0.7 - 0.2j).triple.shape
+    a = shape.unit()
+    with pytest.raises(ValueError, match="square"):
+        AlgebraMatrix(shape, ((a, a), (a,)))
+    with pytest.raises(ValueError, match="mismatched algebra shape"):
+        AlgebraMatrix(shape, ((tw.AlgebraShape((2,)).unit(),),))
 
 
 @pytest.mark.parametrize("t, m, ops", CASES, ids=CASE_IDS)
