@@ -14,9 +14,9 @@ import numpy as np
 
 from . import __version__
 from .files import (
-    connection_from_json,
+    connection_from_cells,
+    load_connection,
     load_idempotent,
-    load_json,
     load_pert,
     load_triple,
     load_unitary,
@@ -68,7 +68,7 @@ def _status(defect: float | None, eps: float) -> str:
 
 def cmd_check(args) -> int:
     try:
-        t = load_triple(args.triple)
+        t = load_triple(args.triple, args.tol)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         return _fail(str(exc))
     tol = args.tol
@@ -135,7 +135,7 @@ def cmd_check(args) -> int:
 
 def cmd_fluctuate(args) -> int:
     try:
-        t = load_triple(args.triple)
+        t = load_triple(args.triple, args.tol)
         p = load_pert(args.pert, t.shape)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         return _fail(str(exc))
@@ -178,7 +178,7 @@ def matrixify(nested) -> np.ndarray:
 
 def cmd_gauge(args) -> int:
     try:
-        t = load_triple(args.triple)
+        t = load_triple(args.triple, args.tol)
         p = load_pert(args.pert, t.shape)
         u = load_unitary(args.unitary, t.shape)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
@@ -209,7 +209,7 @@ def cmd_gauge(args) -> int:
 
 def cmd_pert_mul(args) -> int:
     try:
-        t = load_triple(args.triple)
+        t = load_triple(args.triple, args.tol)
         p = load_pert(args.left, t.shape)
         q = load_pert(args.right, t.shape)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
@@ -283,7 +283,7 @@ def cmd_morita(args) -> int:
     from .pert import Perturbation, eta_adjoint_pairs
 
     try:
-        t = load_triple(args.triple)
+        t = load_triple(args.triple, args.tol)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         return _fail(str(exc))
     tol = args.tol
@@ -303,7 +303,7 @@ def cmd_morita(args) -> int:
         w = eta(t, p_sym).op
         idem = IdempotentData(amat_unit(t.shape, 1))
         try:
-            ep = t.epsilon_prime()
+            ep = t.epsilon_prime(tol)
             lift = lift_maps(t, idem, tol)
             rt = build_right_triple(lift, connection_with(t, idem, [[w]], "right"), tol)
             wbar = ep * t.real.j.conjugate(w)
@@ -328,15 +328,12 @@ def cmd_morita(args) -> int:
         return _fail("choose --self --omega PERT or --idempotent FILE")
     try:
         e = load_idempotent(args.idempotent, t.shape)
-        conn_doc = load_json(args.connection) if args.connection else None
+        cells = load_connection(args.connection, t.shape) if args.connection else None
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         return _fail(str(exc))
     doc, ok, lift = {}, True, None
     try:
-        if args.connection:
-            conn = connection_from_json(t, e, conn_doc, "right")
-        else:
-            conn = grassmann(t, e, "right")
+        conn = grassmann(t, e, "right") if cells is None else connection_from_cells(t, e, cells, "right")
         lift = lift_maps(t, e, tol)
         rt = build_right_triple(lift, conn, tol)
         right_report = check_morita_triple(rt, seed=args.seed, tol=tol)

@@ -12,7 +12,7 @@ from typing import Any
 import numpy as np
 
 from .algebra import AlgebraElement, AlgebraShape, Automorphism, Unitary
-from .linalg import AntilinearOp, detect_sign
+from .linalg import DEFAULT_TOL, AntilinearOp, Tolerance, detect_sign
 from .morita import AlgebraMatrix, IdempotentData
 from .pert import Perturbation
 from .triple import RealStructure, Representation, TwistedTriple
@@ -80,7 +80,7 @@ def pert_to_json(p: Perturbation) -> list:
 
 def pert_from_json(shape: AlgebraShape, v: Any) -> Perturbation:
     if not isinstance(v, list):
-        raise ValueError("perturbation file must be a JSON list of element pairs")
+        raise ValueError("a perturbation must be a JSON list of element pairs")
     pairs = []
     for item in v:
         if not isinstance(item, list) or len(item) != 2:
@@ -132,7 +132,8 @@ def _integers(v: Any, field: str) -> tuple[int, ...]:
     return tuple(_integer(x, f"{field} entry") for x in v)
 
 
-def triple_from_json(doc: Any) -> TwistedTriple:
+def triple_from_json(doc: Any, tol: Tolerance = DEFAULT_TOL) -> TwistedTriple:
+    """The triple of a triple file; its KO signs are detected at tol."""
     if not isinstance(doc, dict):
         raise ValueError("triple file must be a JSON object")
     try:
@@ -173,11 +174,11 @@ def triple_from_json(doc: Any) -> TwistedTriple:
     if j_json is not None:
         jmat = matrix_from_json(j_json, (dim, dim))
         j = AntilinearOp(jmat)
-        eps, _ = detect_sign(j.squared(), np.eye(dim))
-        epsp, _ = detect_sign(j.conjugate(dirac), dirac)
+        eps, _ = detect_sign(j.squared(), np.eye(dim), tol)
+        epsp, _ = detect_sign(j.conjugate(dirac), dirac, tol)
         epspp = None
         if grading is not None:
-            epspp, _ = detect_sign(j.conjugate(grading), grading)
+            epspp, _ = detect_sign(j.conjugate(grading), grading, tol)
         real = RealStructure(j, epsilon=eps, epsilon_prime=epsp, epsilon_double_prime=epspp)
     return TwistedTriple(shape, rep, dirac, sigma, grading=grading, real=real)
 
@@ -197,25 +198,41 @@ def idempotent_from_json(shape: AlgebraShape, v: Any) -> IdempotentData:
     return IdempotentData(AlgebraMatrix(shape, entries))
 
 
-def connection_from_json(t: TwistedTriple, e: IdempotentData, v: Any, side: str = "right"):
-    """Connection file: n x n array of perturbation pair-lists, one per one-form entry."""
+def connection_cells_from_json(shape: AlgebraShape, v: Any) -> tuple[tuple[Perturbation, ...], ...]:
+    """Connection file: rows of perturbation pair-lists, one per one-form entry.
+
+    Only the schema is checked here; `connection_from_cells` checks that the
+    array is n x n for the idempotent.
+    """
+    if not isinstance(v, list) or any(not isinstance(row, list) for row in v):
+        raise ValueError("a connection must be an array of rows of one-form pair lists")
+    cells = []
+    for i, row in enumerate(v):
+        parsed = []
+        for j, cell in enumerate(row):
+            try:
+                parsed.append(pert_from_json(shape, cell))
+            except ValueError as exc:
+                raise ValueError(f"cell ({i}, {j}): {exc}") from exc
+        cells.append(tuple(parsed))
+    return tuple(cells)
+
+
+def connection_from_cells(t: TwistedTriple, e: IdempotentData, cells: tuple[tuple[Perturbation, ...], ...],
+                          side: str = "right"):
+    """The connection whose one-form entry (i, j) is eta (right) or eta_opp (left) of cells[i][j]."""
     from .morita import connection_with
     from .pert import eta, eta_opp, OppPerturbation
 
     n = e.n
-    if not isinstance(v, list) or len(v) != n or any(not isinstance(r, list) or len(r) != n for r in v):
+    if len(cells) != n or any(len(row) != n for row in cells):
         raise ValueError("connection file must be an n x n array of one-form pair lists")
-    ops = []
-    for row in v:
-        out_row = []
-        for cell in row:
-            pairs = pert_from_json(t.shape, cell)
-            if side == "right":
-                out_row.append(eta(t, pairs).op)
-            else:
-                out_row.append(eta_opp(t, OppPerturbation(t.shape, pairs.pairs)))
-        ops.append(tuple(out_row))
-    return connection_with(t, e, tuple(ops), side)
+    ops = tuple(
+        tuple(eta(t, p).op if side == "right" else eta_opp(t, OppPerturbation(t.shape, p.pairs))
+              for p in row)
+        for row in cells
+    )
+    return connection_with(t, e, ops, side)
 
 
 def load_json(path: str) -> Any:
@@ -223,8 +240,8 @@ def load_json(path: str) -> Any:
         return json.load(fh)
 
 
-def load_triple(path: str) -> TwistedTriple:
-    return triple_from_json(load_json(path))
+def load_triple(path: str, tol: Tolerance = DEFAULT_TOL) -> TwistedTriple:
+    return triple_from_json(load_json(path), tol)
 
 
 def load_pert(path: str, shape: AlgebraShape) -> Perturbation:
@@ -237,3 +254,12 @@ def load_unitary(path: str, shape: AlgebraShape) -> Unitary:
 
 def load_idempotent(path: str, shape: AlgebraShape) -> IdempotentData:
     return idempotent_from_json(shape, load_json(path))
+
+
+def load_connection(path: str, shape: AlgebraShape) -> tuple[tuple[Perturbation, ...], ...]:
+    """The parsed cells of a connection file; a schema error names the file."""
+    doc = load_json(path)
+    try:
+        return connection_cells_from_json(shape, doc)
+    except ValueError as exc:
+        raise ValueError(f"connection file {path}: {exc}") from exc

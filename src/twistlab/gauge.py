@@ -115,7 +115,7 @@ def selfadjointness_report(
     if not flu.selfadjoint_d_omega:
         raise ValueError("criterion requires selfadjoint start")
     d_omega = flu.d_omega
-    ep = t.epsilon_prime()
+    ep = t.epsilon_prime(tol)
     fu = t.sigma(u.element).star() * u.element
 
     bracket = t.bracket_sigma(d_omega, fu)

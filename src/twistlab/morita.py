@@ -496,7 +496,7 @@ def conjugate_connection(t: TwistedTriple, conn: Connection, tol: Tolerance = DE
     real = t.require_real()
     if _triple_first_order_defect(t) > tol.abs_eps:
         raise ValueError("conjugation requires first order")
-    ep = t.epsilon_prime()
+    ep = t.epsilon_prime(tol)
     n = conn.n
     entries = tuple(
         tuple(ep * real.j.conjugate(conn.one_forms[k][r]) for k in range(n)) for r in range(n)
@@ -690,7 +690,7 @@ def build_real_triple(lift: ModuleLift, conn: Connection, tol: Tolerance = DEFAU
 
     em = e.matrix
     n = e.n
-    ep = t.epsilon_prime()
+    ep = t.epsilon_prime(tol)
     j = t.real.j
 
     proj = _on_rows(_pi_grid(t, em), n) @ _on_cols(_opp_grid(t, em), n)

@@ -182,7 +182,7 @@ def fluctuate(t: TwistedTriple, p: Perturbation, tol: Tolerance = DEFAULT_TOL) -
     real = t.require_real()
     if not p.is_normalized(t.sigma, tol):
         p = normalize(t, p)
-    ep = t.epsilon_prime()
+    ep = t.epsilon_prime(tol)
 
     omega1 = eta(t, p).op
     omega1_hat = ep * real.j.conjugate(omega1)

@@ -8,6 +8,7 @@ commutator [D, pi(a)]_sigma = D pi(a) - pi(sigma(a)) D.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,12 +28,14 @@ _KO_GRADED = {(1, 1, 1): 0, (-1, 1, -1): 2, (-1, 1, 1): 4, (1, 1, -1): 6}
 _KO_ODD = {(1, -1): 1, (-1, 1): 3, (-1, -1): 5, (1, 1): 7}
 
 
-# Working set, in bytes, of one chunk of a basis scan.  A scan holds at most one
-# (N, d, d) stack besides the representation's own, and walks the rest of the
-# basis, or of the N x N basis-pair grid, in chunks that fit this budget.
+# Working set, in bytes, of one chunk of a basis scan.  A scan holds thin factors
+# of its (N, d, d) stacks of basis images besides the representation's own
+# stack, and walks the rest of the basis, or of the N x N basis-pair grid, in
+# chunks that fit this budget.
 SCAN_BUDGET_BYTES = 1 << 18
 
 _COMPLEX_BYTES = np.dtype(complex).itemsize
+_EPS = np.finfo(float).eps
 
 # The first-order witness is the first pair whose defect is within this relative
 # distance of the maximum, so that pairs tied up to rounding resolve to the first.
@@ -49,22 +52,14 @@ def _slices(count: int, step: int) -> list[slice]:
     return [slice(start, min(start + step, count)) for start in range(0, count, step)]
 
 
+def _fit(item_bytes: int, buffers: int) -> int:
+    """How many items per buffer fit the budget when `buffers` buffers are live (at least 1)."""
+    return max(1, SCAN_BUDGET_BYTES // (buffers * max(1, item_bytes)))
+
+
 def _chunk(d: int, buffers: int) -> int:
-    """How many (d, d) matrices per buffer fit the budget when `buffers` buffers are live (at least 1)."""
-    return max(1, SCAN_BUDGET_BYTES // (buffers * d * d * _COMPLEX_BYTES))
-
-
-def _tile(n: int, d: int, buffers: int) -> tuple[int, int]:
-    """(rows, cols) of a tile of the n x n pair grid within the budget: as many u as fit, then v."""
-    pairs = _chunk(d, buffers)
-    rows = min(n, pairs)
-    return rows, min(n, max(1, pairs // rows))
-
-
-def _tile_buffer(flat: np.ndarray, us: slice, vs: slice, d: int) -> np.ndarray:
-    """Contiguous (u, v, d, d) view of a reused flat buffer for the tile us x vs."""
-    shape = (us.stop - us.start, vs.stop - vs.start, d, d)
-    return flat[:shape[0] * shape[1] * d * d].reshape(shape)
+    """How many (d, d) matrices per buffer fit the budget when `buffers` buffers are live."""
+    return _fit(d * d * _COMPLEX_BYTES, buffers)
 
 
 def _sq_norms(x: np.ndarray) -> np.ndarray:
@@ -73,11 +68,97 @@ def _sq_norms(x: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", flat, flat)
 
 
+def _grid_sq_norms(x: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norms of the (axis 1, axis 3) slices of a contiguous (a, i, b, j) stack, as an (a, b) grid."""
+    flat = x.view(float)
+    return np.einsum("aibj,aibj->ab", flat, flat)
+
+
 def _rel_defects(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """rel_defect of each matrix of stack x against y; x is overwritten by x - y."""
     scale = np.sqrt(np.maximum(_sq_norms(x), _sq_norms(y)))
     np.subtract(x, y, out=x)
     return np.sqrt(_sq_norms(x)) / np.maximum(1.0, scale)
+
+
+def _side_by_side(x: np.ndarray) -> np.ndarray:
+    """The (u, d, c) stack X as one (d, u c) matrix [X_0 X_1 ...]."""
+    return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
+
+
+class _Factors(NamedTuple):
+    """Thin SVDs X_u = U_u diag(s_u) Vh_u of a stack of N (d, d) matrices, with their norms ||X_u||."""
+
+    u: np.ndarray       # (N, d, r): orthonormal columns, and zero ones where a matrix is padded
+    s: np.ndarray       # (N, r): 0 where a singular value is dropped or padded
+    vh: np.ndarray      # (N, r, d): orthonormal rows, and zero ones where a matrix is padded
+    norms: np.ndarray   # (N,)
+
+    def scaled_u(self, sl: slice) -> np.ndarray:
+        """U_v diag(s_v) for v in sl, side by side as one (d, |sl| r) matrix."""
+        return _side_by_side(self.u[sl] * self.s[sl, None, :])
+
+    def scaled_vh(self, sl: slice) -> np.ndarray:
+        """diag(s_v) Vh_v for v in sl, stacked as one (|sl| r, d) matrix."""
+        return (self.s[sl, :, None] * self.vh[sl]).reshape(-1, self.vh.shape[-1])
+
+
+def _thin_factors(images: Callable[[slice], np.ndarray], n: int, d: int) -> _Factors:
+    """Thin SVD factors of the n (d, d) matrices that images(chunk) returns chunk by chunk.
+
+    Each matrix keeps its singular values above d * eps * s_max.  r is the
+    largest count kept over the stack; a matrix of lower rank is padded with
+    zero singular values and zero vectors, which changes no product exactly.
+    r = 0 when every matrix is 0.
+    """
+    u, s, vh = np.zeros((n, d, 0), dtype=complex), np.zeros((n, 0)), np.zeros((n, 0, d), dtype=complex)
+    norms = np.empty(n)
+    for sl in _slices(n, _chunk(d, 4)):
+        x = images(sl)
+        norms[sl] = np.sqrt(_sq_norms(x))
+        cu, cs, cvh = np.linalg.svd(x, full_matrices=False)
+        cs[cs <= d * _EPS * cs[:, :1]] = 0.0
+        k = int(np.count_nonzero(cs, axis=1).max(initial=0))
+        if k > s.shape[1]:   # widen r, padding the matrices already factored
+            grow = k - s.shape[1]
+            u = np.pad(u, ((0, 0), (0, 0), (0, grow)))
+            s = np.pad(s, ((0, 0), (0, grow)))
+            vh = np.pad(vh, ((0, 0), (0, grow), (0, 0)))
+        u[sl, :, :k], s[sl, :k], vh[sl, :k] = cu[..., :k], cs[:, :k], cvh[:, :k]
+    return _Factors(u, s, vh, norms)
+
+
+def _tile_products(left: np.ndarray, left_cat: np.ndarray, right: np.ndarray,
+                   w: np.ndarray, nv: int) -> tuple[np.ndarray, np.ndarray]:
+    """Y_uv = L_u R_v as a (v, d, u, r) stack and Z_uv = W_v L_u as a (v, rc, u, d) stack.
+
+    left is the (u, d, d) stack L and left_cat the same side by side; right
+    holds the nv (d, r) factors R_v side by side and w the (rc, d) factors W_v stacked.
+    """
+    nu, d, _ = left.shape
+    y = (left.reshape(nu * d, d) @ right).reshape(nu, d, nv, right.shape[1] // nv)
+    z = (w @ left_cat).reshape(nv, w.shape[0] // nv, nu, d)
+    return np.ascontiguousarray(y.transpose(2, 1, 0, 3)), z
+
+
+def _split_sq_norms(y: np.ndarray, c: np.ndarray, vh: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """||Y_uv Vh_v - C_v Z_uv||^2 over a tile of pairs, as a (v, u) grid; y is overwritten.
+
+    y is the (v, d, u, ry) stack of Y_uv and z the (v, rc, u, d) stack of Z_uv.
+    The nonzero columns of C_v (v, d, rc) are orthonormal and Z_uv is 0 in the
+    rows of its zero columns; the nonzero rows of Vh_v (v, ry, d) are
+    orthonormal and Y_uv is 0 in the columns of its zero rows.  With K = C^H Y
+    the norm then splits without cancellation as ||Y - C K||^2 + ||K Vh - Z||^2,
+    and both residuals are formed explicitly.
+    """
+    nv, d, nu, ry = y.shape
+    rc = c.shape[2]
+    flat = y.reshape(nv, d, nu * ry)
+    k = np.matmul(np.conj(c).transpose(0, 2, 1), flat)
+    flat -= np.matmul(c, k)
+    kv = np.matmul(k.reshape(nv, rc * nu, ry), vh)
+    kv -= z.reshape(nv, rc * nu, d)
+    return _grid_sq_norms(y) + _grid_sq_norms(kv.reshape(nv, rc, nu, d))
 
 
 @dataclass(frozen=True)
@@ -131,24 +212,33 @@ class Representation:
         return (coeffs @ self.stack).reshape(-1, self.dim, self.dim)
 
     def homomorphism_defect(self) -> float:
-        """Max defect of pi(E^(k)_ij) pi(E^(l)_pq) = delta_kl delta_jp pi(E^(k)_iq), over all pairs."""
+        """Max defect of pi(E^(k)_ij) pi(E^(l)_pq) = delta_kl delta_jp pi(E^(k)_iq), over all pairs.
+
+        With the thin factors P_u = U_u S_u Vh_u, ||P_u P_v|| is the norm of the
+        r x r core S_u (Vh_u U_v) S_v, and the cores of all pairs are one product
+        chunked over u.  The pairs with E_u E_v = E_w compare (U_u core) Vh_v
+        with U_w (S_w Vh_w) through `_split_sq_norms`.
+        """
         p = self.basis_images()
         n, d = len(p), self.dim
-        norms = np.sqrt(_sq_norms(p))
+        f = _thin_factors(lambda us: p[us], n, d)
+        r = f.s.shape[1]
+        rows = f.scaled_vh(slice(None))
+        cols = f.scaled_u(slice(None))
+        defects = np.empty((n, n))
+        for us in _slices(n, _fit(n * r * r * _COMPLEX_BYTES, 1)):
+            core = (rows[us.start * r:us.stop * r] @ cols).reshape(us.stop - us.start, r, n, r)
+            norms = np.sqrt(_grid_sq_norms(core))
+            defects[us] = norms / np.maximum(1.0, norms)
         uu, vv, ww = self.shape.unit_products()
-        rows, cols = _tile(n, d, 1)
-        flat = np.empty(rows * cols * d * d, dtype=complex)
-        worst = 0.0
-        for vs in _slices(n, cols):
-            for us in _slices(n, rows):
-                prod = np.matmul(p[us, None], p[None, vs], out=_tile_buffer(flat, us, vs, d))
-                scale = np.sqrt(_sq_norms(prod))
-                hit = (uu >= us.start) & (uu < us.stop) & (vv >= vs.start) & (vv < vs.stop)
-                iu, iv, w = uu[hit] - us.start, vv[hit] - vs.start, ww[hit]
-                prod[iu, iv] -= p[w]
-                scale[iu, iv] = np.maximum(scale[iu, iv], norms[w])
-                worst = max(worst, float((np.sqrt(_sq_norms(prod)) / np.maximum(1.0, scale)).max()))
-        return worst
+        for hs in _slices(len(uu), _fit(d * r * _COMPLEX_BYTES, 8)):
+            u, v, w = uu[hs], vv[hs], ww[hs]
+            core = np.matmul(rows.reshape(n, r, d)[u], f.u[v] * f.s[v, None, :])
+            y = np.matmul(f.u[u], core)[:, :, None, :]
+            z = (f.s[w, :, None] * f.vh[w])[:, :, None, :]
+            x = np.sqrt(_split_sq_norms(y, f.u[w], f.vh[v], z)[:, 0])
+            defects[u, v] = x / np.maximum(1.0, np.maximum(np.sqrt(_sq_norms(core)), f.norms[w]))
+        return float(defects.max())
 
     def involution_defect(self) -> float:
         """Max defect of pi(E^(k)_ij)* = pi(E^(k)_ji)."""
@@ -234,11 +324,12 @@ class TwistedTriple:
         j = self.require_real().j
         return np.matmul(np.matmul(j.mat, images.transpose(0, 2, 1)), j.inv_mat)
 
-    def epsilon_prime(self) -> int:
+    def epsilon_prime(self, tol: Tolerance = DEFAULT_TOL) -> int:
+        """The declared eps', else the sign with J D J^-1 = eps' D within tol."""
         real = self.require_real()
         if real.epsilon_prime is not None:
             return real.epsilon_prime
-        sign, _ = detect_sign(real.j.conjugate(self.dirac), self.dirac)
+        sign, _ = detect_sign(real.j.conjugate(self.dirac), self.dirac, tol)
         if sign is None:
             raise ValueError("JD = eps' DJ holds for neither sign")
         return sign
@@ -340,40 +431,72 @@ class AxiomReport:
 def _basis_pair_scans(t: TwistedTriple) -> tuple[np.ndarray, np.ndarray]:
     """Order-zero and first-order defects of every basis pair (E_u, E_v), as N x N grids.
 
-    inner_u = D P_u - pi(sigma(E_u)) D is held for all u, with P_u = pi(E_u).
-    Q_v = pi_opp(E_v) and Qs_v = pi_opp(sigma^{-1}(E_v)) are built per chunk of v,
-    and each tile of pairs takes two batched matmuls per condition:
-    order zero compares P_u Q_v with Q_v P_u, first order is
-    ||inner_u Q_v - Qs_v inner_u|| / max(1, ||inner_u||, ||Q_v||).
+    Q_v = pi_opp(E_v) and Qs_v = pi_opp(sigma^{-1}(E_v)) are factored once as
+    thin SVDs U S Vh, and no d x d product of a pair is formed.  P_u = pi(E_u)
+    and inner_u = D P_u - pi(sigma(E_u)) D are built per chunk of u.
+    Order zero compares P_u Q_v = (P_u U_v S_v) Vh_v with Q_v P_u = U_v (S_v Vh_v P_u),
+    scaled by max(1, ||P_u Q_v||, ||Q_v P_u||).  First order is
+    ||inner_u Q_v - Qs_v inner_u|| / max(1, ||inner_u||, ||Q_v||), where
+    inner_u Q_v = (inner_u U_v S_v) Vh_v and Qs_v inner_u = Uc_v (Sc_v Vch_v inner_u).
+    `_split_sq_norms` takes both norms, so a pair costs O(d^2 r), not O(d^3).
     """
     rep, dirac, d = t.rep, t.dirac, t.dim
     p = rep.basis_images()
     n = len(p)
     sigma, sigma_inv = t.sigma.matrix(), t.sigma.inverse().matrix()
-    inner = np.matmul(dirac, p)
-    for us in _slices(n, _chunk(d, 2)):
-        inner[us] -= np.matmul(rep.images(sigma[us]), dirac)
-    inner_norms = np.sqrt(_sq_norms(inner))
-
-    rows, cols = _tile(n, d, 2)
-    flat_a = np.empty(rows * cols * d * d, dtype=complex)
-    flat_b = np.empty_like(flat_a)
+    q = _thin_factors(lambda vs: t.opp_images(p[vs]), n, d)
+    qs = _thin_factors(lambda vs: t.opp_images(rep.images(sigma_inv[vs])), n, d)
     oz = np.empty((n, n))
     fo = np.empty((n, n))
-    for vs in _slices(n, cols):
-        q = t.opp_images(p[vs])
-        qs = t.opp_images(rep.images(sigma_inv[vs]))
+    pair_bytes = d * max(q.s.shape[1], qs.s.shape[1]) * _COMPLEX_BYTES
+    for us in _slices(n, _chunk(d, 3)):
+        inner = np.matmul(dirac, p[us])
+        inner -= np.matmul(rep.images(sigma[us]), dirac)
+        inner_norms = np.sqrt(_sq_norms(inner))
+        p_cat, inner_cat = _side_by_side(p[us]), _side_by_side(inner)
+        for vs in _slices(n, _fit((us.stop - us.start) * pair_bytes, 3)):
+            nv, right, vh = vs.stop - vs.start, q.scaled_u(vs), q.vh[vs]
+            y, z = _tile_products(p[us], p_cat, right, q.scaled_vh(vs), nv)
+            scale = np.sqrt(np.maximum(_grid_sq_norms(y), _grid_sq_norms(z)))
+            oz[us, vs] = (np.sqrt(_split_sq_norms(y, q.u[vs], vh, z)) / np.maximum(1.0, scale)).T
+            y, z = _tile_products(inner, inner_cat, right, qs.scaled_vh(vs), nv)
+            fo[us, vs] = (np.sqrt(_split_sq_norms(y, qs.u[vs], vh, z)).T
+                          / np.maximum(1.0, np.maximum.outer(inner_norms, q.norms[vs])))
+    return oz, fo
+
+
+def _coefficients(elements: list[AlgebraElement]) -> np.ndarray:
+    """The block coefficients of each element, one row per element."""
+    return np.array([np.concatenate([b.reshape(-1) for b in x.blocks]) for x in elements])
+
+
+def _random_pair_scans(t: TwistedTriple, left: list[AlgebraElement],
+                       right: list[AlgebraElement]) -> tuple[np.ndarray, np.ndarray]:
+    """Order-zero and first-order defects of every pair (a, b) in left x right, as grids.
+
+    The defects are `first_order_defect(a, b)` and rel_defect of pi(a) pi_opp(b)
+    against pi_opp(b) pi(a), and each stack of images is one GEMM of
+    coefficients.  sigma and sigma^-1 act on the elements as in
+    `first_order_defect`: `Automorphism.matrix()` rounds differently and can
+    turn a defect that is exactly 0 there into rounding noise, moving the witness.
+    """
+    rep, dirac, d = t.rep, t.dirac, t.dim
+    sigma_inv = t.sigma.inverse()
+    a = rep.images(_coefficients(left))
+    inner = np.matmul(dirac, a)
+    inner -= np.matmul(rep.images(_coefficients([t.sigma(x) for x in left])), dirac)
+    inner_norms = np.sqrt(_sq_norms(inner))
+    oz = np.empty((len(left), len(right)))
+    fo = np.empty((len(left), len(right)))
+    for ks in _slices(len(right), _chunk(d, 4)):
+        q = t.opp_images(rep.images(_coefficients(right[ks])))
+        qs = t.opp_images(rep.images(_coefficients([sigma_inv(x) for x in right[ks]])))
         q_norms = np.sqrt(_sq_norms(q))
-        for us in _slices(n, rows):
-            a = _tile_buffer(flat_a, us, vs, d)
-            b = _tile_buffer(flat_b, us, vs, d)
-            np.matmul(p[us, None], q[None], out=a)
-            np.matmul(q[None], p[us, None], out=b)
-            oz[us, vs] = _rel_defects(a, b)
-            np.matmul(inner[us, None], q[None], out=a)
-            np.matmul(qs[None], inner[us, None], out=b)
-            np.subtract(a, b, out=a)
-            fo[us, vs] = np.sqrt(_sq_norms(a)) / np.maximum(1.0, np.maximum.outer(inner_norms[us], q_norms))
+        for i in range(len(left)):
+            oz[i, ks] = _rel_defects(np.matmul(a[i], q), np.matmul(q, a[i]))
+            outer = np.matmul(inner[i], q)
+            outer -= np.matmul(qs, inner[i])
+            fo[i, ks] = np.sqrt(_sq_norms(outer)) / np.maximum(1.0, np.maximum(inner_norms[i], q_norms))
     return oz, fo
 
 
@@ -447,14 +570,12 @@ def check_axioms(
                 warnings.append("sign triple matches no KO-dimension")
 
         oz_grid, fo_grid = _basis_pair_scans(t)
-        rand_pairs = [(i, k) for i in range(samples) for k in range(samples)][: 4 * samples]
-        rand_oz, rand_fo = [], []
-        for i, k in rand_pairs:
-            a, b = randoms[i], randoms[k]
-            rand_oz.append(rel_defect(t.pi(a) @ t.pi_opp(b), t.pi_opp(b) @ t.pi(a)))
-            rand_fo.append(t.first_order_defect(a, b))
-        order_zero = max([float(oz_grid.max())] + rand_oz)
-        fo_all = np.concatenate([fo_grid.ravel(), rand_fo])   # basis pairs in row-major (u, v) order, then random
+        # the first 4 * samples pairs of the samples x samples grid, in row-major order
+        rows = min(4, samples)
+        rand_pairs = [(i, k) for i in range(rows) for k in range(samples)]
+        rand_oz, rand_fo = _random_pair_scans(t, randoms[:rows], randoms)
+        order_zero = float(max(oz_grid.max(), rand_oz.max()))
+        fo_all = np.concatenate([fo_grid.ravel(), rand_fo.ravel()])   # basis pairs in row-major (u, v) order, then random
         first_order = float(fo_all.max())
         w = _witness_index(fo_all)
         if w is not None:

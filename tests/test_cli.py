@@ -228,6 +228,32 @@ class TestCheck:
         assert doc["failures"] == []
 
 
+class TestTolerance:
+    """--tol reaches the KO signs detected when a triple file is loaded."""
+
+    @pytest.fixture(scope="class")
+    def perturbed(self, workdir):
+        # D off from J D J^-1 = D by about 1e-8: a sign at --tol 1e-6, none at the default 1e-10
+        doc = json.loads((workdir / "u1u2_ky0.json").read_text())
+        rng = np.random.default_rng(3)
+        h = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        doc["dirac"] = matrix_to_json(matrix_from_json(doc["dirac"]) + 1e-8 * (h + np.conj(h.T)))
+        path = workdir / "u1u2_ky0_perturbed.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_loaded_signs_use_the_tolerance(self, perturbed):
+        assert load_triple(str(perturbed)).real.epsilon_prime is None
+        assert load_triple(str(perturbed), tw.Tolerance(1e-6)).real.epsilon_prime == 1
+
+    def test_fluctuate_finds_eps_prime_at_tol(self, workdir, perturbed, capsys):
+        args = ["fluctuate", str(perturbed), str(workdir / "pert.json")]
+        assert main(args) == 2
+        assert "holds for neither sign" in capsys.readouterr().err
+        assert main(args + ["--tol", "1e-6"]) == 0
+        assert main(["check", str(perturbed), "--tol", "1e-6"]) == 0
+
+
 class TestFluctuate:
     def test_matches_library_bit_for_bit(self, workdir, capsys):
         rc = main(["fluctuate", str(workdir / "u1u2.json"), str(workdir / "pert.json"),
@@ -344,6 +370,16 @@ class TestModelAndMorita:
         assert rc == 2
         out, err = capsys.readouterr()
         assert out == "" and "error:" in err and "no_such_connection.json" in err
+
+    @pytest.mark.parametrize("cells", [[[5, 5], [5, 5]], [[[], []], [[], [5]]]], ids=["numbers", "one_cell"])
+    def test_morita_malformed_connection_cell_exits_two(self, workdir, capsys, cells):
+        (workdir / "conn_bad_cell.json").write_text(json.dumps(cells))
+        rc = main(["morita", str(workdir / "u1u2_ky0.json"), "--idempotent", str(workdir / "idem.json"),
+                   "--connection", str(workdir / "conn_bad_cell.json")])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        bad = "(0, 0)" if cells[0][0] == 5 else "(1, 1)"
+        assert out == "" and "conn_bad_cell.json" in err and f"cell {bad}" in err and "Traceback" not in err
 
     def test_morita_wrong_size_connection_is_a_construction_error(self, workdir, capsys):
         (workdir / "conn_1x1.json").write_text(json.dumps([[[]]]))

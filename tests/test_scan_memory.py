@@ -1,8 +1,9 @@
 """The basis scans of check_axioms stay within a fixed memory budget.
 
 numpy reports its array allocations to tracemalloc, so the peak is
-deterministic: one (N, d, d) stack plus a few chunks of SCAN_BUDGET_BYTES.
-An unchunked scan over all basis pairs would hold several such stacks.
+deterministic.  The bound is one (N, d, d) stack plus a few chunks of
+SCAN_BUDGET_BYTES; the scans hold thin (N, d, r) factors of their stacks,
+and an unchunked scan over all basis pairs would hold several such stacks.
 """
 import tracemalloc
 
@@ -11,8 +12,8 @@ from twistlab.triple import SCAN_BUDGET_BYTES, check_axioms
 from conftest import ladder_triple
 
 
-def test_check_axioms_peak_allocation_is_bounded():
-    t = ladder_triple(6, 0)
+def assert_peak_allocation_is_bounded(ladder_n):
+    t = ladder_triple(ladder_n, 0)
     check_axioms(t, samples=10)   # first call caches sigma^{-1} and J^{-1}
     n, d = t.shape.basis_size, t.dim
     bound = 4 * SCAN_BUDGET_BYTES + n * d * d * 16
@@ -24,3 +25,11 @@ def test_check_axioms_peak_allocation_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= bound, f"peak {peak} B above the bound {bound} B"
+
+
+def test_check_axioms_peak_allocation_is_bounded():
+    assert_peak_allocation_is_bounded(6)
+
+
+def test_check_axioms_peak_allocation_is_bounded_at_n8():
+    assert_peak_allocation_is_bounded(8)

@@ -1,10 +1,11 @@
-"""The batched basis scans against the per-pair loops they replace.
+"""The batched and factored basis scans against the reference computations they replace.
 
 The reference functions below are the loops that check_axioms and
-Representation ran pair by pair; the batched scans must reproduce their
-values and, for first order, the witness: the first pair, in row-major
-(u, v) order and then over the random pairs, whose defect is within
-WITNESS_RTOL of the maximum.
+Representation ran pair by pair, and the dense scans that formed every d x d
+product of a basis pair before the scans ran on thin factors.  The scans
+must reproduce their values and, for first order, the witness: the first
+pair, in row-major (u, v) order and then over the random pairs, whose defect
+is within WITNESS_RTOL of the maximum.
 """
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import twistlab as tw
-from twistlab.linalg import dagger, rel_defect
+from twistlab.linalg import DEFAULT_TOL, dagger, rel_defect
 from twistlab.triple import WITNESS_RTOL, _basis_pair_scans, _witness_index, check_axioms
 
 from conftest import ladder_triple
@@ -80,6 +81,40 @@ def loop_grading(t, samples, seed):
     g = t.grading
     elements = [a for _, a in t.shape.basis()] + randoms(t, samples, seed)
     return max(rel_defect(g @ t.pi(a), t.pi(a) @ g) for a in elements)
+
+
+def _norms(x):
+    return np.linalg.norm(x, axis=(-2, -1))
+
+
+def dense_pair_scans(t):
+    """Order-zero and first-order grids with every d x d product of a pair formed, O(N^2 d^3)."""
+    rep, dirac = t.rep, t.dirac
+    p = rep.basis_images()
+    q = t.opp_images(p)
+    qs = t.opp_images(rep.images(t.sigma.inverse().matrix()))
+    inner = dirac @ p - rep.images(t.sigma.matrix()) @ dirac
+    oz = np.empty((len(p), len(p)))
+    fo = np.empty_like(oz)
+    for u in range(len(p)):
+        pq, qp = p[u] @ q, q @ p[u]
+        oz[u] = _norms(pq - qp) / np.maximum(1.0, np.maximum(_norms(pq), _norms(qp)))
+        fo[u] = _norms(inner[u] @ q - qs @ inner[u]) / np.maximum(1.0, np.maximum(_norms(inner[u]), _norms(q)))
+    return oz, fo
+
+
+def dense_homomorphism(rep):
+    """Max defect of pi(E_u) pi(E_v) against pi(E_u E_v), with every product formed, O(N^2 d^3)."""
+    p = rep.basis_images()
+    uu, vv, ww = rep.shape.unit_products()
+    worst = 0.0
+    for u in range(len(p)):
+        prod = p[u] @ p
+        target = np.zeros_like(prod)
+        target[vv[uu == u]] = p[ww[uu == u]]
+        defects = _norms(prod - target) / np.maximum(1.0, np.maximum(_norms(prod), _norms(target)))
+        worst = max(worst, float(defects.max()))
+    return worst
 
 
 def einsum_pi(rep, a):
@@ -195,3 +230,85 @@ def test_all_zero_defects_give_no_witness():
     r = check_axioms(flat, samples=3)
     assert r.first_order == 0.0 and r.first_order_witness is None
     assert loop_pairs(flat, basis_pairs(flat) + random_pairs(flat, 3, 0))[2] is None
+
+
+# -- the factored scans against the dense ones ----------------------------------------
+
+
+def rotated(t, seed):
+    """t in the basis W H for a random unitary W: pi, D and J conjugated by W."""
+    rng = np.random.default_rng(seed)
+    w, _ = np.linalg.qr(rng.standard_normal((t.dim, t.dim)) + 1j * rng.standard_normal((t.dim, t.dim)))
+    wh = np.conj(w.T)
+    units = tuple(w @ u @ wh for u in t.rep.unit_images)
+    j = tw.AntilinearOp(w @ t.real.j.mat @ w.T)   # W J W^-1 psi = W M conj(W^H psi)
+    return tw.TwistedTriple(t.shape, tw.Representation(t.shape, t.dim, units), w @ t.dirac @ wh, t.sigma,
+                            real=tw.RealStructure(j))
+
+
+def with_graded_j(t, seed, decades=5):
+    """t with J = W diag(10^-k) V for random unitaries W, V: its images have singular values over `decades` decades."""
+    rng = np.random.default_rng(seed)
+    w, v = (np.linalg.qr(rng.standard_normal((t.dim, t.dim)) + 1j * rng.standard_normal((t.dim, t.dim)))[0]
+            for _ in range(2))
+    j = tw.AntilinearOp(w @ np.diag(np.logspace(0, -decades, t.dim)) @ v)
+    return tw.TwistedTriple(t.shape, t.rep, t.dirac, t.sigma, real=tw.RealStructure(j))
+
+
+def with_zero_block(t, scale=1.0):
+    """C + A acting through 0 on the C summand and `scale` times pi on A."""
+    shape = tw.AlgebraShape((1,) + t.shape.block_dims)
+    units = (np.zeros((1, 1, t.dim, t.dim), dtype=complex),) + tuple(scale * u for u in t.rep.unit_images)
+    sigma = tw.Automorphism(shape, (0,) + tuple(k + 1 for k in t.sigma.perm), (np.eye(1),) + t.sigma.conjugators)
+    return tw.TwistedTriple(shape, tw.Representation(shape, t.dim, units), t.dirac, sigma, real=t.real)
+
+
+FACTORED_CASES = {
+    "ladder5": lambda: ladder_triple(5, 3),
+    "ladder6": lambda: ladder_triple(6, 4),
+    "ladder4_rotated": lambda: rotated(ladder_triple(4, 5), 6),
+    "ladder3_graded_j": lambda: with_graded_j(ladder_triple(3, 9), 10),
+    "zero_unit_image": lambda: with_zero_block(ladder_triple(3, 7)),
+    "zero_representation": lambda: with_zero_block(ladder_triple(2, 8), scale=0.0),
+}
+
+
+def assert_factored_close(factored, dense, d):
+    # values that are 0 in exact arithmetic are rounding noise on both sides, about d * eps
+    np.testing.assert_allclose(factored, dense, rtol=1e-12, atol=8 * d * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("name", FACTORED_CASES)
+def test_factored_pair_scans_match_the_dense_scans(name):
+    t = FACTORED_CASES[name]()
+    oz, fo = _basis_pair_scans(t)
+    dense_oz, dense_fo = dense_pair_scans(t)
+    assert_factored_close(oz, dense_oz, t.dim)
+    assert_factored_close(fo, dense_fo, t.dim)
+    assert _witness_index(fo.ravel()) == _witness_index(dense_fo.ravel())
+    eps = DEFAULT_TOL.abs_eps
+    assert (oz.max() <= eps) == (dense_oz.max() <= eps)
+    assert (fo.max() <= eps) == (dense_fo.max() <= eps)
+
+
+@pytest.mark.parametrize("name", FACTORED_CASES)
+def test_factored_homomorphism_matches_the_dense_scan(name):
+    rep = FACTORED_CASES[name]().rep
+    hom, dense = rep.homomorphism_defect(), dense_homomorphism(rep)
+    assert_factored_close(hom, dense, rep.dim)
+    assert (hom <= DEFAULT_TOL.abs_eps) == (dense <= DEFAULT_TOL.abs_eps)
+
+
+def test_factored_homomorphism_matches_the_dense_scan_on_a_broken_representation():
+    t = ladder_triple(3, 5)
+    units = [u.copy() for u in t.rep.unit_images]
+    units[0][1, 2] += 0.3 * np.eye(t.dim)   # full rank, so r = d for this stack
+    rep = tw.Representation(t.shape, t.dim, tuple(units))
+    assert_factored_close(rep.homomorphism_defect(), dense_homomorphism(rep), rep.dim)
+
+
+def test_the_rotated_ladder_keeps_its_verdicts():
+    # order zero holds and first order fails in every basis
+    t = rotated(ladder_triple(4, 5), 6)
+    r = check_axioms(t, samples=3)
+    assert r.order_zero <= 1e-13 and r.first_order > 0.1 and r.rep_homomorphism <= 1e-13
