@@ -2,9 +2,15 @@
 
 Elements are block lists; automorphisms are (block permutation) composed with
 an inner automorphism, which exhausts Aut(A) for these algebras.
+
+Inputs are validated once, by the public constructors: `AlgebraElement(...)`
+and `Automorphism(...)` check every block for shape and finiteness.  The
+results of arithmetic on validated elements (sums, products, adjoints, twists,
+units and random draws) are built by the trusted `_element` and skip the checks.
 """
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -55,15 +61,15 @@ class AlgebraShape:
         return np.concatenate(out)
 
     def unit(self) -> AlgebraElement:
-        return AlgebraElement(self, tuple(np.eye(n, dtype=complex) for n in self.block_dims))
+        return _element(self, tuple(np.eye(n, dtype=complex) for n in self.block_dims))
 
     def zero(self) -> AlgebraElement:
-        return AlgebraElement(self, tuple(np.zeros((n, n), dtype=complex) for n in self.block_dims))
+        return _element(self, tuple(np.zeros((n, n), dtype=complex) for n in self.block_dims))
 
     def matrix_unit(self, k: int, i: int, j: int) -> AlgebraElement:
         blocks = [np.zeros((n, n), dtype=complex) for n in self.block_dims]
         blocks[k][i, j] = 1.0
-        return AlgebraElement(self, tuple(blocks))
+        return _element(self, tuple(blocks))
 
     def labels(self) -> list[tuple[int, int, int]]:
         """Labels (k, i, j) of the matrix units E^(k)_ij, in basis order."""
@@ -79,7 +85,7 @@ class AlgebraShape:
             scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
             for n in self.block_dims
         )
-        return AlgebraElement(self, blocks)
+        return _element(self, blocks)
 
     def random_unitary(self, rng: np.random.Generator) -> Unitary:
         blocks = []
@@ -88,7 +94,7 @@ class AlgebraShape:
             q, r = np.linalg.qr(x)
             q = q @ np.diag(np.exp(1j * np.angle(np.diag(r))))
             blocks.append(q)
-        return Unitary(AlgebraElement(self, tuple(blocks)))
+        return Unitary(_element(self, tuple(blocks)))
 
 
 @dataclass(frozen=True)
@@ -110,7 +116,7 @@ class AlgebraElement:
     def _binary(self, other: AlgebraElement, op) -> AlgebraElement:
         if self.shape != other.shape:
             raise ValueError("algebra shape mismatch")
-        return AlgebraElement(self.shape, tuple(op(a, b) for a, b in zip(self.blocks, other.blocks)))
+        return _element(self.shape, tuple(op(a, b) for a, b in zip(self.blocks, other.blocks)))
 
     def __add__(self, other: AlgebraElement) -> AlgebraElement:
         return self._binary(other, lambda a, b: a + b)
@@ -123,14 +129,16 @@ class AlgebraElement:
 
     def __rmul__(self, scalar) -> AlgebraElement:
         z = complex(scalar)
-        return AlgebraElement(self.shape, tuple(z * b for b in self.blocks))
+        if not cmath.isfinite(z):
+            raise ValueError(f"scalar must be finite, got {z!r}")
+        return _element(self.shape, tuple(z * b for b in self.blocks))
 
     def __neg__(self) -> AlgebraElement:
         return (-1.0) * self
 
     def star(self) -> AlgebraElement:
         """Blockwise conjugate transpose (the algebra involution)."""
-        return AlgebraElement(self.shape, tuple(np.conj(b.T) for b in self.blocks))
+        return _element(self.shape, tuple(np.conj(b.T) for b in self.blocks))
 
     def norm(self) -> float:
         return float(np.sqrt(sum(frobenius(b) ** 2 for b in self.blocks)))
@@ -142,6 +150,13 @@ class AlgebraElement:
 
     def approx_eq(self, other: AlgebraElement, tol: Tolerance = DEFAULT_TOL) -> bool:
         return self.defect(other) <= tol.abs_eps
+
+
+def _element(shape: AlgebraShape, blocks: tuple[np.ndarray, ...]) -> AlgebraElement:
+    """The element with these blocks, trusted: they are finite complex (n_k, n_k) arrays, so nothing is checked."""
+    out = object.__new__(AlgebraElement)
+    out.__dict__.update(shape=shape, blocks=blocks)
+    return out
 
 
 @dataclass(frozen=True)
@@ -180,7 +195,7 @@ class Automorphism:
         out = [None] * self.shape.num_blocks
         for k, s in enumerate(self.conjugators):
             out[self.perm[k]] = s @ a.blocks[k] @ self._conjugator_invs[k]
-        return AlgebraElement(self.shape, tuple(out))
+        return _element(self.shape, tuple(out))
 
     def matrix(self) -> np.ndarray:
         """sigma on the matrix-unit basis: row u holds the block coefficients of sigma(E_u).
@@ -197,21 +212,43 @@ class Automorphism:
         return out
 
     def inverse(self) -> Automorphism:
+        """sigma^-1, cached; its conjugators are the S_k^-1 and its inverse is sigma itself."""
         cached = getattr(self, "_inverse", None)
         if cached is None:
-            nb = self.shape.num_blocks
-            inv_perm = [0] * nb
-            for k, p in enumerate(self.perm):
-                inv_perm[p] = k
-            conj = [self._conjugator_invs[inv_perm[j]] for j in range(nb)]
-            cached = Automorphism(self.shape, tuple(inv_perm), tuple(conj))
-            object.__setattr__(self, "_inverse", cached)
+            inv_perm = tuple(int(k) for k in np.argsort(self.perm))
+            cached = _automorphism(self.shape, inv_perm,
+                                   tuple(self._conjugator_invs[k] for k in inv_perm),
+                                   tuple(self.conjugators[k] for k in inv_perm))
+            cached.__dict__["_inverse"] = self
+            self.__dict__["_inverse"] = cached
         return cached
+
+    def amplified(self, n: int) -> Automorphism:
+        """id (x) sigma on M_n(A) = + M_{n n_k}(C), cached per n.
+
+        It has the same block permutation, the conjugators kron(1_n, S_k) and
+        their inverses kron(1_n, S_k^-1), so nothing is inverted again.
+        """
+        cache = self.__dict__.setdefault("_amplified", {})
+        if n not in cache:
+            eye = np.eye(n)
+            cache[n] = _automorphism(AlgebraShape(tuple(n * nk for nk in self.shape.block_dims)), self.perm,
+                                     tuple(np.kron(eye, s) for s in self.conjugators),
+                                     tuple(np.kron(eye, s) for s in self._conjugator_invs))
+        return cache[n]
 
     def is_identity(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         if self.perm != tuple(range(self.shape.num_blocks)):
             return False
         return all(self(a).approx_eq(a, tol) for _, a in self.shape.basis())
+
+
+def _automorphism(shape: AlgebraShape, perm: tuple[int, ...], conjugators: tuple[np.ndarray, ...],
+                  conjugator_invs: tuple[np.ndarray, ...]) -> Automorphism:
+    """The automorphism with these conjugators and their known inverses, trusted: nothing is checked or inverted."""
+    out = object.__new__(Automorphism)
+    out.__dict__.update(shape=shape, perm=perm, conjugators=conjugators, _conjugator_invs=conjugator_invs)
+    return out
 
 
 def identity_automorphism(shape: AlgebraShape) -> Automorphism:
@@ -248,17 +285,29 @@ def check_regularity(
     rng: np.random.Generator | None = None,
     tol: Tolerance = DEFAULT_TOL,
 ) -> RegularityReport:
-    """Max defect of sigma(a*) = (sigma^{-1}(a))* over the matrix units plus random samples."""
+    """Max defect of sigma(a*) = (sigma^{-1}(a))* over the matrix units plus random samples.
+
+    The elements are one (M, n_k, n_k) stack per block, the N matrix units in
+    basis order and then the samples, and each side is one stacked
+    S_k X S_k^-1 per block.  The defect of an element is `AlgebraElement.defect`.
+    """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = rng if rng is not None else np.random.default_rng(0)
-    inv = sigma.inverse()
-    worst = 0.0
-    elements = [a for _, a in sigma.shape.basis()]
-    elements += [sigma.shape.random_element(rng) for _ in range(samples)]
-    for a in elements:
-        worst = max(worst, sigma(a.star()).defect(inv(a).star()))
-    return RegularityReport(worst, tol)
+    shape, inv = sigma.shape, sigma.inverse()
+    randoms = [shape.random_element(rng) for _ in range(samples)]
+    size = shape.basis_size
+    lhs, rhs = [None] * shape.num_blocks, [None] * shape.num_blocks
+    for k, (n, off) in enumerate(zip(shape.block_dims, shape._offsets())):
+        x = np.zeros((size + samples, n, n), dtype=complex)
+        x[off:off + n * n] = np.eye(n * n).reshape(n * n, n, n)
+        x[size:] = [a.blocks[k] for a in randoms]
+        lhs[sigma.perm[k]] = sigma.conjugators[k] @ x.conj().swapaxes(1, 2) @ sigma._conjugator_invs[k]
+        rhs[inv.perm[k]] = (inv.conjugators[k] @ x @ inv._conjugator_invs[k]).conj().swapaxes(1, 2)
+    sq_norms = lambda blocks: sum(np.sum(np.abs(b) ** 2, axis=(1, 2)) for b in blocks)
+    scale = np.sqrt(np.maximum(sq_norms(lhs), sq_norms(rhs)))
+    defects = np.sqrt(sq_norms([a - b for a, b in zip(lhs, rhs)])) / np.maximum(1.0, scale)
+    return RegularityReport(float(defects.max()), tol)
 
 
 @dataclass(frozen=True)

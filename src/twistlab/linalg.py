@@ -32,7 +32,7 @@ def cmatrix(data) -> np.ndarray:
     arr = np.asarray(data, dtype=complex)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={arr.ndim}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():   # a complex entry is finite iff both its parts are
         raise ValueError("matrix entries must be finite")
     return arr
 

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraShape, Automorphism, check_regularity
+from .algebra import AlgebraElement, AlgebraShape, Automorphism, _element, check_regularity
 from .linalg import DEFAULT_TOL, AntilinearOp, Tolerance, dagger, rel_defect
 from .pert import OppPerturbation, eta_opp
 from .triple import TwistedTriple, _basis_pair_scans
@@ -31,6 +31,7 @@ class AlgebraMatrix:
 
     M_n(A) = + M_{n n_k}(C) is itself a multi-matrix algebra: entry (i, j) of block k
     is the n_k x n_k tile at rows i n_k.. and columns j n_k.. of the element's block k.
+    The constructor validates the entries; results of arithmetic are trusted.
     """
 
     shape: AlgebraShape
@@ -43,8 +44,8 @@ class AlgebraMatrix:
             raise ValueError("algebra matrix must be square")
         if any(x.shape != shape for row in entries for x in row):
             raise ValueError("entry with mismatched algebra shape")
-        blocks = tuple(np.block([[x.blocks[k] for x in row] for row in entries])
-                       for k in range(shape.num_blocks))
+        blocks = tuple(np.array([[x.blocks[k] for x in row] for row in entries], dtype=complex)
+                       .transpose(0, 2, 1, 3).reshape(n * nk, n * nk) for k, nk in enumerate(shape.block_dims))
         self.__dict__.update(shape=shape, n=n, element=AlgebraElement(_amplified(shape, n), blocks))
 
     @cached_property
@@ -52,7 +53,7 @@ class AlgebraMatrix:
         """Entry (i, j) as an AlgebraElement whose blocks are views of the tiles."""
         n = self.n
         tiles = [b.reshape(n, nk, n, nk) for b, nk in zip(self.element.blocks, self.shape.block_dims)]
-        return tuple(tuple(AlgebraElement(self.shape, tuple(x[i, :, j] for x in tiles)) for j in range(n))
+        return tuple(tuple(_element(self.shape, tuple(x[i, :, j] for x in tiles)) for j in range(n))
                      for i in range(n))
 
     def __add__(self, other: AlgebraMatrix) -> AlgebraMatrix:
@@ -74,10 +75,8 @@ class AlgebraMatrix:
         return _packed(self.shape, self.n, self.element.star())
 
     def map(self, sigma: Automorphism) -> AlgebraMatrix:
-        """Entrywise sigma, which is id (x) sigma on M_n(A): the same perm, conjugators kron(1_n, S_k)."""
-        amplified = Automorphism(self.element.shape, sigma.perm,
-                                 tuple(np.kron(np.eye(self.n), s) for s in sigma.conjugators))
-        return _packed(self.shape, self.n, amplified(self.element))
+        """Entrywise sigma, which is id (x) sigma on M_n(A): `sigma.amplified(n)`."""
+        return _packed(self.shape, self.n, sigma.amplified(self.n)(self.element))
 
     def norm(self) -> float:
         return self.element.norm()
@@ -102,46 +101,60 @@ def amat_unit(shape: AlgebraShape, n: int) -> AlgebraMatrix:
     return _packed(shape, n, _amplified(shape, n).unit())
 
 
+def amat_scalar(a: AlgebraElement, n: int) -> AlgebraMatrix:
+    """a 1_n, the diagonal matrix with every diagonal entry a: xi a is the product xi * amat_scalar(a, n)."""
+    eye = np.eye(n)
+    return _packed(a.shape, n, _element(_amplified(a.shape, n), tuple(np.kron(eye, b) for b in a.blocks)))
+
+
 def amat_random(shape: AlgebraShape, n: int, rng: np.random.Generator, scale: float = 1.0) -> AlgebraMatrix:
     return AlgebraMatrix(shape, [[shape.random_element(rng, scale) for _ in range(n)] for _ in range(n)])
 
 
-ModuleVector = tuple[AlgebraElement, ...]
+# A vector xi of the right module e A^n is held as column 0 of a packed n x n
+# matrix, every other column 0; a row vector of the left module A^n e is held
+# as row 0.  The module operations are then products of packed matrices:
+# (m xi)_i = sum_k m_i^k xi_k is m * xi, (zeta m)^i = sum_k zeta^k m_k^i is
+# zeta * m, xi a is xi * amat_scalar(a, n), and the entrywise twist is xi.map(sigma).
+ModuleVector = AlgebraMatrix
 
 
-def apply_matrix(m: AlgebraMatrix, xi: ModuleVector) -> ModuleVector:
-    n = m.n
-    return tuple(
-        sum((m.entries[i][k] * xi[k] for k in range(1, n)), m.entries[i][0] * xi[0])
-        for i in range(n)
-    )
+def module_vector(shape: AlgebraShape, entries) -> ModuleVector:
+    """The column vector with these entries, as column 0 of an n x n matrix."""
+    zero = shape.zero()
+    return AlgebraMatrix(shape, [[x] + [zero] * (len(entries) - 1) for x in entries])
 
 
-def apply_matrix_right(xi: ModuleVector, m: AlgebraMatrix) -> ModuleVector:
-    """Row vector times matrix: (xi m)^i = sum_k xi^k m_k^i."""
-    n = m.n
-    return tuple(
-        sum((xi[k] * m.entries[k][i] for k in range(1, n)), xi[0] * m.entries[0][i])
-        for i in range(n)
-    )
+def row_vector(shape: AlgebraShape, entries) -> ModuleVector:
+    """The row vector with these entries, as row 0 of an n x n matrix."""
+    zero = shape.zero()
+    n = len(entries)
+    return AlgebraMatrix(shape, [list(entries)] + [[zero] * n for _ in range(n - 1)])
 
 
 def random_module_vector(e: AlgebraMatrix, rng: np.random.Generator, scale: float = 1.0) -> ModuleVector:
-    raw = tuple(e.shape.random_element(rng, scale) for _ in range(e.n))
-    return apply_matrix(e, raw)
+    """e xi for xi with n random entries, drawn in order."""
+    return e * module_vector(e.shape, [e.shape.random_element(rng, scale) for _ in range(e.n)])
 
 
 def random_row_vector(e: AlgebraMatrix, rng: np.random.Generator, scale: float = 1.0) -> ModuleVector:
-    raw = tuple(e.shape.random_element(rng, scale) for _ in range(e.n))
-    return apply_matrix_right(raw, e)
+    """zeta e for zeta with n random entries, drawn in order."""
+    return row_vector(e.shape, [e.shape.random_element(rng, scale) for _ in range(e.n)]) * e
 
 
 def inner_product(xp: ModuleVector, x: ModuleVector) -> AlgebraElement:
-    """(xi', xi) = sum_i xi'_i* xi_i."""
-    acc = xp[0].star() * x[0]
-    for a, b in zip(xp[1:], x[1:]):
-        acc = acc + a.star() * b
-    return acc
+    """(xi', xi) = sum_i xi'_i* xi_i, entry (0, 0) of xi'* xi."""
+    return (xp.star() * x).entries[0][0]
+
+
+def _column(m: AlgebraMatrix, j: int) -> ModuleVector:
+    """Column j of m as a module vector."""
+    blocks = []
+    for b, nk in zip(m.element.blocks, m.shape.block_dims):
+        x = np.zeros((m.n, nk, m.n, nk), dtype=complex)
+        x[:, :, 0] = b.reshape(m.n, nk, m.n, nk)[:, :, j]
+        blocks.append(x.reshape(b.shape))
+    return _packed(m.shape, m.n, _element(m.element.shape, tuple(blocks)))
 
 
 # ---------------------------------------------------------------------------
@@ -216,15 +229,11 @@ class ModuleLift:
     idempotent: IdempotentData
     report: IdempotentReport
 
-    def _proj(self, xi: ModuleVector) -> ModuleVector:
-        return apply_matrix(self.idempotent.matrix, xi)
-
     def sigma_lift(self, xi: ModuleVector) -> ModuleVector:
-        return self._proj(tuple(self.triple.sigma(x) for x in xi))
+        return self.idempotent.matrix * xi.map(self.triple.sigma)
 
     def sigma_lift_inv(self, xi: ModuleVector) -> ModuleVector:
-        inv = self.triple.sigma.inverse()
-        return self._proj(tuple(inv(x) for x in xi))
+        return self.idempotent.matrix * xi.map(self.triple.sigma.inverse())
 
     def sigma_prime(self, b: AlgebraMatrix) -> AlgebraMatrix:
         e = self.idempotent.matrix
@@ -255,13 +264,10 @@ def lift_maps(
     regular = check_regularity(t.sigma, samples=3, tol=tol).passes
     for _ in range(samples):
         xi = random_module_vector(em, rng)
-        a = t.shape.random_element(rng)
-        moved = lift.sigma_lift(tuple(x * a for x in xi))
-        expected = tuple(s * t.sigma(a) for s in lift.sigma_lift(xi))
-        if any(m.defect(x) > eps for m, x in zip(moved, expected)):
+        a = amat_scalar(t.shape.random_element(rng), e.n)
+        if lift.sigma_lift(xi * a).defect(lift.sigma_lift(xi) * a.map(t.sigma)) > eps:
             raise ValueError("lift does not intertwine the module action with the twist")
-        back = lift.sigma_lift_inv(lift.sigma_lift(xi))
-        if any(b.defect(x) > eps for b, x in zip(back, xi)):
+        if lift.sigma_lift_inv(lift.sigma_lift(xi)).defect(xi) > eps:
             raise ValueError("lift roundtrip is not the identity on the module")
         b, c = _random_b(em, rng), _random_b(em, rng)
         if lift.sigma_prime(b * c).defect(lift.sigma_prime(b) * lift.sigma_prime(c)) > eps:
@@ -291,12 +297,16 @@ def _blocks(g: np.ndarray, n: int) -> np.ndarray:
     return g.reshape(n, d, n, d).transpose(0, 2, 1, 3)
 
 
+def _coefficients(m: AlgebraMatrix) -> np.ndarray:
+    """The block coefficients of the entries in row-major order, one row per entry."""
+    n = m.n
+    return np.concatenate([b.reshape(n, nk, n, nk).transpose(0, 2, 1, 3).reshape(n * n, nk * nk)
+                           for nk, b in zip(m.shape.block_dims, m.element.blocks)], axis=1)
+
+
 def _images(t: TwistedTriple, m: AlgebraMatrix) -> np.ndarray:
     """pi of the entries in row-major order, as an (n*n, d, d) stack: one GEMM of their block coefficients."""
-    n = m.n
-    coeffs = [b.reshape(n, nk, n, nk).transpose(0, 2, 1, 3).reshape(n * n, nk * nk)
-              for nk, b in zip(m.shape.block_dims, m.element.blocks)]
-    return t.rep.images(np.concatenate(coeffs, axis=1))
+    return t.rep.images(_coefficients(m))
 
 
 def _pi_grid(t: TwistedTriple, m: AlgebraMatrix) -> np.ndarray:
@@ -377,38 +387,36 @@ def apply_connection(
     """Snyder decomposition of nabla(xi): list of (module vector, one-form operator).
 
     Right side only; the Grassmann part contributes (e-columns, delta(xi_j)) and
-    the one-form matrix part (e-columns, sum_k m_j^k pi(xi_k)).
+    the one-form matrix part (e-columns, sum_k m_j^k pi(xi_k)).  pi(xi_k) and
+    pi(sigma(xi_k)) are one `rep.images` product.
     """
     if conn.side != "right":
         raise ValueError("apply_connection handles right connections")
     e = conn.idempotent.matrix
     n = conn.n
-    out = []
-    for j in range(n):
-        col = tuple(e.entries[i][j] for i in range(n))
-        op = t.twisted_commutator(xi[j])
-        for k in range(n):
-            op = op + conn.one_forms[j][k] @ t.pi(xi[k])
-        out.append((col, op))
-    return out
+    coeffs = np.concatenate([_coefficients(xi)[::n], _coefficients(xi.map(t.sigma))[::n]])
+    p, ps = np.split(t.rep.images(coeffs), 2)
+    ops = t.dirac @ p - ps @ t.dirac + np.matmul(np.asarray(conn.one_forms), p).sum(axis=1)
+    return [(_column(e, j), ops[j]) for j in range(n)]
 
 
 def apply_connection_left(
     t: TwistedTriple, conn: Connection, zeta: ModuleVector
 ) -> list[tuple[np.ndarray, ModuleVector]]:
-    """Snyder decomposition of nabla_opp(zeta) on A^n e: list of (opposite one-form op, row vector)."""
+    """Snyder decomposition of nabla_opp(zeta) on A^n e: list of (opposite one-form op, row vector).
+
+    The op of e-row j is delta_opp(zeta_j) + sum_k m_k^j pi_opp(zeta_k); pi_opp(zeta_k)
+    and pi_opp(sigma^-1(zeta_k)) come from one `rep.images` product.
+    """
     if conn.side != "left":
         raise ValueError("apply_connection_left handles left connections")
     e = conn.idempotent.matrix
     n = conn.n
-    out = []
-    for j in range(n):
-        row = tuple(e.entries[j][i] for i in range(n))
-        op = t.twisted_commutator_opp(zeta[j])
-        for k in range(n):
-            op = op + conn.one_forms[k][j] @ t.pi_opp(zeta[k])
-        out.append((op, row))
-    return out
+    coeffs = np.concatenate([_coefficients(zeta)[:n], _coefficients(zeta.map(t.sigma.inverse()))[:n]])
+    q, qs = np.split(t.opp_images(t.rep.images(coeffs)), 2)
+    ops = t.dirac @ q - qs @ t.dirac + np.matmul(np.asarray(conn.one_forms).swapaxes(0, 1), q).sum(axis=1)
+    e_star = e.star()    # row j of e is column j of e*, starred
+    return [(ops[j], _column(e_star, j).star()) for j in range(n)]
 
 
 @dataclass(frozen=True)
@@ -466,7 +474,7 @@ def check_hermitian(
             lhs = np.zeros((t.dim, t.dim), complex)
             for x0, om in apply_connection(t, conn, xi):
                 lhs += t.pi(t.sigma(inner_product(xip, x0))) @ om
-            sxi = apply_matrix(e, tuple(sinv(x) for x in xip))
+            sxi = e * xip.map(sinv)
             for x0, om in apply_connection(t, conn, sxi):
                 lhs -= dagger(om) @ t.pi(inner_product(x0, xi))
             rhs = t.twisted_commutator(inner_product(xip, xi))
@@ -475,10 +483,8 @@ def check_hermitian(
             zeta = random_row_vector(e, rng)     # rows of A^n e: zeta e = zeta
             zetap = random_row_vector(e, rng)
             # -{zeta', nabla(Sigma_opp zeta)} + {nabla zeta', zeta} = delta_opp({zeta', zeta})
-            pairing = lambda zp, z: sum(
-                (zp[i] * z[i].star() for i in range(1, n)), zp[0] * z[0].star()
-            )
-            szeta = apply_matrix_right(tuple(t.sigma(z) for z in zeta), e)
+            pairing = lambda zp, z: (zp * z.star()).entries[0][0]     # sum_i zp_i z_i*
+            szeta = zeta.map(t.sigma) * e
             lhs = np.zeros((t.dim, t.dim), complex)
             for om, z0 in apply_connection_left(t, conn, szeta):
                 lhs -= dagger(om) @ t.pi_opp(pairing(zetap, z0))

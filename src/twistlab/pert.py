@@ -155,9 +155,11 @@ def p_opp_of_u(t: TwistedTriple, u: Unitary) -> OppPerturbation:
 class FluctuationReport:
     """Fluctuated operator D_omega = D + omega1 + omega1_hat + omega2 with diagnostics.
 
-    first_order_defect is the max twisted-first-order defect over ordered pairs
-    of the perturbation's second legs (the one-form generators); omega2
-    vanishes when it does.
+    first_order_defect is the max of `TwistedTriple.first_order_defect(b_i, b_j*)`
+    over ordered pairs of the perturbation's second legs b_i, b_j.  omega2 is
+    sum_j hat(a_j) [omega1, hat(b_j)] and hat(b_j) = pi_opp(b_j*), so the
+    opposite side takes the hat legs b_j*.  With order zero and a regular twist,
+    omega2 = 0 when this defect is 0.
     """
 
     pert: Perturbation
@@ -201,7 +203,8 @@ def fluctuate(t: TwistedTriple, p: Perturbation, tol: Tolerance = DEFAULT_TOL) -
     sinv = t.sigma.inverse()
     legs = [b for _, b in p.pairs]
     deltas = [t.twisted_commutator(b) for b in legs]
-    opps = [(t.pi_opp(b), t.pi_opp(sinv(b))) for b in legs]
+    hats = [b.star() for b in legs]
+    opps = [(t.pi_opp(c), t.pi_opp(sinv(c))) for c in hats]
     fo = 0.0
     for inner in deltas:
         n_inner = float(np.linalg.norm(inner))

@@ -41,6 +41,18 @@ def random_normalized_pert(t, rng, n_pairs=None, scale=0.5):
     return tw.normalize(t, random_pert(t, rng, n_pairs, scale))
 
 
+def column(xi):
+    """The entries of a packed module vector, held in column 0; every other column must be exactly 0."""
+    assert all(not np.any(b) for row in xi.entries for x in row[1:] for b in x.blocks)
+    return [row[0] for row in xi.entries]
+
+
+def row(zeta):
+    """The entries of a packed row vector, held in row 0; every other row must be exactly 0."""
+    assert all(not np.any(b) for r in zeta.entries[1:] for x in r for b in x.blocks)
+    return list(zeta.entries[0])
+
+
 def ladder_triple(n, seed):
     """Seeded M_n acting on H = M_n by left multiplication (d = n^2).
 

@@ -146,6 +146,38 @@ class TestRegularity:
         assert check_regularity(sigma).max_defect > 1e-3
 
 
+def loop_check_regularity(sigma, samples, rng):
+    """The per-element loop that `check_regularity` batches: five elements built per sample."""
+    inv = sigma.inverse()
+    elements = [a for _, a in sigma.shape.basis()]
+    elements += [sigma.shape.random_element(rng) for _ in range(samples)]
+    return max(sigma(a.star()).defect(inv(a).star()) for a in elements)
+
+
+def regularity_cases():
+    rng = np.random.default_rng(15)
+    generic = lambda n: rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) + 3.0 * np.eye(n)
+    return [
+        pytest.param(identity_automorphism(SHAPE), id="identity"),
+        pytest.param(flip_double(), id="flip"),
+        pytest.param(Automorphism(SHAPE, (0, 1), (np.eye(1), np.diag([1.0, 1j]))), id="unitary-irregular"),
+        pytest.param(random_inner_m2(rng), id="generic-inner"),
+        pytest.param(Automorphism(DOUBLE, (2, 3, 0, 1), tuple(generic(n) for n in DOUBLE.block_dims)),
+                     id="flip-generic"),
+        pytest.param(Automorphism(AlgebraShape((3,)), (0,), (generic(3),)), id="m3-generic"),
+    ]
+
+
+@pytest.mark.parametrize("sigma", regularity_cases())
+@pytest.mark.parametrize("samples", [1, 7, 20])
+def test_batched_regularity_matches_the_loop(sigma, samples):
+    rng, loop_rng = np.random.default_rng(samples), np.random.default_rng(samples)
+    batched = check_regularity(sigma, samples=samples, rng=rng).max_defect
+    loop = loop_check_regularity(sigma, samples, loop_rng)
+    assert abs(batched - loop) <= 1e-13 * loop + 1e-15
+    assert rng.random() == loop_rng.random()     # the same draws, in the same order
+
+
 class TestUnitary:
     def test_accepts_unitary(self):
         u = SHAPE.random_unitary(np.random.default_rng(13))

@@ -279,6 +279,18 @@ class TestFluctuate:
         bad.write_text(json.dumps([[[[[1.0, 0.0]]], [[[1.0, 0.0]]]]]))
         assert main(["fluctuate", str(workdir / "u1u2.json"), str(bad)]) == 2
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_entry_exits_two(self, workdir, capsys, value):
+        # the loaders are the boundary: arithmetic after them is not re-validated
+        e = U1U2_SHAPE.unit()
+        doc = json.dumps(pert_to_json(tw.Perturbation(U1U2_SHAPE, ((e, e),))))
+        text = doc.replace("[0.0, 0.0]", f"[0.0, {value}]", 1)     # the first zero entry
+        bad = workdir / "nonfinite_pert.json"
+        bad.write_text(text)
+        assert main(["fluctuate", str(workdir / "u1u2.json"), str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "finite" in err and "Traceback" not in err
+
 
 class TestGaugeAndProduct:
     def test_gauge_defect_small(self, workdir, capsys):

@@ -7,10 +7,10 @@ from twistlab.linalg import rel_defect
 from twistlab.morita import (
     AlgebraMatrix,
     IdempotentData,
+    amat_scalar,
     amat_unit,
     apply_connection,
     apply_connection_left,
-    apply_matrix,
     build_left_triple,
     build_real_triple,
     build_right_triple,
@@ -23,13 +23,15 @@ from twistlab.morita import (
     grassmann,
     inner_product,
     lift_maps,
+    module_vector,
     opp_one_form_action_corrected,
     random_module_vector,
+    random_row_vector,
 )
 from twistlab.pert import eta, eta_adjoint_pairs, fluctuate, hat_pert, normalize
 from twistlab.triple import Representation, TwistedTriple
 
-from conftest import random_normalized_pert
+from conftest import column, random_normalized_pert, row
 
 
 def selfadjoint_one_form(t, rng):
@@ -96,12 +98,12 @@ class TestIdempotent:
         t = flip_cc
         e_proj = tw.AlgebraElement(t.shape, (np.eye(1), np.zeros((1, 1))))
         em = AlgebraMatrix(t.shape, ((e_proj,),))
-        xi = apply_matrix(em, (e_proj,))
-        assert xi[0].norm() == 1.0
-        fwd = apply_matrix(em, tuple(t.sigma(x) for x in xi))
-        assert fwd[0].norm() <= 1e-14
-        back = apply_matrix(em, tuple(t.sigma.inverse()(x) for x in fwd))
-        assert back[0].defect(xi[0]) > 0.5
+        xi = em * module_vector(t.shape, (e_proj,))
+        assert column(xi)[0].norm() == 1.0
+        fwd = em * xi.map(t.sigma)
+        assert column(fwd)[0].norm() <= 1e-14
+        back = em * fwd.map(t.sigma.inverse())
+        assert column(back)[0].defect(column(xi)[0]) > 0.5
 
 
 class TestLift:
@@ -110,14 +112,14 @@ class TestLift:
         rng = np.random.default_rng(1)
         xi = random_module_vector(lift.idempotent.matrix, rng)
         out = lift.sigma_lift(xi)
-        assert all(o.defect(x) <= 1e-12 for o, x in zip(out, xi))
+        assert all(o.defect(x) <= 1e-12 for o, x in zip(column(out), column(xi)))
 
     def test_self_morita_lift_is_sigma(self, u1u2):
         t = u1u2.triple
         lift = lift_maps(t, unit_idempotent(t.shape, 1))
         rng = np.random.default_rng(2)
         a = t.shape.random_element(rng)
-        assert lift.sigma_lift((a,))[0].defect(t.sigma(a)) <= 1e-12
+        assert column(lift.sigma_lift(module_vector(t.shape, (a,))))[0].defect(t.sigma(a)) <= 1e-12
         b = AlgebraMatrix(t.shape, ((a,),))
         assert lift.sigma_prime(b).entries[0][0].defect(t.sigma(a)) <= 1e-12
 
@@ -129,8 +131,8 @@ class TestLift:
         for _ in range(10):
             xi = random_module_vector(lift.idempotent.matrix, rng)
             a = t.shape.random_element(rng)
-            lhs = lift.sigma_lift(tuple(x * a for x in xi))
-            rhs = tuple(s * t.sigma(a) for s in lift.sigma_lift(xi))
+            lhs = column(lift.sigma_lift(module_vector(t.shape, [x * a for x in column(xi)])))
+            rhs = [s * t.sigma(a) for s in column(lift.sigma_lift(xi))]
             assert all(l.defect(r) <= 1e-12 for l, r in zip(lhs, rhs))
 
     def test_roundtrip_on_50_vectors(self, u1u2):
@@ -140,7 +142,7 @@ class TestLift:
         for _ in range(50):
             xi = random_module_vector(lift.idempotent.matrix, rng)
             back = lift.sigma_lift_inv(lift.sigma_lift(xi))
-            assert all(b.defect(x) <= 1e-12 for b, x in zip(back, xi))
+            assert all(b.defect(x) <= 1e-12 for b, x in zip(column(back), column(xi)))
 
     def test_sigma_prime_automorphism_and_regularity(self, u1u2):
         t = u1u2.triple
@@ -170,7 +172,7 @@ class TestConnections:
         for _ in range(5):
             xi = random_module_vector(e.matrix, rng)
             a = t.shape.random_element(rng)
-            xi_a = tuple(x * a for x in xi)
+            xi_a = xi * amat_scalar(a, 2)
             probe = random_module_vector(e.matrix, rng)
             lhs = np.zeros((t.dim, t.dim), complex)
             for x0, om in apply_connection(t, conn, xi_a):
@@ -197,7 +199,7 @@ class TestConnections:
         t = u1u2.triple
         e = unit_idempotent(t.shape, 2)
         conn = grassmann(t, e, "right")
-        xi = (0.3 * t.shape.unit(), -1.7 * t.shape.unit())
+        xi = module_vector(t.shape, (0.3 * t.shape.unit(), -1.7 * t.shape.unit()))
         for _, om in apply_connection(t, conn, xi):
             assert np.linalg.norm(om) <= 1e-13
 
@@ -261,14 +263,14 @@ class TestConjugateConnection:
         e = half_idempotent(t.shape)
         left = conjugate_connection(t, grassmann(t, e, "right"))
         rng = np.random.default_rng(11)
-        from twistlab.morita import random_row_vector
         sinv = t.sigma.inverse()
-        pair = lambda zp, z: sum((zp[i] * z[i].star() for i in range(1, 2)), zp[0] * z[0].star())
+        pair = lambda zp, z: sum((x * y.star() for x, y in zip(row(zp)[1:], row(z)[1:])),
+                                 row(zp)[0] * row(z)[0].star())
         contract = lambda om, z0, probe: t.pi_opp(sinv(pair(z0, probe))) @ om
         for _ in range(5):
             zeta = random_row_vector(e.matrix, rng)
             a = t.shape.random_element(rng)
-            a_zeta = tuple(a * z for z in zeta)
+            a_zeta = amat_scalar(a, 2) * zeta
             probe = random_row_vector(e.matrix, rng)
             lhs = np.zeros((t.dim, t.dim), complex)
             for om, z0 in apply_connection_left(t, left, a_zeta):

@@ -3,15 +3,22 @@
 The loops below are the reference oracles: block placement is exact, so the
 entries, +, - and star of a packed matrix, the grid assemblers and the exported
 operators must equal them bit for bit; products, the entrywise twist, norms,
-the sandwiches and the first-order gate reassociate sums and agree to rtol 1e-13.
+the sandwiches, the module-vector helpers and the first-order gate reassociate
+sums and agree to rtol 1e-13.  Arithmetic results skip validation, and must be
+byte for byte what the validating constructor makes of the same blocks.
 """
 import numpy as np
 import pytest
 
 import twistlab as tw
+from twistlab.algebra import AlgebraElement, Automorphism
+from twistlab.linalg import dagger, rel_defect
 from twistlab.morita import (
     AlgebraMatrix,
+    Connection,
     IdempotentData,
+    ModuleLift,
+    _amplified,
     _blocks,
     _grid,
     _on_cols,
@@ -22,21 +29,30 @@ from twistlab.morita import (
     _sandwich_right,
     _triple_first_order_defect,
     amat_random,
+    amat_scalar,
     amat_unit,
+    apply_connection,
+    apply_connection_left,
     build_left_triple,
     build_real_triple,
     build_right_triple,
+    check_hermitian,
     check_morita_triple,
     check_real_triple,
     conjugate_connection,
     connection_with,
     grassmann,
+    inner_product,
     lift_maps,
+    module_vector,
+    random_module_vector,
+    random_row_vector,
+    row_vector,
 )
 
 from twistlab.pert import eta, eta_adjoint_pairs
 
-from conftest import ladder_triple, random_normalized_pert
+from conftest import column, ladder_triple, random_normalized_pert, row
 from test_morita import half_idempotent, selfadjoint_one_form
 
 RTOL = 1e-13
@@ -235,6 +251,97 @@ def loop_real_export(t, em, m):
     return proj, (term12 + term3) @ proj, d_second, _j_prime(j.mat, n)
 
 
+# module vectors as tuples of entries, as they were held before packing
+
+
+def loop_apply_matrix(m, xi):
+    n = m.n
+    return tuple(
+        sum((m.entries[i][k] * xi[k] for k in range(1, n)), m.entries[i][0] * xi[0])
+        for i in range(n)
+    )
+
+
+def loop_apply_matrix_right(xi, m):
+    n = m.n
+    return tuple(
+        sum((xi[k] * m.entries[k][i] for k in range(1, n)), xi[0] * m.entries[0][i])
+        for i in range(n)
+    )
+
+
+def loop_random_module_vector(e, rng):
+    return loop_apply_matrix(e, tuple(e.shape.random_element(rng) for _ in range(e.n)))
+
+
+def loop_random_row_vector(e, rng):
+    return loop_apply_matrix_right(tuple(e.shape.random_element(rng) for _ in range(e.n)), e)
+
+
+def loop_inner_product(xp, x):
+    acc = xp[0].star() * x[0]
+    for a, b in zip(xp[1:], x[1:]):
+        acc = acc + a.star() * b
+    return acc
+
+
+def loop_pairing(zp, z):
+    return sum((zp[i] * z[i].star() for i in range(1, len(z))), zp[0] * z[0].star())
+
+
+def loop_sigma_lift(e, xi, sigma):
+    return loop_apply_matrix(e, tuple(sigma(x) for x in xi))
+
+
+def loop_apply_connection(t, conn, xi):
+    e, n = conn.idempotent.matrix, conn.n
+    out = []
+    for j in range(n):
+        op = t.twisted_commutator(xi[j])
+        for k in range(n):
+            op = op + conn.one_forms[j][k] @ t.pi(xi[k])
+        out.append((tuple(e.entries[i][j] for i in range(n)), op))
+    return out
+
+
+def loop_apply_connection_left(t, conn, zeta):
+    e, n = conn.idempotent.matrix, conn.n
+    out = []
+    for j in range(n):
+        op = t.twisted_commutator_opp(zeta[j])
+        for k in range(n):
+            op = op + conn.one_forms[k][j] @ t.pi_opp(zeta[k])
+        out.append((op, tuple(e.entries[j][i] for i in range(n))))
+    return out
+
+
+def loop_hermitian_identity(t, conn, samples=10, seed=0):
+    """identity_defect of `check_hermitian`, with module vectors as tuples."""
+    rng = np.random.default_rng(seed)
+    e = conn.idempotent.matrix
+    sinv = t.sigma.inverse()
+    worst = 0.0
+    for _ in range(samples):
+        lhs = np.zeros((t.dim, t.dim), complex)
+        if conn.side == "right":
+            xi, xip = loop_random_module_vector(e, rng), loop_random_module_vector(e, rng)
+            for x0, om in loop_apply_connection(t, conn, xi):
+                lhs += t.pi(t.sigma(loop_inner_product(xip, x0))) @ om
+            for x0, om in loop_apply_connection(t, conn, loop_sigma_lift(e, xip, sinv)):
+                lhs -= dagger(om) @ t.pi(loop_inner_product(x0, xi))
+            rhs = t.twisted_commutator(loop_inner_product(xip, xi))
+        else:
+            zeta, zetap = loop_random_row_vector(e, rng), loop_random_row_vector(e, rng)
+            szeta = loop_apply_matrix_right(tuple(t.sigma(z) for z in zeta), e)
+            for om, z0 in loop_apply_connection_left(t, conn, szeta):
+                lhs -= dagger(om) @ t.pi_opp(loop_pairing(zetap, z0))
+            for om, z0 in loop_apply_connection_left(t, conn, zetap):
+                lhs += t.pi_opp(sinv(loop_pairing(z0, zeta))) @ om
+            rhs = t.twisted_commutator_opp(loop_pairing(zetap, zeta))
+        worst = max(worst, rel_defect(lhs, rhs))
+    return worst
+
+
 # ---------------------------------------------------------------------------
 # data
 # ---------------------------------------------------------------------------
@@ -427,3 +534,136 @@ def test_first_order_gate_matches_pair_loop(name):
     }[name]()
     gate, loop = _triple_first_order_defect(t), loop_first_order(t)
     assert abs(gate - loop) <= RTOL * loop + 1e-15
+
+
+# ---------------------------------------------------------------------------
+# trusted arithmetic, the cached id (x) sigma and packed module vectors
+# ---------------------------------------------------------------------------
+
+
+def _same_bytes(blocks, want):
+    return all(a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+               for a, b in zip(blocks, want))
+
+
+def twist_cases():
+    return [pytest.param(t.sigma, id=name) for name, t in
+            (("u1u2", tw.build_u1u2(1 + 0.5j, 0.7 - 0.2j).triple), ("rand6", tw.random_real_triple(3)))]
+
+
+@pytest.mark.parametrize("sigma", twist_cases())
+def test_trusted_results_equal_the_validating_constructor(sigma):
+    shape = sigma.shape
+    validated = lambda blocks: AlgebraElement(shape, tuple(blocks)).blocks
+    rng = np.random.default_rng(41)
+    a, b = shape.random_element(rng), shape.random_element(rng, 0.5)
+    twisted = [None] * shape.num_blocks
+    for k, (s, x, s_inv) in enumerate(zip(sigma.conjugators, a.blocks, sigma._conjugator_invs)):
+        twisted[sigma.perm[k]] = s @ x @ s_inv
+    unit_blocks = [np.zeros((n, n), dtype=complex) for n in shape.block_dims]
+    unit_blocks[-1][0, -1] = 1.0
+    cases = [
+        (a + b, [x + y for x, y in zip(a.blocks, b.blocks)]),
+        (a - b, [x - y for x, y in zip(a.blocks, b.blocks)]),
+        (a * b, [x @ y for x, y in zip(a.blocks, b.blocks)]),
+        (a.star(), [np.conj(x.T) for x in a.blocks]),
+        ((0.5 - 2j) * a, [(0.5 - 2j) * x for x in a.blocks]),
+        (sigma(a), twisted),
+        (shape.unit(), [np.eye(n) for n in shape.block_dims]),
+        (shape.zero(), [np.zeros((n, n)) for n in shape.block_dims]),
+        (shape.matrix_unit(shape.num_blocks - 1, 0, shape.block_dims[-1] - 1), unit_blocks),
+    ]
+    for got, blocks in cases:
+        assert _same_bytes(got.blocks, validated(blocks))
+    r1, r2 = np.random.default_rng(5), np.random.default_rng(5)
+    drawn = [0.7 * (r2.standard_normal((n, n)) + 1j * r2.standard_normal((n, n))) for n in shape.block_dims]
+    assert _same_bytes(shape.random_element(r1, 0.7).blocks, validated(drawn))
+    m = amat_random(shape, 2, rng)
+    assert all(_same_bytes(x.blocks, validated(x.blocks)) for row in m.entries for x in row)
+
+
+def _automorphisms_close(got, want):
+    close = lambda xs, ys: all(np.linalg.norm(x - y) <= RTOL * np.linalg.norm(y) for x, y in zip(xs, ys))
+    return (got.shape == want.shape and got.perm == want.perm
+            and close(got.conjugators, want.conjugators)
+            and close(got._conjugator_invs, want._conjugator_invs))
+
+
+@pytest.mark.parametrize("sigma, n", packed_cases())
+def test_amplified_equals_a_validated_kron_automorphism(sigma, n):
+    eye = np.eye(n)
+    fresh = Automorphism(_amplified(sigma.shape, n), sigma.perm,
+                         tuple(np.kron(eye, s) for s in sigma.conjugators))
+    amp = sigma.amplified(n)
+    assert sigma.amplified(n) is amp
+    assert all(np.array_equal(x, y) for x, y in zip(amp.conjugators, fresh.conjugators))
+    x = amp.shape.random_element(np.random.default_rng(n))
+    for got, want in ((amp, fresh), (amp.inverse(), fresh.inverse()),
+                      (sigma.inverse().amplified(n), fresh.inverse())):
+        assert _automorphisms_close(got, want)
+        assert got(x).defect(want(x)) <= RTOL
+
+
+def _elements_equal(xs, ys):
+    return all(np.array_equal(x, y) for a, b in zip(xs, ys) for x, y in zip(a.blocks, b.blocks))
+
+
+def _vectors_close(got, loop):
+    diff = loop_norm([[a - b for a, b in zip(got, loop)]])
+    return diff <= RTOL * loop_norm([loop])
+
+
+@pytest.mark.parametrize("t, m, ops", CASES, ids=CASE_IDS)
+class TestModuleVectors:
+    """Module vectors packed as column (row) 0 of an n x n matrix against the tuple loops they replaced."""
+
+    def test_products_pairings_and_lifts(self, t, m, ops):
+        shape, n = t.shape, m.n
+        rng = np.random.default_rng(51)
+        xs = [shape.random_element(rng) for _ in range(n)]
+        ys = [shape.random_element(rng) for _ in range(n)]
+        a = shape.random_element(rng)
+        xi, eta = module_vector(shape, xs), module_vector(shape, ys)
+        zeta, zetap = row_vector(shape, xs), row_vector(shape, ys)
+        assert _elements_equal(column(xi), xs) and _elements_equal(row(zeta), xs)
+        assert _vectors_close(column(m * xi), loop_apply_matrix(m, xs))
+        assert _vectors_close(row(zeta * m), loop_apply_matrix_right(xs, m))
+        assert _vectors_close(column(xi * amat_scalar(a, n)), [x * a for x in xs])
+        assert _vectors_close(row(amat_scalar(a, n) * zeta), [a * z for z in xs])
+        assert _vectors_close([inner_product(eta, xi)], [loop_inner_product(ys, xs)])
+        assert _vectors_close([(zetap * zeta.star()).entries[0][0]], [loop_pairing(ys, xs)])
+        lift = ModuleLift(t, IdempotentData(m), None)
+        assert _vectors_close(column(lift.sigma_lift(xi)), loop_sigma_lift(m, xs, t.sigma))
+        assert _vectors_close(column(lift.sigma_lift_inv(xi)), loop_sigma_lift(m, xs, t.sigma.inverse()))
+
+    def test_random_vectors_draw_in_the_same_order(self, t, m, ops):
+        r1, r2 = np.random.default_rng(3), np.random.default_rng(3)
+        assert _vectors_close(column(random_module_vector(m, r1)), loop_random_module_vector(m, r2))
+        assert _vectors_close(row(random_row_vector(m, r1)), loop_random_row_vector(m, r2))
+        assert r1.random() == r2.random()
+
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_connections(self, t, m, ops, side):
+        conn = Connection(side, IdempotentData(m), ops)
+        rng = np.random.default_rng(61)
+        if side == "right":
+            xi = random_module_vector(m, rng)
+            pairs = [(column(c), op) for c, op in apply_connection(t, conn, xi)]
+            loop = loop_apply_connection(t, conn, column(xi))
+        else:
+            zeta = random_row_vector(m, rng)
+            pairs = [(row(r), op) for op, r in apply_connection_left(t, conn, zeta)]
+            loop = [(r, op) for op, r in loop_apply_connection_left(t, conn, row(zeta))]
+        assert len(pairs) == len(loop) == m.n
+        for (vec, op), (loop_vec, loop_op) in zip(pairs, loop):
+            assert _elements_equal(vec, loop_vec)
+            assert np.linalg.norm(op - loop_op) <= RTOL * np.linalg.norm(loop_op)
+
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_hermiticity_identity(self, t, m, ops, side):
+        # random one-forms are far from hermitian, so the identity defect is O(1) and comparable
+        conn = Connection(side, IdempotentData(m), ops)
+        got = check_hermitian(t, conn, samples=3, seed=7).identity_defect
+        loop = loop_hermitian_identity(t, conn, samples=3, seed=7)
+        assert loop > 1e-3
+        assert abs(got - loop) <= RTOL * loop

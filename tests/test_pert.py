@@ -204,6 +204,37 @@ class TestFluctuate:
         assert np.linalg.norm(f.omega2) <= 1e-12
         assert rel_defect(f.d_omega, toy.dirac + f.omega1 + f.omega1_hat) <= 1e-12
 
+    def test_first_order_defect_pairs_the_legs_with_their_hats(self, u1u2):
+        # omega2 brackets omega1 with hat(b_j) = pi_opp(b_j*).  Legs b in the right
+        # null space of the first-order form, F(x, b) = 0 for every x, gave a defect
+        # of about 1e-16 when the legs were paired unstarred, while ||omega2|| is O(1).
+        t = u1u2.triple
+        basis = [a for _, a in t.shape.basis()]
+        form = np.array([np.concatenate([t.bracket_sigma_opp(t.twisted_commutator(a), c).ravel()
+                                         for a in basis]) for c in basis]).T
+        _, s, vh = np.linalg.svd(form)
+        null = vh[np.count_nonzero(s > 1e-10 * s[0]):].conj()
+        assert len(null) == 8
+        rng = np.random.default_rng(0)
+
+        def null_element():
+            coeffs = null.T @ (rng.standard_normal(len(null)) + 1j * rng.standard_normal(len(null)))
+            return sum((complex(c) * e for c, e in zip(coeffs, basis)), t.shape.zero())
+
+        legs = [null_element() for _ in range(2)]
+        f = fluctuate(t, tw.Perturbation(t.shape, tuple((t.shape.random_element(rng, 0.5), b) for b in legs)))
+        all_legs = [b for _, b in f.pert.pairs]
+        assert max(t.first_order_defect(b, c) for b in all_legs for c in all_legs) <= 1e-14
+        assert np.linalg.norm(f.omega2) > 1.0
+        assert f.first_order_defect > 0.1
+        assert f.first_order_defect == max(t.first_order_defect(b, c.star()) for b in all_legs for c in all_legs)
+
+        # legs whose adjoints lie in the null space: zero defect, and omega2 vanishes
+        legs = [null_element().star() for _ in range(2)]
+        f = fluctuate(t, tw.Perturbation(t.shape, tuple((t.shape.random_element(rng, 0.5), b) for b in legs)))
+        assert f.first_order_defect <= 1e-14
+        assert np.linalg.norm(f.omega2) <= 1e-13
+
     def test_report_assembly(self, u1u2):
         t = u1u2.triple
         rng = np.random.default_rng(15)
