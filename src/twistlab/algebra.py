@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, cmatrix, frobenius
+from .linalg import DEFAULT_TOL, Tolerance, cmatrix
 
 
 @dataclass(frozen=True)
@@ -140,16 +140,26 @@ class AlgebraElement:
         """Blockwise conjugate transpose (the algebra involution)."""
         return _element(self.shape, tuple(np.conj(b.T) for b in self.blocks))
 
+    def coefficients(self) -> np.ndarray:
+        """The block entries in matrix-unit basis order, as one vector of length N."""
+        return np.concatenate([b.reshape(-1) for b in self.blocks])
+
     def norm(self) -> float:
-        return float(np.sqrt(sum(frobenius(b) ** 2 for b in self.blocks)))
+        return _norm(self.coefficients())
 
     def defect(self, other: AlgebraElement) -> float:
-        diff = self - other
-        scale = max(1.0, self.norm(), other.norm())
-        return diff.norm() / scale
+        if self.shape != other.shape:
+            raise ValueError("algebra shape mismatch")
+        x, y = self.coefficients(), other.coefficients()
+        return _norm(x - y) / max(1.0, _norm(x), _norm(y))
 
     def approx_eq(self, other: AlgebraElement, tol: Tolerance = DEFAULT_TOL) -> bool:
         return self.defect(other) <= tol.abs_eps
+
+
+def _norm(coeffs: np.ndarray) -> float:
+    """Frobenius norm of an element from its coefficient vector, one reduction over all blocks."""
+    return float(np.sqrt(np.vdot(coeffs, coeffs).real))
 
 
 def _element(shape: AlgebraShape, blocks: tuple[np.ndarray, ...]) -> AlgebraElement:

@@ -82,8 +82,7 @@ class AlgebraMatrix:
         return self.element.norm()
 
     def defect(self, other: AlgebraMatrix) -> float:
-        scale = max(1.0, self.norm(), other.norm())
-        return (self - other).norm() / scale
+        return self.element.defect(self._compat(other))
 
 
 def _amplified(shape: AlgebraShape, n: int) -> AlgebraShape:

@@ -200,8 +200,7 @@ class Representation:
     def __call__(self, a: AlgebraElement) -> np.ndarray:
         if a.shape != self.shape:
             raise ValueError("algebra shape mismatch")
-        coeffs = np.concatenate([b.reshape(-1) for b in a.blocks])
-        return (coeffs @ self.stack).reshape(self.dim, self.dim)
+        return (a.coefficients() @ self.stack).reshape(self.dim, self.dim)
 
     def basis_images(self) -> np.ndarray:
         """pi(E_u) for every matrix unit, as an (N, d, d) view of the stack."""
@@ -210,6 +209,13 @@ class Representation:
     def images(self, coeffs: np.ndarray) -> np.ndarray:
         """pi of the elements whose block coefficients are the rows of coeffs, as an (m, d, d) stack."""
         return (coeffs @ self.stack).reshape(-1, self.dim, self.dim)
+
+    def images_of(self, elements: list[AlgebraElement]) -> np.ndarray:
+        """pi of each element, as an (m, d, d) stack: one GEMM of their coefficient rows, m = 0 included."""
+        if any(x.shape != self.shape for x in elements):
+            raise ValueError("algebra shape mismatch")
+        coeffs = np.array([x.coefficients() for x in elements], dtype=complex)
+        return self.images(coeffs.reshape(len(elements), len(self.stack)))
 
     def homomorphism_defect(self) -> float:
         """Max defect of pi(E^(k)_ij) pi(E^(l)_pq) = delta_kl delta_jp pi(E^(k)_iq), over all pairs.
@@ -323,6 +329,11 @@ class TwistedTriple:
         """J X* J^{-1} = M X^T M^{-1} for each X of an (m, d, d) stack of pi images."""
         j = self.require_real().j
         return np.matmul(np.matmul(j.mat, images.transpose(0, 2, 1)), j.inv_mat)
+
+    def hat_images(self, images: np.ndarray) -> np.ndarray:
+        """J X J^{-1} = M conj(X) M^{-1} for each X of an (m, d, d) stack: the hats of pi images."""
+        j = self.require_real().j
+        return np.matmul(np.matmul(j.mat, np.conj(images)), j.inv_mat)
 
     def epsilon_prime(self, tol: Tolerance = DEFAULT_TOL) -> int:
         """The declared eps', else the sign with J D J^-1 = eps' D within tol."""
@@ -465,11 +476,6 @@ def _basis_pair_scans(t: TwistedTriple) -> tuple[np.ndarray, np.ndarray]:
     return oz, fo
 
 
-def _coefficients(elements: list[AlgebraElement]) -> np.ndarray:
-    """The block coefficients of each element, one row per element."""
-    return np.array([np.concatenate([b.reshape(-1) for b in x.blocks]) for x in elements])
-
-
 def _random_pair_scans(t: TwistedTriple, left: list[AlgebraElement],
                        right: list[AlgebraElement]) -> tuple[np.ndarray, np.ndarray]:
     """Order-zero and first-order defects of every pair (a, b) in left x right, as grids.
@@ -482,15 +488,15 @@ def _random_pair_scans(t: TwistedTriple, left: list[AlgebraElement],
     """
     rep, dirac, d = t.rep, t.dirac, t.dim
     sigma_inv = t.sigma.inverse()
-    a = rep.images(_coefficients(left))
+    a = rep.images_of(left)
     inner = np.matmul(dirac, a)
-    inner -= np.matmul(rep.images(_coefficients([t.sigma(x) for x in left])), dirac)
+    inner -= np.matmul(rep.images_of([t.sigma(x) for x in left]), dirac)
     inner_norms = np.sqrt(_sq_norms(inner))
     oz = np.empty((len(left), len(right)))
     fo = np.empty((len(left), len(right)))
     for ks in _slices(len(right), _chunk(d, 4)):
-        q = t.opp_images(rep.images(_coefficients(right[ks])))
-        qs = t.opp_images(rep.images(_coefficients([sigma_inv(x) for x in right[ks]])))
+        q = t.opp_images(rep.images_of(right[ks]))
+        qs = t.opp_images(rep.images_of([sigma_inv(x) for x in right[ks]]))
         q_norms = np.sqrt(_sq_norms(q))
         for i in range(len(left)):
             oz[i, ks] = _rel_defects(np.matmul(a[i], q), np.matmul(q, a[i]))

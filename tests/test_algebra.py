@@ -55,6 +55,17 @@ class TestElementOps:
         other = AlgebraShape((2, 1))
         with pytest.raises(ValueError):
             SHAPE.unit() * other.unit()
+        with pytest.raises(ValueError, match="shape mismatch"):
+            SHAPE.unit().defect(other.unit())
+
+    def test_norm_and_defect_match_the_per_block_norms(self):
+        rng = np.random.default_rng(4)
+        a, b = DOUBLE.random_element(rng), DOUBLE.random_element(rng)
+        block_norm = lambda x: np.sqrt(sum(np.linalg.norm(blk) ** 2 for blk in x.blocks))
+        assert a.norm() == pytest.approx(block_norm(a), rel=1e-15)
+        expected = block_norm(a - b) / max(1.0, block_norm(a), block_norm(b))
+        assert a.defect(b) == pytest.approx(expected, rel=1e-14)
+        assert DOUBLE.zero().norm() == 0.0 and a.defect(a) == 0.0
 
 
 class TestAutomorphism:

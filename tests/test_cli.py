@@ -316,6 +316,14 @@ class TestGaugeAndProduct:
         doc = json.loads(capsys.readouterr().out)
         assert doc["pairs"] == 4
 
+    def test_pert_mul_of_empty_perturbations(self, workdir, capsys):
+        empty = workdir / "empty.json"
+        empty.write_text("[]")
+        rc = main(["pert-mul", str(workdir / "u1u2.json"), str(empty), str(empty), "--json"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["pairs"] == 0 and doc["eta_norm"] == 0.0 and doc["product"] == []
+
 
 class TestModelAndMorita:
     def test_model_verification(self, workdir, capsys):
