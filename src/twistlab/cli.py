@@ -67,10 +67,7 @@ def _status(defect: float | None, eps: float) -> str:
 
 
 def cmd_check(args) -> int:
-    try:
-        t = load_triple(args.triple, args.tol)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        return _fail(str(exc))
+    t = load_triple(args.triple, args.tol)
     tol = args.tol
     report = check_axioms(t, samples=args.samples, seed=args.seed, tol=tol)
     eps = tol.abs_eps
@@ -134,16 +131,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_fluctuate(args) -> int:
-    try:
-        t = load_triple(args.triple, args.tol)
-        p = load_pert(args.pert, t.shape)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        return _fail(str(exc))
+    t = load_triple(args.triple, args.tol)
+    p = load_pert(args.pert, t.shape)
     tol = args.tol
-    try:
-        report = fluctuate(t, p, tol)
-    except ValueError as exc:
-        return _fail(str(exc))
+    report = fluctuate(t, p, tol)
     doc = {
         "normalization_defect": report.pert.normalization_defect(t.sigma),
         "selfadjoint_omega1": report.selfadjoint_omega1,
@@ -168,28 +159,18 @@ def cmd_fluctuate(args) -> int:
             print(f"mu_action_defect: {doc['mu_action_defect']:.3e}")
         for name in ("omega1", "omega1_hat", "omega2", "d_omega"):
             print(f"{name}:")
-            print(np.array2string(np.array(matrixify(doc[name])), precision=6, suppress_small=True))
+            print(np.array2string(getattr(report, name), precision=6, suppress_small=True))
     return 0
 
 
-def matrixify(nested) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in nested])
-
-
 def cmd_gauge(args) -> int:
-    try:
-        t = load_triple(args.triple, args.tol)
-        p = load_pert(args.pert, t.shape)
-        u = load_unitary(args.unitary, t.shape)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        return _fail(str(exc))
+    t = load_triple(args.triple, args.tol)
+    p = load_pert(args.pert, t.shape)
+    u = load_unitary(args.unitary, t.shape)
     tol = args.tol
-    try:
-        p = normalize(t, p)
-        report = gauge_dirac(t, p, u, tol)
-        sa = selfadjointness_report(t, p, u, tol) if report.fluctuation.selfadjoint_d_omega else None
-    except ValueError as exc:
-        return _fail(str(exc))
+    p = normalize(t, p)
+    report = gauge_dirac(t, p, u, tol)
+    sa = selfadjointness_report(t, p, u, tol) if report.fluctuation.selfadjoint_d_omega else None
     doc = {
         "covariance_defect": report.defect,
         "bare_four_term_defect": report.bare_defect,
@@ -208,12 +189,9 @@ def cmd_gauge(args) -> int:
 
 
 def cmd_pert_mul(args) -> int:
-    try:
-        t = load_triple(args.triple, args.tol)
-        p = load_pert(args.left, t.shape)
-        q = load_pert(args.right, t.shape)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        return _fail(str(exc))
+    t = load_triple(args.triple, args.tol)
+    p = load_pert(args.left, t.shape)
+    q = load_pert(args.right, t.shape)
     prod = pert_mul(p, q)
     doc = {
         "pairs": len(prod.pairs),
@@ -282,34 +260,24 @@ def cmd_morita(args) -> int:
     from .morita import IdempotentData, amat_unit, connection_with
     from .pert import Perturbation, eta_adjoint_pairs
 
-    try:
-        t = load_triple(args.triple, args.tol)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        return _fail(str(exc))
+    t = load_triple(args.triple, args.tol)
     tol = args.tol
 
     if args.self_morita:
         if not args.omega:
             return _fail("--self requires --omega PERT_FILE")
-        try:
-            p = load_pert(args.omega, t.shape)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            return _fail(str(exc))
-        p = normalize(t, p)
+        p = normalize(t, load_pert(args.omega, t.shape))
         # selfadjoint one-form via pair-level symmetrization (stays normalised)
         padj = eta_adjoint_pairs(t, p, tol)
         p_sym = Perturbation(t.shape, tuple((0.5 * a, b) for a, b in p.pairs)
                              + tuple((0.5 * a, b) for a, b in padj.pairs))
         w = eta(t, p_sym).op
         idem = IdempotentData(amat_unit(t.shape, 1))
-        try:
-            ep = t.epsilon_prime(tol)
-            lift = lift_maps(t, idem, tol)
-            rt = build_right_triple(lift, connection_with(t, idem, [[w]], "right"), tol)
-            wbar = ep * t.real.j.conjugate(w)
-            lt = build_left_triple(lift, connection_with(t, idem, [[wbar]], "left"), tol)
-        except ValueError as exc:
-            return _fail(str(exc))
+        ep = t.epsilon_prime(tol)
+        lift = lift_maps(t, idem, tol)
+        rt = build_right_triple(lift, connection_with(t, idem, [[w]], "right"), tol)
+        wbar = ep * t.real.j.conjugate(w)
+        lt = build_left_triple(lift, connection_with(t, idem, [[wbar]], "left"), tol)
         doc = {
             "d_r_equals_d_plus_omega": rel_defect(rt.d_r, t.dirac + w),
             "d_l_equals_d_plus_conj_omega": rel_defect(lt.d_l, t.dirac + wbar),
@@ -326,11 +294,8 @@ def cmd_morita(args) -> int:
 
     if not args.idempotent:
         return _fail("choose --self --omega PERT or --idempotent FILE")
-    try:
-        e = load_idempotent(args.idempotent, t.shape)
-        cells = load_connection(args.connection, t.shape) if args.connection else None
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        return _fail(str(exc))
+    e = load_idempotent(args.idempotent, t.shape)
+    cells = load_connection(args.connection, t.shape) if args.connection else None
     doc, ok, lift = {}, True, None
     try:
         conn = grassmann(t, e, "right") if cells is None else connection_from_cells(t, e, cells, "right")
@@ -447,7 +412,10 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_morita)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:   # file, parse and schema errors, JSONDecodeError included
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

@@ -767,8 +767,8 @@ def check_real_triple(
         return 1 if dplus <= dminus else -1
 
     s_eps = sub_sign(jp.squared(), eye)
-    s_epsp = sub_sign(jp.mat @ np.conj(dp) @ jp.inv_mat, dp)
-    s_epspp = sub_sign(jp.mat @ np.conj(gp) @ jp.inv_mat, gp)
+    s_epsp = sub_sign(jp.conjugate(dp), dp)
+    s_epspp = sub_sign(jp.conjugate(gp), gp)
     ko = _KO_GRADED.get((s_eps, s_epsp, s_epspp)) if None not in (s_eps, s_epsp, s_epspp) else None
 
     oz = fo = 0.0

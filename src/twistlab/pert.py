@@ -13,7 +13,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, AlgebraShape, Unitary
 from .linalg import DEFAULT_TOL, Tolerance, dagger, rel_defect
-from .triple import TwistedTriple
+from .triple import TwistedTriple, _first_order_grid
 
 Pairs = tuple[tuple[AlgebraElement, AlgebraElement], ...]
 
@@ -115,8 +115,8 @@ def _legs(t: TwistedTriple, pairs: Pairs) -> tuple[np.ndarray, np.ndarray]:
     delta(b_j) = D pi(b_j) - pi(sigma(b_j)) D as an (m, d, d) stack.  The
     first legs are one GEMM of their coefficients.  The second legs are formed
     one at a time, as `TwistedTriple.first_order_defect` forms them, so that
-    the leg first-order diagnostic reproduces it bit for bit: a multi-row GEMM
-    can round differently from the single-row product of `pi`, depending on the BLAS.
+    the leg diagnostic of `fluctuate` reproduces it bit for bit: a multi-row
+    GEMM can round differently from the single-row product of `pi`, depending on the BLAS.
     """
     images = np.empty((3, len(pairs), t.dim, t.dim), dtype=complex)
     images[0] = t.rep.images_of([a for a, _ in pairs])
@@ -182,7 +182,8 @@ class FluctuationReport:
     """Fluctuated operator D_omega = D + omega1 + omega1_hat + omega2 with diagnostics.
 
     first_order_defect is the max of `TwistedTriple.first_order_defect(b_i, b_j*)`
-    over ordered pairs of the perturbation's second legs b_i, b_j.  omega2 is
+    over ordered pairs of the perturbation's second legs b_i, b_j, bit for bit:
+    both are `triple._first_order_grid` on images formed leg by leg.  omega2 is
     sum_j hat(a_j) [omega1, hat(b_j)] and hat(b_j) = pi_opp(b_j*), so the
     opposite side takes the hat legs b_j*.  With order zero and a regular twist,
     omega2 = 0 when this defect is 0.  The arrays are read-only: a report may be
@@ -199,29 +200,6 @@ class FluctuationReport:
     j_compat_defect: float
     omega2_gate_defect: float
     first_order_defect: float
-
-
-def _leg_first_order_defect(t: TwistedTriple, p: Perturbation, delta: np.ndarray) -> float:
-    """max_{i,k} `first_order_defect(b_i, b_k*)` from delta(b_i), bit for bit.
-
-    pi_opp(b_k*) and pi_opp(sigma^-1(b_k*)) are formed leg by leg as there, and
-    each pair's norm is the same `np.linalg.norm` call; the products of one
-    delta(b_i) with every leg are one batched matmul.
-    """
-    sinv = t.sigma.inverse()
-    q, q_twisted = np.empty_like(delta), np.empty_like(delta)
-    for k, (_, b) in enumerate(p.pairs):
-        c = b.star()
-        q[k], q_twisted[k] = t.pi_opp(c), t.pi_opp(sinv(c))
-    q_norms = [float(np.linalg.norm(x)) for x in q]
-    fo = 0.0
-    for inner in delta:
-        n_inner = float(np.linalg.norm(inner))
-        outer = np.matmul(inner, q)
-        outer -= np.matmul(q_twisted, inner)
-        for x, n_q in zip(outer, q_norms):
-            fo = max(fo, float(np.linalg.norm(x)) / max(1.0, n_inner, n_q))
-    return fo
 
 
 def fluctuate(t: TwistedTriple, p: Perturbation, tol: Tolerance = DEFAULT_TOL) -> FluctuationReport:
@@ -260,6 +238,11 @@ def fluctuate(t: TwistedTriple, p: Perturbation, tol: Tolerance = DEFAULT_TOL) -
             f"omega2 formulas diverge (defect {gate:.3e}); order-zero condition is likely broken"
         )
     d_omega = t.dirac + omega1 + omega1_hat + omega2_a
+    # pi_opp of the hat legs b_k* and of sigma^-1(b_k*), leg by leg as in `first_order_defect`
+    sinv = t.sigma.inverse()
+    q, q_twisted = np.empty_like(delta), np.empty_like(delta)
+    for k, c in enumerate(b.star() for _, b in p.pairs):
+        q[k], q_twisted[k] = t.pi_opp(c), t.pi_opp(sinv(c))
     for x in (omega1, omega1_hat, omega2_a, d_omega):
         x.flags.writeable = False
     fields = dict(
@@ -271,7 +254,7 @@ def fluctuate(t: TwistedTriple, p: Perturbation, tol: Tolerance = DEFAULT_TOL) -
         selfadjoint_d_omega=rel_defect(d_omega, dagger(d_omega)) <= tol.abs_eps,
         j_compat_defect=rel_defect(real.j.conjugate(d_omega), ep * d_omega),
         omega2_gate_defect=gate,
-        first_order_defect=_leg_first_order_defect(t, p, delta),
+        first_order_defect=float(_first_order_grid(delta, q, q_twisted).max()),
     )
     p.__dict__["_fluctuation"] = (t, tol, fields)
     return FluctuationReport(pert=p, **fields)

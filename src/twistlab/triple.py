@@ -368,11 +368,9 @@ class TwistedTriple:
         return self.bracket_sigma_opp(self.dirac, a)
 
     def first_order_defect(self, a: AlgebraElement, b: AlgebraElement) -> float:
-        """Relative norm of [[D, pi(a)]_sigma, pi_opp(b)]_{sigma_opp}."""
-        inner = self.twisted_commutator(a)
-        outer = self.bracket_sigma_opp(inner, b)
-        scale = max(1.0, float(np.linalg.norm(inner)), float(np.linalg.norm(self.pi_opp(b))))
-        return float(np.linalg.norm(outer)) / scale
+        """Relative norm of [[D, pi(a)]_sigma, pi_opp(b)]_{sigma_opp}, as a 1 x 1 `_first_order_grid`."""
+        q, q_twisted = self.pi_opp(b), self.pi_opp(self.sigma.inverse()(b))
+        return float(_first_order_grid(self.twisted_commutator(a)[None], q[None], q_twisted[None])[0, 0])
 
 
 @dataclass(frozen=True)
@@ -476,33 +474,51 @@ def _basis_pair_scans(t: TwistedTriple) -> tuple[np.ndarray, np.ndarray]:
     return oz, fo
 
 
+def _first_order_grid(inner: np.ndarray, q: np.ndarray, q_twisted: np.ndarray) -> np.ndarray:
+    """The first-order pair defects ||inner_i q_k - qt_k inner_i|| / max(1, ||inner_i||, ||q_k||), as an (i, k) grid.
+
+    inner, q and q_twisted are (m, d, d) stacks of delta(a_i), pi_opp(b_k) and
+    pi_opp(sigma^-1(b_k)).  This is the one definition of the pair defect:
+    `TwistedTriple.first_order_defect` is a 1 x 1 grid, and the random-pair
+    scan and the leg diagnostic of `pert.fluctuate` are larger ones.  Each
+    norm is one `np.linalg.norm` call on a (d, d) matrix, and the products of
+    one inner_i with every q_k are one batched matmul, so an entry does not
+    depend on the other rows or columns of its grid.
+    """
+    norm = np.linalg.norm
+    outer = np.empty((len(inner), len(q)))
+    for i, x in enumerate(inner):
+        y = np.matmul(x, q)
+        y -= np.matmul(q_twisted, x)
+        outer[i] = [norm(z) for z in y]
+    scale = np.maximum.outer([norm(x) for x in inner], [norm(z) for z in q])
+    return outer / np.maximum(1.0, scale)
+
+
 def _random_pair_scans(t: TwistedTriple, left: list[AlgebraElement],
                        right: list[AlgebraElement]) -> tuple[np.ndarray, np.ndarray]:
     """Order-zero and first-order defects of every pair (a, b) in left x right, as grids.
 
-    The defects are `first_order_defect(a, b)` and rel_defect of pi(a) pi_opp(b)
-    against pi_opp(b) pi(a), and each stack of images is one GEMM of
-    coefficients.  sigma and sigma^-1 act on the elements as in
-    `first_order_defect`: `Automorphism.matrix()` rounds differently and can
-    turn a defect that is exactly 0 there into rounding noise, moving the witness.
+    Order zero is rel_defect of pi(a) pi_opp(b) against pi_opp(b) pi(a), and
+    first order is `_first_order_grid`, one call per chunk of right.  Each
+    stack of images is one GEMM of coefficients.  sigma and sigma^-1 act on
+    the elements, as in `TwistedTriple.first_order_defect`:
+    `Automorphism.matrix()` rounds differently and can turn a defect that is
+    exactly 0 there into rounding noise, moving the witness.
     """
     rep, dirac, d = t.rep, t.dirac, t.dim
     sigma_inv = t.sigma.inverse()
     a = rep.images_of(left)
     inner = np.matmul(dirac, a)
     inner -= np.matmul(rep.images_of([t.sigma(x) for x in left]), dirac)
-    inner_norms = np.sqrt(_sq_norms(inner))
     oz = np.empty((len(left), len(right)))
     fo = np.empty((len(left), len(right)))
     for ks in _slices(len(right), _chunk(d, 4)):
         q = t.opp_images(rep.images_of(right[ks]))
         qs = t.opp_images(rep.images_of([sigma_inv(x) for x in right[ks]]))
-        q_norms = np.sqrt(_sq_norms(q))
         for i in range(len(left)):
             oz[i, ks] = _rel_defects(np.matmul(a[i], q), np.matmul(q, a[i]))
-            outer = np.matmul(inner[i], q)
-            outer -= np.matmul(qs, inner[i])
-            fo[i, ks] = np.sqrt(_sq_norms(outer)) / np.maximum(1.0, np.maximum(inner_norms[i], q_norms))
+        fo[:, ks] = _first_order_grid(inner, q, qs)
     return oz, fo
 
 

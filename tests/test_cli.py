@@ -333,6 +333,13 @@ class TestModelAndMorita:
         assert doc["formula_max_defect"] <= 1e-10
         assert doc["first_order"] > 0.05
 
+    def test_model_unwritable_out_exits_two(self, workdir, capsys):
+        rc = main(["model", "u1u2", "--kx", "1,0.5", "--ky", "0.7,-0.2", "--verify", "1",
+                   "--out", str(workdir / "no_such_dir" / "t.json")])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1 and "no_such_dir" in err
+
     def test_morita_self(self, workdir, capsys):
         rc = main(["morita", str(workdir / "u1u2.json"), "--self",
                    "--omega", str(workdir / "pert.json")])

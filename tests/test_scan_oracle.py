@@ -14,7 +14,14 @@ from hypothesis import strategies as st
 
 import twistlab as tw
 from twistlab.linalg import DEFAULT_TOL, dagger, rel_defect
-from twistlab.triple import WITNESS_RTOL, _basis_pair_scans, _witness_index, check_axioms
+from twistlab.triple import (
+    WITNESS_RTOL,
+    _basis_pair_scans,
+    _first_order_grid,
+    _random_pair_scans,
+    _witness_index,
+    check_axioms,
+)
 
 from conftest import ladder_triple
 
@@ -190,6 +197,25 @@ def test_pair_scans_match_the_loop(t, samples, seed):
 ], ids=["ladder6", "u1u2", "u1u2_complex", "u1u2_ky0", "toy"])
 def test_pair_scans_match_the_loop_on_fixed_triples(build):
     check_pair_scans(build(), 10, 0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(t=triples(), m=st.integers(0, 3), n=st.integers(0, 4), seed=st.integers(0, 1000))
+def test_first_order_grid_is_the_pair_defect(t, m, n, seed):
+    # the unit leads both lists, so every grid holds defects that are exactly 0
+    rng = np.random.default_rng(seed)
+    left = [t.shape.unit()] + [t.shape.random_element(rng) for _ in range(m)]
+    right = [t.shape.unit()] + [t.shape.random_element(rng) for _ in range(n)]
+    sinv = t.sigma.inverse()
+    grid = _first_order_grid(np.array([t.twisted_commutator(a) for a in left]),
+                             np.array([t.pi_opp(b) for b in right]),
+                             np.array([t.pi_opp(sinv(b)) for b in right]))
+    assert grid.shape == (len(left), len(right))
+    for i, a in enumerate(left):
+        for k, b in enumerate(right):
+            assert grid[i, k] == t.first_order_defect(a, b)
+    _, fo = _random_pair_scans(t, left, right)
+    assert_close(fo, grid)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
