@@ -66,6 +66,11 @@ def _status(defect: float | None, eps: float) -> str:
     return f"{defect:.3e} {'PASS' if defect <= eps else 'FAIL'}"
 
 
+def _normalized(t, p, tol: Tolerance):
+    """p if it is twisted-normalised, else `normalize(t, p)`, which would append a zero pair to a normalised p."""
+    return p if p.is_normalized(t.sigma, tol) else normalize(t, p)
+
+
 def cmd_check(args) -> int:
     t = load_triple(args.triple, args.tol)
     tol = args.tol
@@ -168,7 +173,7 @@ def cmd_gauge(args) -> int:
     p = load_pert(args.pert, t.shape)
     u = load_unitary(args.unitary, t.shape)
     tol = args.tol
-    p = normalize(t, p)
+    p = _normalized(t, p, tol)
     report = gauge_dirac(t, p, u, tol)
     sa = selfadjointness_report(t, p, u, tol) if report.fluctuation.selfadjoint_d_omega else None
     doc = {
@@ -266,7 +271,7 @@ def cmd_morita(args) -> int:
     if args.self_morita:
         if not args.omega:
             return _fail("--self requires --omega PERT_FILE")
-        p = normalize(t, load_pert(args.omega, t.shape))
+        p = _normalized(t, load_pert(args.omega, t.shape), tol)
         # selfadjoint one-form via pair-level symmetrization (stays normalised)
         padj = eta_adjoint_pairs(t, p, tol)
         p_sym = Perturbation(t.shape, tuple((0.5 * a, b) for a, b in p.pairs)

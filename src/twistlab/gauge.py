@@ -28,15 +28,28 @@ class GaugeContext:
     ad_u_star: np.ndarray           # Ad(u)* = pi(u*) hat(u*)
 
 
-def gauge_context(t: TwistedTriple, u: Unitary) -> GaugeContext:
-    su = t.sigma(u.element)
-    us = u.element.star()
+def _gauge_images(t: TwistedTriple, u: Unitary) -> tuple[AlgebraElement, np.ndarray, np.ndarray]:
+    """sigma(u), and pi and hat of sigma(u), u* and sigma(u*) as two (3, d, d) stacks.
+
+    The three images are one `rep.images_of` GEMM and their hats one
+    `hat_images` call; every operator of the gauge action is built from them.
+    """
+    su, us = t.sigma(u.element), u.element.star()
+    images = t.rep.images_of([su, us, t.sigma(us)])
+    return su, images, t.hat_images(images)
+
+
+def _context(u: Unitary, su: AlgebraElement, images: np.ndarray, hats: np.ndarray) -> GaugeContext:
     return GaugeContext(
         u=u,
         frak_u=su.star() * u.element,
-        ad_sigma_u=t.pi(su) @ t.hat(su),
-        ad_u_star=t.pi(us) @ t.hat(us),
+        ad_sigma_u=images[0] @ hats[0],
+        ad_u_star=images[1] @ hats[1],
     )
+
+
+def gauge_context(t: TwistedTriple, u: Unitary) -> GaugeContext:
+    return _context(u, *_gauge_images(t, u))
 
 
 def gauge_pert(t: TwistedTriple, p: Perturbation, u: Unitary, tol: Tolerance = DEFAULT_TOL) -> Perturbation:
@@ -60,28 +73,48 @@ class GaugeDiracReport:
     gauged_fluctuation: FluctuationReport
 
 
+def _bare_terms(d: np.ndarray, images: np.ndarray, hats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    (pi_su, pi_us, pi_sus), (hat_su, hat_us, hat_sus) = images, hats
+    t1 = pi_su @ (d @ pi_us - pi_sus @ d)
+    t2 = hat_su @ (d @ hat_us - hat_sus @ d)
+    t3 = hat_su @ (t1 @ hat_us - hat_sus @ t1)
+    return t1, t2, t3
+
+
 def bare_conjugation_terms(t: TwistedTriple, u: Unitary) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The three correction terms of Ad(sigma(u)) D Ad(u)* = D + t1 + t2 + t3.
 
     t1 = sigma(u)[D,u*]_sigma, t2 = the hat-side mirror of t1, and t3 the mixed
     bracket coupling them; t3 vanishes exactly when the first-order condition holds.
     """
-    us = u.element.star()
-    su = t.sigma(u.element)
-    t1 = t.pi(su) @ t.bracket_sigma(t.dirac, us)
-    t2 = t.hat(su) @ t.bracket_hat(t.dirac, us)
-    t3 = t.hat(su) @ t.bracket_hat(t1, us)
-    return t1, t2, t3
+    _, images, hats = _gauge_images(t, u)
+    return _bare_terms(t.dirac, images, hats)
+
+
+def _gauged_fluctuation(t: TwistedTriple, p: Perturbation, u: Unitary, tol: Tolerance) -> FluctuationReport:
+    """fluctuate(t, gauge_pert(t, p, u, tol), tol), with the gauged perturbation remembered on p for u.
+
+    `gauge_dirac` and `selfadjointness_report` both need it for the same
+    normalised p and u; remembering the fluctuated perturbation lets the
+    second call take `fluctuate`'s remembered report.
+    """
+    hit = p.__dict__.get("_gauged")
+    if hit is not None and hit[0] is t and hit[1] is u and hit[2] == tol:
+        return fluctuate(t, hit[3], tol)
+    gauged = fluctuate(t, gauge_pert(t, p, u, tol), tol)
+    p.__dict__["_gauged"] = (t, u, tol, gauged.pert)
+    return gauged
 
 
 def gauge_dirac(t: TwistedTriple, p: Perturbation, u: Unitary, tol: Tolerance = DEFAULT_TOL) -> GaugeDiracReport:
     flu = fluctuate(t, p, tol)
-    ctx = gauge_context(t, u)
+    su, images, hats = _gauge_images(t, u)
+    ctx = _context(u, su, images, hats)
     lhs = ctx.ad_sigma_u @ flu.d_omega @ ctx.ad_u_star
-    gauged = fluctuate(t, gauge_pert(t, flu.pert, u, tol), tol)
+    gauged = _gauged_fluctuation(t, flu.pert, u, tol)
     rhs = gauged.d_omega
 
-    t1, t2, t3 = bare_conjugation_terms(t, u)
+    t1, t2, t3 = _bare_terms(t.dirac, images, hats)
     bare_lhs = ctx.ad_sigma_u @ t.dirac @ ctx.ad_u_star
     bare_defect = rel_defect(bare_lhs, t.dirac + t1 + t2 + t3)
     return GaugeDiracReport(
@@ -117,17 +150,19 @@ def selfadjointness_report(
     d_omega = flu.d_omega
     ep = t.epsilon_prime(tol)
     fu = t.sigma(u.element).star() * u.element
+    images = t.rep.images_of([fu, t.sigma(fu)])
+    (pi_fu, pi_sfu), (hat_fu, hat_sfu) = images, t.hat_images(images)
 
-    bracket = t.bracket_sigma(d_omega, fu)
-    gamma_u = t.hat(t.sigma(fu)) @ bracket
-    defect_op = gamma_u + ep * t.real.j.conjugate(gamma_u) + t.bracket_hat(bracket, fu)
+    bracket = d_omega @ pi_fu - pi_sfu @ d_omega
+    gamma_u = hat_sfu @ bracket
+    defect_op = gamma_u + ep * t.real.j.conjugate(gamma_u) + (bracket @ hat_fu - hat_sfu @ bracket)
 
     # exact decomposition: [D_omega, fu fu^hat]_sigma with sigma acting as
     # sigma on the plain factor and the hat of sigma on the hat factor
-    mixed = d_omega @ (t.pi(fu) @ t.hat(fu)) - (t.pi(t.sigma(fu)) @ t.hat(t.sigma(fu))) @ d_omega
+    mixed = d_omega @ (pi_fu @ hat_fu) - (pi_sfu @ hat_sfu) @ d_omega
     decomposition_defect = rel_defect(mixed, defect_op)
 
-    gauged = fluctuate(t, gauge_pert(t, flu.pert, u, tol), tol)
+    gauged = _gauged_fluctuation(t, flu.pert, u, tol)
     gauge_sa = rel_defect(gauged.d_omega, dagger(gauged.d_omega))
     scale = max(1.0, float(np.linalg.norm(d_omega)))
     return SelfAdjointnessReport(

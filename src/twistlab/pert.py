@@ -7,7 +7,7 @@ normalisation means sum_j a_j sigma(b_j) = e.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -177,6 +177,32 @@ def p_opp_of_u(t: TwistedTriple, u: Unitary) -> OppPerturbation:
     return OppPerturbation(u.element.shape, ((t.sigma(u.element).star(), u.element),))
 
 
+class _LegDefect:
+    """The leg first-order diagnostic of one fluctuation, computed on its first read and then kept.
+
+    Until then it holds the triple, the second legs b_k and the delta(b_k)
+    stack that the fluctuation formed; the read forms pi_opp of the hat legs
+    b_k* and of sigma^-1(b_k*) leg by leg, as `TwistedTriple.first_order_defect`
+    does, takes the max of `_first_order_grid` and drops its inputs.
+    """
+
+    def __init__(self, t: TwistedTriple, legs: list[AlgebraElement], delta: np.ndarray):
+        self._inputs = (t, legs, delta)
+        self._value: float | None = None
+
+    @property
+    def value(self) -> float:
+        if self._value is None:
+            t, legs, delta = self._inputs
+            sinv = t.sigma.inverse()
+            q, q_twisted = np.empty_like(delta), np.empty_like(delta)
+            for k, c in enumerate(b.star() for b in legs):
+                q[k], q_twisted[k] = t.pi_opp(c), t.pi_opp(sinv(c))
+            self._value = float(_first_order_grid(delta, q, q_twisted).max())
+            self._inputs = None
+        return self._value
+
+
 @dataclass(frozen=True)
 class FluctuationReport:
     """Fluctuated operator D_omega = D + omega1 + omega1_hat + omega2 with diagnostics.
@@ -186,8 +212,9 @@ class FluctuationReport:
     both are `triple._first_order_grid` on images formed leg by leg.  omega2 is
     sum_j hat(a_j) [omega1, hat(b_j)] and hat(b_j) = pi_opp(b_j*), so the
     opposite side takes the hat legs b_j*.  With order zero and a regular twist,
-    omega2 = 0 when this defect is 0.  The arrays are read-only: a report may be
-    returned again for the same perturbation (see `fluctuate`).
+    omega2 = 0 when this defect is 0.  It is computed on its first read, once
+    per normalised perturbation: a report returned again for the same
+    perturbation (see `fluctuate`) shares it.  The arrays are read-only.
     """
 
     pert: Perturbation
@@ -199,7 +226,11 @@ class FluctuationReport:
     selfadjoint_d_omega: bool
     j_compat_defect: float
     omega2_gate_defect: float
-    first_order_defect: float
+    _leg_defect: _LegDefect = field(repr=False)
+
+    @property
+    def first_order_defect(self) -> float:
+        return self._leg_defect.value
 
 
 def fluctuate(t: TwistedTriple, p: Perturbation, tol: Tolerance = DEFAULT_TOL) -> FluctuationReport:
@@ -209,7 +240,9 @@ def fluctuate(t: TwistedTriple, p: Perturbation, tol: Tolerance = DEFAULT_TOL) -
     omega1 and as a plain-twisted bracket of omega1_hat; their agreement rests
     on the order-zero condition, so divergence signals a broken input.  The leg
     images are formed once (`_legs`), and omega1 and both omega2 formulas are
-    one GEMM each over them.
+    one GEMM each over them.  The leg diagnostic first_order_defect, which
+    most callers never read, waits for its first read (`_LegDefect`); the
+    omega2 gate is a check that raises, so it stays eager.
 
     The report is remembered on the normalised perturbation it describes,
     report.pert, without a reference back to the report: fluctuate(t,
@@ -238,11 +271,6 @@ def fluctuate(t: TwistedTriple, p: Perturbation, tol: Tolerance = DEFAULT_TOL) -
             f"omega2 formulas diverge (defect {gate:.3e}); order-zero condition is likely broken"
         )
     d_omega = t.dirac + omega1 + omega1_hat + omega2_a
-    # pi_opp of the hat legs b_k* and of sigma^-1(b_k*), leg by leg as in `first_order_defect`
-    sinv = t.sigma.inverse()
-    q, q_twisted = np.empty_like(delta), np.empty_like(delta)
-    for k, c in enumerate(b.star() for _, b in p.pairs):
-        q[k], q_twisted[k] = t.pi_opp(c), t.pi_opp(sinv(c))
     for x in (omega1, omega1_hat, omega2_a, d_omega):
         x.flags.writeable = False
     fields = dict(
@@ -254,7 +282,7 @@ def fluctuate(t: TwistedTriple, p: Perturbation, tol: Tolerance = DEFAULT_TOL) -
         selfadjoint_d_omega=rel_defect(d_omega, dagger(d_omega)) <= tol.abs_eps,
         j_compat_defect=rel_defect(real.j.conjugate(d_omega), ep * d_omega),
         omega2_gate_defect=gate,
-        first_order_defect=float(_first_order_grid(delta, q, q_twisted).max()),
+        _leg_defect=_LegDefect(t, [b for _, b in p.pairs], delta),
     )
     p.__dict__["_fluctuation"] = (t, tol, fields)
     return FluctuationReport(pert=p, **fields)

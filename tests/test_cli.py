@@ -325,6 +325,56 @@ class TestGaugeAndProduct:
         assert doc["pairs"] == 0 and doc["eta_norm"] == 0.0 and doc["product"] == []
 
 
+class TestNormalisedInputs:
+    """A normalised perturbation file is used as it is: no zero pair, and one fluctuation per perturbation."""
+
+    @pytest.fixture(scope="class")
+    def files(self, workdir):
+        t = load_triple(str(workdir / "u1u2.json"))
+        p = tw.normalize(t, random_pert(t, np.random.default_rng(7), 2))
+        padj = tw.eta_adjoint_pairs(t, p)
+        sym = tw.Perturbation(t.shape, tuple((0.5 * a, b) for a, b in p.pairs + padj.pairs))
+        (workdir / "pert_norm3.json").write_text(json.dumps(pert_to_json(p)))
+        (workdir / "pert_sym6.json").write_text(json.dumps(pert_to_json(sym)))
+        return workdir
+
+    @pytest.fixture
+    def legs(self, monkeypatch):
+        import twistlab.pert as pert
+
+        counts = []
+        def counted(t, pairs, _f=pert._legs):
+            counts.append(len(pairs))
+            return _f(t, pairs)
+        monkeypatch.setattr(pert, "_legs", counted)
+        return counts
+
+    def test_gauge_fluctuates_the_pairs_of_a_normalised_file(self, files, capsys, legs):
+        rc = main(["gauge", str(files / "u1u2.json"), str(files / "pert_norm3.json"),
+                   str(files / "unitary.json")])
+        assert rc == 0
+        assert legs == [3, 3]
+
+    def test_gauge_computes_each_fluctuation_once(self, files, capsys, legs):
+        rc = main(["gauge", str(files / "u1u2.json"), str(files / "pert_sym6.json"),
+                   str(files / "unitary.json"), "--json"])
+        assert rc == 0
+        assert "criterion_defect" in json.loads(capsys.readouterr().out)   # the criterion ran too
+        assert legs == [6, 6]
+
+    def test_morita_self_symmetrises_twice_the_pairs(self, files, capsys, monkeypatch):
+        import twistlab.cli as cli
+
+        symmetrised = []
+        def counted(t, p, _f=cli.eta):
+            symmetrised.append(len(p.pairs))
+            return _f(t, p)
+        monkeypatch.setattr(cli, "eta", counted)
+        rc = main(["morita", str(files / "u1u2.json"), "--self", "--omega", str(files / "pert_norm3.json")])
+        assert rc == 0
+        assert symmetrised == [6]
+
+
 class TestModelAndMorita:
     def test_model_verification(self, workdir, capsys):
         rc = main(["model", "u1u2", "--kx", "1,0", "--ky", "1,0", "--verify", "10", "--json"])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import twistlab as tw
 from twistlab.gauge import (
@@ -14,6 +16,8 @@ from twistlab.linalg import rel_defect
 from twistlab.pert import eta, eta_adjoint_pairs, fluctuate
 
 from conftest import random_normalized_pert
+from test_pert_oracle import assert_close
+from test_scan_oracle import triples
 
 
 def selfadjoint_pert(t, rng, n_pairs=2):
@@ -108,6 +112,69 @@ class TestGaugeDirac:
         f = report.gauged_fluctuation
         assert np.linalg.norm(f.omega2) <= 1e-11
         assert rel_defect(report.lhs, toy.dirac + f.omega1 + f.omega1_hat) <= 1e-10
+
+
+# -- the shared gauge images against per-element formulas ---------------------------
+
+
+def loop_context(t, u):
+    """(Ad(sigma(u)), Ad(u)*), each factor its own pi or hat call."""
+    su, us = t.sigma(u.element), u.element.star()
+    return t.pi(su) @ t.hat(su), t.pi(us) @ t.hat(us)
+
+
+def loop_bare_terms(t, u):
+    us, su = u.element.star(), t.sigma(u.element)
+    t1 = t.pi(su) @ t.bracket_sigma(t.dirac, us)
+    t2 = t.hat(su) @ t.bracket_hat(t.dirac, us)
+    t3 = t.hat(su) @ t.bracket_hat(t1, us)
+    return t1, t2, t3
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(t=triples(), seed=st.integers(0, 1000))
+def test_shared_gauge_images_match_the_per_element_formulas(t, seed):
+    u = t.shape.random_unitary(np.random.default_rng(seed))
+    ctx = gauge_context(t, u)
+    ad_sigma_u, ad_u_star = loop_context(t, u)
+    assert_close(ctx.ad_sigma_u, ad_sigma_u)
+    assert_close(ctx.ad_u_star, ad_u_star)
+    for term, loop in zip(bare_conjugation_terms(t, u), loop_bare_terms(t, u)):
+        assert_close(term, loop)
+
+
+def test_selfadjointness_operators_match_the_per_element_formulas(u1u2):
+    t = u1u2.triple
+    rng = np.random.default_rng(13)
+    p = selfadjoint_pert(t, rng)
+    for _ in range(3):
+        u = t.shape.random_unitary(rng)
+        report = selfadjointness_report(t, p, u)
+        fu, d_omega = report.frak_u, fluctuate(t, p).d_omega
+        bracket = t.bracket_sigma(d_omega, fu)
+        gamma_u = t.hat(t.sigma(fu)) @ bracket
+        assert_close(report.gamma_u, gamma_u)
+        assert_close(report.defect_op, gamma_u + t.epsilon_prime() * t.real.j.conjugate(gamma_u)
+                     + t.bracket_hat(bracket, fu))
+
+
+def test_gauge_dirac_and_the_criterion_share_the_gauged_fluctuation(u1u2, monkeypatch):
+    import twistlab.pert as pert
+
+    legs = []
+    def counted(t, pairs, _f=pert._legs):
+        legs.append(len(pairs))
+        return _f(t, pairs)
+    monkeypatch.setattr(pert, "_legs", counted)
+    t = u1u2.triple
+    rng = np.random.default_rng(14)
+    p, u = selfadjoint_pert(t, rng), t.shape.random_unitary(rng)
+    report = gauge_dirac(t, p, u)
+    sa = selfadjointness_report(t, p, u)
+    assert legs == [len(p.pairs), len(p.pairs)]   # p, then the gauged perturbation
+    assert sa.gauge_sa_defect == rel_defect(report.rhs, report.rhs.conj().T)
+    selfadjointness_report(t, p, t.shape.random_unitary(rng))   # another unitary is another gauged perturbation
+    assert len(legs) == 3
 
 
 class TestSelfAdjointness:

@@ -218,3 +218,44 @@ class TestReuse:
         finally:
             if enabled:
                 gc.enable()
+
+
+# -- the leg diagnostic, computed on first read ---------------------------------------
+
+
+class TestLazyLegDefect:
+    @pytest.fixture
+    def pi_opp_calls(self, monkeypatch):
+        calls = []
+        def counted(self, a, _f=tw.TwistedTriple.pi_opp):
+            calls.append(a)
+            return _f(self, a)
+        monkeypatch.setattr(tw.TwistedTriple, "pi_opp", counted)
+        return calls
+
+    def test_nothing_is_formed_until_the_first_read(self, u1u2, pi_opp_calls):
+        t = u1u2.triple
+        f = fluctuate(t, random_pert(t, np.random.default_rng(8), 2))
+        assert pi_opp_calls == []
+        f.first_order_defect
+        assert len(pi_opp_calls) == 2 * len(f.pert.pairs)
+
+    def test_a_second_read_and_a_read_through_a_reused_report_form_nothing(self, u1u2, pi_opp_calls):
+        t = u1u2.triple
+        f = fluctuate(t, random_pert(t, np.random.default_rng(9), 2))
+        g = fluctuate(t, f.pert)   # a reuse hit before the first read shares the value
+        value = g.first_order_defect
+        formed = len(pi_opp_calls)
+        assert g.first_order_defect == value and f.first_order_defect == value
+        assert fluctuate(t, f.pert).first_order_defect == value
+        assert len(pi_opp_calls) == formed
+
+    @pytest.mark.parametrize("build", [
+        lambda: ladder_triple(4, 1),
+        lambda: tw.build_u1u2(1 + 0.5j, 0.7 - 0.2j).triple,
+    ], ids=["ladder4", "u1u2"])
+    def test_the_value_is_the_eager_formula(self, build):
+        t = build()
+        f = fluctuate(t, random_pert(t, np.random.default_rng(11), 3))
+        legs = [b for _, b in f.pert.pairs]
+        assert f.first_order_defect == max(t.first_order_defect(b, c.star()) for b in legs for c in legs)
