@@ -8,7 +8,7 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .linalg import AntilinearOp, Tolerance, approx_eq, conjugate_by, kron, rel_defect
+from .linalg import AntilinearOp, Tolerance, approx_eq, kron, rel_defect
 from .algebra import (
     AlgebraElement,
     AlgebraShape,

@@ -242,7 +242,7 @@ def cmd_model(args) -> int:
     doc = triple_to_json(model.triple)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
+            json.dump(doc, fh, sort_keys=True)   # compact: indent would force json's pure-Python encoder
     report = {
         "ko_dimension": model.axioms.ko_dimension,
         "order_zero": model.axioms.order_zero,

@@ -12,10 +12,10 @@ from typing import Any
 import numpy as np
 
 from .algebra import AlgebraElement, AlgebraShape, Automorphism, Unitary
-from .linalg import DEFAULT_TOL, AntilinearOp, Tolerance, detect_sign
+from .linalg import DEFAULT_TOL, AntilinearOp, Tolerance
 from .morita import AlgebraMatrix, IdempotentData
 from .pert import Perturbation
-from .triple import RealStructure, Representation, TwistedTriple
+from .triple import RealStructure, Representation, TwistedTriple, ko_signs
 
 
 def complex_to_json(z: complex) -> list[float]:
@@ -172,14 +172,8 @@ def triple_from_json(doc: Any, tol: Tolerance = DEFAULT_TOL) -> TwistedTriple:
     grading = matrix_from_json(doc["grading"], (dim, dim)) if "grading" in doc else None
     real = None
     if j_json is not None:
-        jmat = matrix_from_json(j_json, (dim, dim))
-        j = AntilinearOp(jmat)
-        eps, _ = detect_sign(j.squared(), np.eye(dim), tol)
-        epsp, _ = detect_sign(j.conjugate(dirac), dirac, tol)
-        epspp = None
-        if grading is not None:
-            epspp, _ = detect_sign(j.conjugate(grading), grading, tol)
-        real = RealStructure(j, epsilon=eps, epsilon_prime=epsp, epsilon_double_prime=epspp)
+        j = AntilinearOp(matrix_from_json(j_json, (dim, dim)))
+        real = RealStructure(j, *(sign for sign, _ in ko_signs(j, dirac, grading, tol)))
     return TwistedTriple(shape, rep, dirac, sigma, grading=grading, real=real)
 
 

@@ -32,11 +32,11 @@ def _gauge_images(t: TwistedTriple, u: Unitary) -> tuple[AlgebraElement, np.ndar
     """sigma(u), and pi and hat of sigma(u), u* and sigma(u*) as two (3, d, d) stacks.
 
     The three images are one `rep.images_of` GEMM and their hats one
-    `hat_images` call; every operator of the gauge action is built from them.
+    J-conjugation; every operator of the gauge action is built from them.
     """
     su, us = t.sigma(u.element), u.element.star()
     images = t.rep.images_of([su, us, t.sigma(us)])
-    return su, images, t.hat_images(images)
+    return su, images, t.require_real().j.conjugate(images)
 
 
 def _context(u: Unitary, su: AlgebraElement, images: np.ndarray, hats: np.ndarray) -> GaugeContext:
@@ -151,7 +151,7 @@ def selfadjointness_report(
     ep = t.epsilon_prime(tol)
     fu = t.sigma(u.element).star() * u.element
     images = t.rep.images_of([fu, t.sigma(fu)])
-    (pi_fu, pi_sfu), (hat_fu, hat_sfu) = images, t.hat_images(images)
+    (pi_fu, pi_sfu), (hat_fu, hat_sfu) = images, t.real.j.conjugate(images)
 
     bracket = d_omega @ pi_fu - pi_sfu @ d_omega
     gamma_u = hat_sfu @ bracket

@@ -69,8 +69,8 @@ class AntilinearOp:
     """Antilinear operator psi -> mat @ conj(psi).
 
     Real structures J enter every formula either applied to vectors or through
-    the conjugation T -> J T J^{-1}; storing the (matrix, implicit conjugation)
-    pair keeps both one-liners.
+    the conjugations T -> J T J^{-1} and T -> J T* J^{-1}; these two methods
+    are the only places where an operator meets J's matrix.
     """
 
     mat: np.ndarray
@@ -95,12 +95,19 @@ class AntilinearOp:
             object.__setattr__(self, "_inv_mat", cached)
         return cached
 
-    def conjugate(self, t: np.ndarray) -> np.ndarray:
-        """J T J^{-1} as a linear matrix: mat @ conj(t) @ mat^{-1}."""
+    def _operand(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=complex)
-        if t.shape != self.mat.shape:
-            raise ValueError(f"shape mismatch: {t.shape} vs {self.mat.shape}")
-        return self.mat @ np.conj(t) @ self.inv_mat
+        if t.shape[-2:] != self.mat.shape:
+            raise ValueError(f"shape mismatch: {t.shape} vs (..., {self.mat.shape[0]}, {self.mat.shape[1]})")
+        return t
+
+    def conjugate(self, t: np.ndarray) -> np.ndarray:
+        """J T J^{-1} = mat @ conj(T) @ mat^{-1}, for a (d, d) T or each T of a (..., d, d) stack."""
+        return self.mat @ np.conj(self._operand(t)) @ self.inv_mat
+
+    def conjugate_adjoint(self, t: np.ndarray) -> np.ndarray:
+        """J T* J^{-1} = mat @ T^T @ mat^{-1}, for a (d, d) T or each T of a (..., d, d) stack."""
+        return self.mat @ self._operand(t).swapaxes(-1, -2) @ self.inv_mat
 
     def isometry_defect(self) -> float:
         return rel_defect(dagger(self.mat) @ self.mat, np.eye(self.mat.shape[0]))
@@ -108,11 +115,6 @@ class AntilinearOp:
     def squared(self) -> np.ndarray:
         """J^2 as a linear matrix (mat @ conj(mat))."""
         return self.mat @ np.conj(self.mat)
-
-
-def conjugate_by(j: AntilinearOp, t: np.ndarray) -> np.ndarray:
-    """Conjugation of a linear operator by an antilinear one, J T J^{-1}."""
-    return j.conjugate(t)
 
 
 def detect_sign(transformed: np.ndarray, original: np.ndarray, tol: Tolerance = DEFAULT_TOL):

@@ -18,7 +18,7 @@ import numpy as np
 from .algebra import AlgebraElement, AlgebraShape, Automorphism, _element, check_regularity
 from .linalg import DEFAULT_TOL, AntilinearOp, Tolerance, dagger, rel_defect
 from .pert import OppPerturbation, eta_opp
-from .triple import TwistedTriple, _basis_pair_scans
+from .triple import TwistedTriple, _basis_pair_scans, ko_dimension, ko_signs
 
 
 # ---------------------------------------------------------------------------
@@ -344,23 +344,27 @@ class Connection:
     """Grassmann connection plus a matrix of represented one-form operators.
 
     side "right": entries m_i^j are twisted one-forms on e A^n; side "left":
-    entries are opposite one-forms on A^n e.  Hermiticity is a checked
-    property (see check_hermitian), demanded by the triple builders.
+    entries are opposite one-forms on A^n e.  The entries are one read-only
+    (n, n, d, d) stack, entry (i, j) at one_forms[i, j].  Hermiticity is a
+    checked property (see check_hermitian), demanded by the triple builders.
     """
 
     side: str
     idempotent: IdempotentData
-    one_forms: tuple[tuple[np.ndarray, ...], ...]
+    one_forms: np.ndarray
 
     def __post_init__(self) -> None:
         if self.side not in ("right", "left"):
             raise ValueError("side must be 'right' or 'left'")
         n = self.idempotent.n
-        if len(self.one_forms) != n or any(len(r) != n for r in self.one_forms):
-            raise ValueError("one-form matrix must be n x n")
-        object.__setattr__(self, "one_forms", tuple(
-            tuple(np.asarray(x, dtype=complex) for x in row) for row in self.one_forms
-        ))
+        try:
+            stack = np.array(self.one_forms, dtype=complex)
+        except ValueError as exc:   # ragged rows or entries of unequal shape
+            raise ValueError(f"one-form matrix must be n x n square operators: {exc}") from exc
+        if stack.ndim != 4 or stack.shape[:2] != (n, n) or stack.shape[2] != stack.shape[3]:
+            raise ValueError(f"one-form matrix must be an ({n}, {n}, d, d) stack, got shape {stack.shape}")
+        stack.flags.writeable = False
+        object.__setattr__(self, "one_forms", stack)
 
     @property
     def n(self) -> int:
@@ -371,13 +375,11 @@ class Connection:
 
 
 def grassmann(t: TwistedTriple, e: IdempotentData, side: str = "right") -> Connection:
-    zero = np.zeros((t.dim, t.dim), dtype=complex)
-    n = e.n
-    return Connection(side, e, tuple(tuple(zero for _ in range(n)) for _ in range(n)))
+    return Connection(side, e, np.zeros((e.n, e.n, t.dim, t.dim), dtype=complex))
 
 
 def connection_with(t: TwistedTriple, e: IdempotentData, one_forms, side: str = "right") -> Connection:
-    return Connection(side, e, tuple(tuple(np.asarray(x, complex) for x in row) for row in one_forms))
+    return Connection(side, e, one_forms)
 
 
 def apply_connection(
@@ -395,7 +397,7 @@ def apply_connection(
     n = conn.n
     coeffs = np.concatenate([_coefficients(xi)[::n], _coefficients(xi.map(t.sigma))[::n]])
     p, ps = np.split(t.rep.images(coeffs), 2)
-    ops = t.dirac @ p - ps @ t.dirac + np.matmul(np.asarray(conn.one_forms), p).sum(axis=1)
+    ops = t.dirac @ p - ps @ t.dirac + np.matmul(conn.one_forms, p).sum(axis=1)
     return [(_column(e, j), ops[j]) for j in range(n)]
 
 
@@ -413,7 +415,7 @@ def apply_connection_left(
     n = conn.n
     coeffs = np.concatenate([_coefficients(zeta)[:n], _coefficients(zeta.map(t.sigma.inverse()))[:n]])
     q, qs = np.split(t.opp_images(t.rep.images(coeffs)), 2)
-    ops = t.dirac @ q - qs @ t.dirac + np.matmul(np.asarray(conn.one_forms).swapaxes(0, 1), q).sum(axis=1)
+    ops = t.dirac @ q - qs @ t.dirac + np.matmul(conn.one_forms.swapaxes(0, 1), q).sum(axis=1)
     e_star = e.star()    # row j of e is column j of e*, starred
     return [(ops[j], _column(e_star, j).star()) for j in range(n)]
 
@@ -442,7 +444,7 @@ def _sandwich_left(t: TwistedTriple, e: AlgebraMatrix, m) -> np.ndarray:
     On the transposed layout of H^n e (block (l, j) holds N_j^l) both legs act by
     right multiplication, so the sandwich is a product of three grids.
     """
-    g = _opp_grid(t, e.map(t.sigma.inverse())) @ _grid(list(zip(*m))) @ _opp_grid(t, e)
+    g = _opp_grid(t, e.map(t.sigma.inverse())) @ _grid(np.swapaxes(m, 0, 1)) @ _opp_grid(t, e)
     return _blocks(g, e.n).swapaxes(0, 1)
 
 
@@ -502,11 +504,7 @@ def conjugate_connection(t: TwistedTriple, conn: Connection, tol: Tolerance = DE
     if _triple_first_order_defect(t) > tol.abs_eps:
         raise ValueError("conjugation requires first order")
     ep = t.epsilon_prime(tol)
-    n = conn.n
-    entries = tuple(
-        tuple(ep * real.j.conjugate(conn.one_forms[k][r]) for k in range(n)) for r in range(n)
-    )
-    return Connection("left", conn.idempotent, entries)
+    return Connection("left", conn.idempotent, (ep * real.j.conjugate(conn.one_forms)).swapaxes(0, 1))
 
 
 def _triple_first_order_defect(t: TwistedTriple) -> float:
@@ -589,7 +587,7 @@ def build_left_triple(lift: ModuleLift, conn: Connection, tol: Tolerance = DEFAU
     em = e.matrix
     proj = _opp_grid(t, em)
     # (Phi N)^l = sum_j N_j^l psi^j: block (l, j) carries the (j, l) one-form
-    dn = _dirac_grid(t, list(zip(*conn.one_forms)))
+    dn = _dirac_grid(t, conn.one_forms.swapaxes(0, 1))
     d_l = _opp_grid(t, em.map(t.sigma.inverse()) * em) @ dn @ proj
     return LeftTriple(t, lift, conn, proj, d_l)
 
@@ -710,7 +708,7 @@ def build_real_triple(lift: ModuleLift, conn: Connection, tol: Tolerance = DEFAU
     w = [[t.twisted_commutator(em.entries[p][k]) + me[p][k] for k in range(n)] for p in range(n)]
 
     # the column index carries the conjugate entries: block (j, l) is eps' J x_j^l J^{-1}
-    conj = lambda ops: _on_cols(_grid([[ep * j.conjugate(x) for x in row] for row in ops]), n)
+    conj = lambda ops: _on_cols(_grid(ep * j.conjugate(ops)), n)
     w_rows = _on_rows(_grid(w), n)
     left_right = left @ right
     d_prime = (right @ left @ (d_full + w_rows) + left_right @ conj(w)) @ proj
@@ -747,29 +745,16 @@ class RealTripleReport:
 def check_real_triple(
     rt: RealTriple, samples: int = 8, seed: int = 0, tol: Tolerance = DEFAULT_TOL
 ) -> RealTripleReport:
-    from .triple import _KO_GRADED
-
     t = rt.triple
     e = rt.lift.idempotent.matrix
     rng = np.random.default_rng(seed)
-    proj, dp, jp, gp = rt.projection, rt.d_prime, rt.j_prime, rt.gamma_prime
-    eye = np.eye(proj.shape[0])
+    proj, dp = rt.projection, rt.d_prime
 
     sa = rel_defect(proj @ dp @ proj, dagger(proj @ dp @ proj))
     dsec = rel_defect(dp, rt.d_second)
 
-    # sign detection restricted to the subspace
-    def sub_sign(transformed, original):
-        dplus = rel_defect(transformed @ proj, original @ proj)
-        dminus = rel_defect(transformed @ proj, -original @ proj)
-        if min(dplus, dminus) > tol.abs_eps:
-            return None
-        return 1 if dplus <= dminus else -1
-
-    s_eps = sub_sign(jp.squared(), eye)
-    s_epsp = sub_sign(jp.conjugate(dp), dp)
-    s_epspp = sub_sign(jp.conjugate(gp), gp)
-    ko = _KO_GRADED.get((s_eps, s_epsp, s_epspp)) if None not in (s_eps, s_epsp, s_epspp) else None
+    # the signs on the subspace H' = range(proj)
+    signs = [sign for sign, _ in ko_signs(rt.j_prime, dp, rt.gamma_prime, tol, restrict=proj)]
 
     oz = fo = 0.0
     sp, sp_inv = rt.lift.sigma_prime, rt.lift.sigma_prime_inv
@@ -780,7 +765,7 @@ def check_real_triple(
         x = dp @ pb - rt.pi_prime(sp(b)) @ dp
         outer = x @ pc - rt.pi_prime_opp(sp_inv(c)) @ x
         fo = max(fo, float(np.linalg.norm(outer @ proj)) / max(1.0, float(np.linalg.norm(x))))
-    return RealTripleReport(sa, dsec, oz, fo, s_eps, s_epsp, s_epspp, ko, tol)
+    return RealTripleReport(sa, dsec, oz, fo, *signs, ko_dimension(signs), tol)
 
 
 def opp_one_form_action_corrected(

@@ -56,9 +56,6 @@ class Perturbation(_PairSum):
     def _normalizer(a, b, sigma):
         return a * sigma(b)
 
-    def elements(self) -> list[AlgebraElement]:
-        return [x for pair in self.pairs for x in pair]
-
 
 @dataclass(frozen=True)
 class OppPerturbation(_PairSum):
@@ -260,7 +257,7 @@ def fluctuate(t: TwistedTriple, p: Perturbation, tol: Tolerance = DEFAULT_TOL) -
 
     images, delta = _legs(t, p.pairs)
     a, b, b_sigma = images
-    hat_a, hat_b, hat_b_sigma = t.hat_images(images.reshape(-1, t.dim, t.dim)).reshape(images.shape)
+    hat_a, hat_b, hat_b_sigma = real.j.conjugate(images)
     omega1 = _pair_sum(a, delta)
     omega1_hat = ep * real.j.conjugate(omega1)
     omega2_a = _pair_sum(hat_a, np.matmul(omega1, hat_b) - np.matmul(hat_b_sigma, omega1))
@@ -300,6 +297,6 @@ def act_mu(t: TwistedTriple, p: Perturbation, target: np.ndarray, tol: Tolerance
     target = np.asarray(target, dtype=complex)
     images = t.rep.images_of([a for a, _ in p.pairs] + [b for _, b in p.pairs])
     a, b = images.reshape(2, len(p.pairs), t.dim, t.dim)
-    hat_a, hat_b = t.hat_images(images).reshape(2, len(p.pairs), t.dim, t.dim)
+    hat_a, hat_b = t.real.j.conjugate(images).reshape(2, len(p.pairs), t.dim, t.dim)
     inner = _pair_sum(np.matmul(hat_a, target), hat_b)
     return _pair_sum(np.matmul(a, inner), b)

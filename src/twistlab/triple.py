@@ -279,6 +279,34 @@ class RealStructure:
     epsilon_double_prime: int | None = None
 
 
+def ko_signs(j: AntilinearOp, dirac: np.ndarray, grading: np.ndarray | None,
+             tol: Tolerance = DEFAULT_TOL, restrict: np.ndarray | None = None) -> tuple:
+    """The KO signs of J, as `detect_sign` results (sign, defect).
+
+    They are those of J^2 = eps, J D J^-1 = eps' D and, when graded,
+    J Gamma J^-1 = eps'' Gamma: two results for an ungraded triple, three for
+    a graded one.  With restrict a projection P, each relation X = s Y is
+    compared on the range of P, as X P = s Y P.
+    """
+    relations = [(j.squared(), np.eye(len(j.mat))), (j.conjugate(dirac), dirac)]
+    if grading is not None:
+        relations.append((j.conjugate(grading), grading))
+    if restrict is not None:
+        relations = [(x @ restrict, y @ restrict) for x, y in relations]
+    return tuple(detect_sign(x, y, tol) for x, y in relations)
+
+
+def ko_dimension(signs) -> int | None:
+    """KO-dimension mod 8 of the signs (eps, eps') or, graded, (eps, eps', eps'').
+
+    None if a sign is None or the signs match no KO-dimension.
+    """
+    signs = tuple(signs)
+    if None in signs:
+        return None
+    return (_KO_GRADED if len(signs) == 3 else _KO_ODD).get(signs)
+
+
 @dataclass(frozen=True)
 class TwistedTriple:
     shape: AlgebraShape
@@ -323,17 +351,11 @@ class TwistedTriple:
 
     def pi_opp(self, a: AlgebraElement) -> np.ndarray:
         """Right-action operator pi_opp(a^opp) = J pi(a)* J^{-1}."""
-        return self.require_real().j.conjugate(dagger(self.pi(a)))
+        return self.require_real().j.conjugate_adjoint(self.pi(a))
 
     def opp_images(self, images: np.ndarray) -> np.ndarray:
-        """J X* J^{-1} = M X^T M^{-1} for each X of an (m, d, d) stack of pi images."""
-        j = self.require_real().j
-        return np.matmul(np.matmul(j.mat, images.transpose(0, 2, 1)), j.inv_mat)
-
-    def hat_images(self, images: np.ndarray) -> np.ndarray:
-        """J X J^{-1} = M conj(X) M^{-1} for each X of an (m, d, d) stack: the hats of pi images."""
-        j = self.require_real().j
-        return np.matmul(np.matmul(j.mat, np.conj(images)), j.inv_mat)
+        """J X* J^{-1} for each X of an (m, d, d) stack of pi images."""
+        return self.require_real().j.conjugate_adjoint(images)
 
     def epsilon_prime(self, tol: Tolerance = DEFAULT_TOL) -> int:
         """The declared eps', else the sign with J D J^-1 = eps' D within tol."""
@@ -569,27 +591,20 @@ def check_axioms(
         )
         g_anti = rel_defect(g @ d, -d @ g)
 
-    j_iso = eps = eps_def = epsp = epsp_def = epspp = epspp_def = ko = None
+    j_iso = ko = None
+    signs: tuple = ()
     order_zero = first_order = None
     fo_witness = None
     if t.real is not None:
-        j = t.real.j
-        j_iso = j.isometry_defect()
-        eps, eps_def = detect_sign(j.squared(), eye, tol)
-        epsp, epsp_def = detect_sign(j.conjugate(d), d, tol)
-        if t.grading is not None:
-            epspp, epspp_def = detect_sign(j.conjugate(t.grading), t.grading, tol)
+        j_iso = t.real.j.isometry_defect()
+        signs = ko_signs(t.real.j, d, t.grading, tol)
         declared = (t.real.epsilon, t.real.epsilon_prime, t.real.epsilon_double_prime)
         if any(s is not None and det is not None and s != det
-               for s, det in zip(declared, (eps, epsp, epspp))):
+               for s, (det, _) in zip(declared, signs)):
             warnings.append("declared KO signs disagree with detected ones")
-        if eps is not None and epsp is not None:
-            if t.grading is not None and epspp is not None:
-                ko = _KO_GRADED.get((eps, epsp, epspp))
-            elif t.grading is None:
-                ko = _KO_ODD.get((eps, epsp))
-            if ko is None:
-                warnings.append("sign triple matches no KO-dimension")
+        ko = ko_dimension(s for s, _ in signs)
+        if ko is None and None not in (signs[0][0], signs[1][0]):
+            warnings.append("sign triple matches no KO-dimension")
 
         oz_grid, fo_grid = _basis_pair_scans(t)
         # the first 4 * samples pairs of the samples x samples grid, in row-major order
@@ -605,6 +620,7 @@ def check_axioms(
             fo_witness = ((labels[w // n], labels[w % n]) if w < n * n
                           else tuple(("rand", x) for x in rand_pairs[w - n * n]))
 
+    (eps, eps_def), (epsp, epsp_def), (epspp, epspp_def) = signs + ((None, None),) * (3 - len(signs))
     return AxiomReport(
         dirac_selfadjoint=dirac_sa,
         regularity=regularity,

@@ -8,7 +8,6 @@ from twistlab.linalg import (
     Tolerance,
     approx_eq,
     cmatrix,
-    conjugate_by,
     dagger,
     kron,
     rel_defect,
@@ -101,18 +100,18 @@ class TestAdjoint:
 class TestAntilinear:
     def test_plain_conjugation_flips_i(self):
         j = AntilinearOp(np.eye(2))
-        assert np.allclose(conjugate_by(j, 1j * np.eye(2)), -1j * np.eye(2))
+        assert np.allclose(j.conjugate(1j * np.eye(2)), -1j * np.eye(2))
 
     def test_real_matrices_fixed(self):
         j = AntilinearOp(np.eye(3))
         t = np.real(crand(3, 3))
-        assert np.allclose(conjugate_by(j, t), t)
+        assert np.allclose(j.conjugate(t), t)
 
     def test_defining_property_on_vectors(self):
         # (J T J^{-1})(J psi) = J(T psi) for 20 random psi
         j = AntilinearOp(random_unitary(4))
         t = crand(4, 4)
-        conj_t = conjugate_by(j, t)
+        conj_t = j.conjugate(t)
         for _ in range(20):
             psi = crand(4, 1)[:, 0]
             assert np.allclose(conj_t @ j(psi), j(t @ psi), atol=1e-10)
@@ -120,7 +119,7 @@ class TestAntilinear:
     def test_multiplicative_for_unitary(self):
         j = AntilinearOp(random_unitary(3))
         t, s = crand(3, 3), crand(3, 3)
-        assert rel_defect(conjugate_by(j, t @ s), conjugate_by(j, t) @ conjugate_by(j, s)) <= 1e-10
+        assert rel_defect(j.conjugate(t @ s), j.conjugate(t) @ j.conjugate(s)) <= 1e-10
 
     def test_isometry_defect(self):
         assert AntilinearOp(random_unitary(5)).isometry_defect() <= 1e-12
@@ -129,4 +128,4 @@ class TestAntilinear:
     def test_singular_matrix_rejected(self):
         j = AntilinearOp(np.array([[1.0, 0.0], [0.0, 0.0]]))
         with pytest.raises(ValueError, match="real structure not invertible"):
-            conjugate_by(j, np.eye(2))
+            j.conjugate(np.eye(2))
