@@ -7,6 +7,12 @@ Inputs are validated once, by the public constructors: `AlgebraElement(...)`
 and `Automorphism(...)` check every block for shape and finiteness.  The
 results of arithmetic on validated elements (sums, products, adjoints, twists,
 units and random draws) are built by the trusted `_element` and skip the checks.
+
+A trusted element may carry leading sample axes: blocks of shape
+(..., n_k, n_k) hold a stack of elements, and +, -, *, scalars, `star`,
+`coefficients` and automorphisms act on each element of the stack, so a
+sampled spot check is one pass over its samples.  The public constructors
+stay 2-D.
 """
 from __future__ import annotations
 
@@ -81,11 +87,8 @@ class AlgebraShape:
             yield label, self.matrix_unit(*label)
 
     def random_element(self, rng: np.random.Generator, scale: float = 1.0) -> AlgebraElement:
-        blocks = tuple(
-            scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-            for n in self.block_dims
-        )
-        return _element(self, blocks)
+        """Block by block, the real and then the imaginary parts, standard normal times scale."""
+        return _from_normals(self, rng.standard_normal(2 * self.basis_size), scale)
 
     def random_unitary(self, rng: np.random.Generator) -> Unitary:
         blocks = []
@@ -138,11 +141,12 @@ class AlgebraElement:
 
     def star(self) -> AlgebraElement:
         """Blockwise conjugate transpose (the algebra involution)."""
-        return _element(self.shape, tuple(np.conj(b.T) for b in self.blocks))
+        return _element(self.shape, tuple(b.conj().swapaxes(-1, -2) for b in self.blocks))
 
     def coefficients(self) -> np.ndarray:
-        """The block entries in matrix-unit basis order, as one vector of length N."""
-        return np.concatenate([b.reshape(-1) for b in self.blocks])
+        """The block entries in matrix-unit basis order, as one vector of length N per element of a stack."""
+        lead = self.blocks[0].shape[:-2]
+        return np.concatenate([b.reshape(lead + (b.shape[-1] ** 2,)) for b in self.blocks], axis=-1)
 
     def norm(self) -> float:
         return _norm(self.coefficients())
@@ -162,8 +166,18 @@ def _norm(coeffs: np.ndarray) -> float:
     return float(np.sqrt(np.vdot(coeffs, coeffs).real))
 
 
+def _from_normals(shape: AlgebraShape, x: np.ndarray, scale: float) -> AlgebraElement:
+    """The elements `random_element` makes of the standard normals x, 2N of them per element on x's last axis."""
+    lead, blocks, start = x.shape[:-1], [], 0
+    for n in shape.block_dims:
+        re, im = x[..., start:start + n * n], x[..., start + n * n:start + 2 * n * n]
+        blocks.append(scale * (re + 1j * im).reshape(lead + (n, n)))
+        start += 2 * n * n
+    return _element(shape, tuple(blocks))
+
+
 def _element(shape: AlgebraShape, blocks: tuple[np.ndarray, ...]) -> AlgebraElement:
-    """The element with these blocks, trusted: they are finite complex (n_k, n_k) arrays, so nothing is checked."""
+    """The element with these blocks, trusted: they are finite complex (..., n_k, n_k) arrays, so nothing is checked."""
     out = object.__new__(AlgebraElement)
     out.__dict__.update(shape=shape, blocks=blocks)
     return out

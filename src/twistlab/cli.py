@@ -242,7 +242,8 @@ def cmd_model(args) -> int:
     doc = triple_to_json(model.triple)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True)   # compact: indent would force json's pure-Python encoder
+            # one dumps call, which uses json's C encoder; json.dump always encodes in pure Python
+            fh.write(json.dumps(doc, sort_keys=True))
     report = {
         "ko_dimension": model.axioms.ko_dimension,
         "order_zero": model.axioms.order_zero,

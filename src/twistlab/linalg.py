@@ -38,7 +38,8 @@ def cmatrix(data) -> np.ndarray:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return np.conj(a.T)
+    """Conjugate transpose of a matrix, or of each matrix of a (..., m, n) stack."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def frobenius(a: np.ndarray) -> float:
@@ -58,6 +59,19 @@ def rel_defect(x: np.ndarray, y: np.ndarray) -> float:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
     scale = max(1.0, frobenius(x), frobenius(y))
     return frobenius(x - y) / scale
+
+
+def sq_norms(x: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norms of the trailing (m, n) matrices of a complex stack, over its leading axes."""
+    flat = x.reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],)).view(float)
+    return np.einsum("...i,...i->...", flat, flat)
+
+
+def rel_defects(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """rel_defect of each matrix of a complex (..., m, n) stack x against y; x is overwritten by x - y."""
+    scale = np.sqrt(np.maximum(sq_norms(x), sq_norms(y)))
+    np.subtract(x, y, out=x)
+    return np.sqrt(sq_norms(x)) / np.maximum(1.0, scale)
 
 
 def approx_eq(x: np.ndarray, y: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:

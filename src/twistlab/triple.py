@@ -21,6 +21,8 @@ from .linalg import (
     dagger,
     detect_sign,
     rel_defect,
+    rel_defects,
+    sq_norms,
 )
 
 # KO-dimension mod 8 from the sign triple (eps, eps', eps''); graded cases carry eps''.
@@ -62,23 +64,10 @@ def _chunk(d: int, buffers: int) -> int:
     return _fit(d * d * _COMPLEX_BYTES, buffers)
 
 
-def _sq_norms(x: np.ndarray) -> np.ndarray:
-    """Squared Frobenius norms of the trailing (d, d) matrices of a contiguous stack."""
-    flat = x.reshape(*x.shape[:-2], -1).view(float)
-    return np.einsum("...i,...i->...", flat, flat)
-
-
 def _grid_sq_norms(x: np.ndarray) -> np.ndarray:
     """Squared Frobenius norms of the (axis 1, axis 3) slices of a contiguous (a, i, b, j) stack, as an (a, b) grid."""
     flat = x.view(float)
     return np.einsum("aibj,aibj->ab", flat, flat)
-
-
-def _rel_defects(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """rel_defect of each matrix of stack x against y; x is overwritten by x - y."""
-    scale = np.sqrt(np.maximum(_sq_norms(x), _sq_norms(y)))
-    np.subtract(x, y, out=x)
-    return np.sqrt(_sq_norms(x)) / np.maximum(1.0, scale)
 
 
 def _side_by_side(x: np.ndarray) -> np.ndarray:
@@ -115,7 +104,7 @@ def _thin_factors(images: Callable[[slice], np.ndarray], n: int, d: int) -> _Fac
     norms = np.empty(n)
     for sl in _slices(n, _chunk(d, 4)):
         x = images(sl)
-        norms[sl] = np.sqrt(_sq_norms(x))
+        norms[sl] = np.sqrt(sq_norms(x))
         cu, cs, cvh = np.linalg.svd(x, full_matrices=False)
         cs[cs <= d * _EPS * cs[:, :1]] = 0.0
         k = int(np.count_nonzero(cs, axis=1).max(initial=0))
@@ -198,17 +187,22 @@ class Representation:
         object.__setattr__(self, "unit_images", tuple(views))
 
     def __call__(self, a: AlgebraElement) -> np.ndarray:
+        """pi(a), or a stack of pi images when a is a stack of elements."""
         if a.shape != self.shape:
             raise ValueError("algebra shape mismatch")
-        return (a.coefficients() @ self.stack).reshape(self.dim, self.dim)
+        return self.images(a.coefficients())
 
     def basis_images(self) -> np.ndarray:
         """pi(E_u) for every matrix unit, as an (N, d, d) view of the stack."""
         return self.stack.reshape(-1, self.dim, self.dim)
 
     def images(self, coeffs: np.ndarray) -> np.ndarray:
-        """pi of the elements whose block coefficients are the rows of coeffs, as an (m, d, d) stack."""
-        return (coeffs @ self.stack).reshape(-1, self.dim, self.dim)
+        """pi of the elements whose block coefficients lie along the last axis of coeffs, as a (..., d, d) stack.
+
+        An (m, N) coeffs gives an (m, d, d) stack, one GEMM with the basis
+        images; a single (N,) row gives one (d, d) image.
+        """
+        return (coeffs @ self.stack).reshape(coeffs.shape[:-1] + (self.dim, self.dim))
 
     def images_of(self, elements: list[AlgebraElement]) -> np.ndarray:
         """pi of each element, as an (m, d, d) stack: one GEMM of their coefficient rows, m = 0 included."""
@@ -243,7 +237,7 @@ class Representation:
             y = np.matmul(f.u[u], core)[:, :, None, :]
             z = (f.s[w, :, None] * f.vh[w])[:, :, None, :]
             x = np.sqrt(_split_sq_norms(y, f.u[w], f.vh[v], z)[:, 0])
-            defects[u, v] = x / np.maximum(1.0, np.maximum(np.sqrt(_sq_norms(core)), f.norms[w]))
+            defects[u, v] = x / np.maximum(1.0, np.maximum(np.sqrt(sq_norms(core)), f.norms[w]))
         return float(defects.max())
 
     def involution_defect(self) -> float:
@@ -253,7 +247,7 @@ class Representation:
         worst = 0.0
         for us in _slices(len(p), _chunk(self.dim, 3)):
             adjoints = np.conj(p[us]).transpose(0, 2, 1).copy()
-            worst = max(worst, float(_rel_defects(adjoints, p[star[us]]).max()))
+            worst = max(worst, float(rel_defects(adjoints, p[star[us]]).max()))
         return worst
 
     def unital_defect(self) -> float:
@@ -483,7 +477,7 @@ def _basis_pair_scans(t: TwistedTriple) -> tuple[np.ndarray, np.ndarray]:
     for us in _slices(n, _chunk(d, 3)):
         inner = np.matmul(dirac, p[us])
         inner -= np.matmul(rep.images(sigma[us]), dirac)
-        inner_norms = np.sqrt(_sq_norms(inner))
+        inner_norms = np.sqrt(sq_norms(inner))
         p_cat, inner_cat = _side_by_side(p[us]), _side_by_side(inner)
         for vs in _slices(n, _fit((us.stop - us.start) * pair_bytes, 3)):
             nv, right, vh = vs.stop - vs.start, q.scaled_u(vs), q.vh[vs]
@@ -539,7 +533,7 @@ def _random_pair_scans(t: TwistedTriple, left: list[AlgebraElement],
         q = t.opp_images(rep.images_of(right[ks]))
         qs = t.opp_images(rep.images_of([sigma_inv(x) for x in right[ks]]))
         for i in range(len(left)):
-            oz[i, ks] = _rel_defects(np.matmul(a[i], q), np.matmul(q, a[i]))
+            oz[i, ks] = rel_defects(np.matmul(a[i], q), np.matmul(q, a[i]))
         fo[:, ks] = _first_order_grid(inner, q, qs)
     return oz, fo
 
@@ -585,7 +579,7 @@ def check_axioms(
         g_sq = rel_defect(g @ g, eye)
         p = t.rep.basis_images()
         g_comm = max(
-            [float(_rel_defects(np.matmul(g, p[us]), np.matmul(p[us], g)).max())
+            [float(rel_defects(np.matmul(g, p[us]), np.matmul(p[us], g)).max())
              for us in _slices(len(p), _chunk(t.dim, 2))]
             + [rel_defect(g @ t.pi(a), t.pi(a) @ g) for a in randoms]
         )

@@ -383,6 +383,13 @@ class TestModelAndMorita:
         assert doc["formula_max_defect"] <= 1e-10
         assert doc["first_order"] > 0.05
 
+    def test_model_out_writes_the_sorted_compact_json_of_the_triple(self, tmp_path, capsys):
+        path = tmp_path / "t.json"
+        rc = main(["model", "u1u2", "--kx", "1,0.5", "--ky", "0.7,-0.2", "--verify", "1", "--out", str(path)])
+        assert rc == 0
+        t = tw.build_u1u2(1 + 0.5j, 0.7 - 0.2j, seed=0).triple
+        assert path.read_bytes() == json.dumps(triple_to_json(t), sort_keys=True).encode()
+
     def test_model_unwritable_out_exits_two(self, workdir, capsys):
         rc = main(["model", "u1u2", "--kx", "1,0.5", "--ky", "0.7,-0.2", "--verify", "1",
                    "--out", str(workdir / "no_such_dir" / "t.json")])
@@ -499,6 +506,19 @@ class TestMoritaCallCounts:
         rc = main(["morita", str(workdir / "u1u2_ky0.json"), "--idempotent", str(workdir / "idem.json")])
         assert rc == 0
         assert len(scans) == 1
+
+    def test_idempotent_checks_each_connection_once(self, workdir, capsys, monkeypatch):
+        # the right and real builders share the right connection, whose hermiticity is checked once
+        import twistlab.morita as morita
+
+        sides = []
+        def counted(t, conn, *args, _f=morita.check_hermitian, **kwargs):
+            sides.append(conn.side)
+            return _f(t, conn, *args, **kwargs)
+        monkeypatch.setattr(morita, "check_hermitian", counted)
+        rc = main(["morita", str(workdir / "u1u2_ky0.json"), "--idempotent", str(workdir / "idem.json")])
+        assert rc == 0
+        assert sorted(sides) == ["left", "right"]
 
     def test_self_builds_one_lift(self, workdir, capsys, calls):
         rc = main(["morita", str(workdir / "u1u2.json"), "--self", "--omega", str(workdir / "pert.json")])

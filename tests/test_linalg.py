@@ -11,6 +11,8 @@ from twistlab.linalg import (
     dagger,
     kron,
     rel_defect,
+    rel_defects,
+    sq_norms,
 )
 
 RNG = np.random.default_rng(0)
@@ -129,3 +131,26 @@ class TestAntilinear:
         j = AntilinearOp(np.array([[1.0, 0.0], [0.0, 0.0]]))
         with pytest.raises(ValueError, match="real structure not invertible"):
             j.conjugate(np.eye(2))
+
+
+class TestStackedDefects:
+    def test_rel_defects_match_rel_defect_per_matrix(self):
+        x, y = crand(3, 2, 4, 5), crand(3, 2, 4, 5)
+        x[0, 1] *= 1e-3    # a pair below the unit scale
+        expected = [[rel_defect(x[i, j], y[i, j]) for j in range(2)] for i in range(3)]
+        diff = x - y
+        got = rel_defects(x, y)
+        assert got.shape == (3, 2)
+        assert np.allclose(got, expected, rtol=1e-12, atol=0)
+        assert np.array_equal(x, diff)     # x is overwritten by x - y
+
+    def test_rel_defects_on_a_transposed_view(self):
+        x, y = crand(4, 3, 3), crand(4, 3, 3)
+        expected = [rel_defect(dagger(x[k]), y[k]) for k in range(4)]
+        assert np.allclose(rel_defects(dagger(x), y), expected, rtol=1e-12, atol=0)
+
+    def test_sq_norms_and_empty_stacks(self):
+        x = crand(2, 3, 3)
+        assert np.allclose(sq_norms(x), [np.linalg.norm(m) ** 2 for m in x], rtol=1e-12, atol=0)
+        assert sq_norms(np.zeros((0, 3, 3), complex)).shape == (0,)
+        assert rel_defects(np.zeros((0, 3, 3), complex), np.zeros((0, 3, 3), complex)).shape == (0,)

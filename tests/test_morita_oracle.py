@@ -1,4 +1,4 @@
-"""The packed algebra matrices, the Morita block assemblers and the first-order gate against the loops they replaced.
+"""The packed algebra matrices, the Morita block assemblers, the first-order gate and the stacked spot checks against the loops they replaced.
 
 The loops below are the reference oracles: block placement is exact, so the
 entries, +, - and star of a packed matrix, the grid assemblers and the exported
@@ -6,25 +6,36 @@ operators must equal them bit for bit; products, the entrywise twist, norms,
 the sandwiches, the module-vector helpers and the first-order gate reassociate
 sums and agree to rtol 1e-13.  Arithmetic results skip validation, and must be
 byte for byte what the validating constructor makes of the same blocks.
+
+The spot checks of `lift_maps`, `check_hermitian`, `check_morita_triple` and
+`check_real_triple` draw their samples at once and evaluate each identity over
+a sample axis.  Their per-sample loops are kept here: the stacked draws equal
+the sequential ones bit for bit, and on data with O(1) defects every stacked
+defect agrees with its loop to rtol 1e-12.
 """
 import numpy as np
 import pytest
 
 import twistlab as tw
-from twistlab.algebra import AlgebraElement, Automorphism
-from twistlab.linalg import dagger, rel_defect
+import twistlab.morita as morita
+from twistlab.algebra import AlgebraElement, Automorphism, check_regularity
+from twistlab.linalg import DEFAULT_TOL, Tolerance, dagger, rel_defect
 from twistlab.morita import (
     AlgebraMatrix,
     Connection,
     IdempotentData,
+    IdempotentReport,
     ModuleLift,
+    RightTriple,
     _amplified,
     _blocks,
+    _dirac_grid,
     _grid,
     _on_cols,
     _on_rows,
     _opp_grid,
     _pi_grid,
+    _samples,
     _sandwich_left,
     _sandwich_right,
     _triple_first_order_defect,
@@ -667,3 +678,248 @@ class TestModuleVectors:
         loop = loop_hermitian_identity(t, conn, samples=3, seed=7)
         assert loop > 1e-3
         assert abs(got - loop) <= RTOL * loop
+
+
+# ---------------------------------------------------------------------------
+# the stacked spot checks against their per-sample loops
+# ---------------------------------------------------------------------------
+
+STACKED_RTOL = 1e-12
+
+
+def _random_b(e, rng):
+    return e * amat_random(e.shape, e.n, rng, 0.7) * e
+
+
+def loop_lift_laws(lift, tol=DEFAULT_TOL, samples=5):
+    """The spot checks of `lift_maps`, one sample at a time: the first failing (sample, law) raises."""
+    t, e = lift.triple, lift.idempotent
+    rng = np.random.default_rng(0)
+    em = e.matrix
+    eps = tol.abs_eps
+    regular = check_regularity(t.sigma, samples=3, tol=tol).passes
+    for _ in range(samples):
+        xi = random_module_vector(em, rng)
+        a = amat_scalar(t.shape.random_element(rng), e.n)
+        if lift.sigma_lift(xi * a).defect(lift.sigma_lift(xi) * a.map(t.sigma)) > eps:
+            raise ValueError("lift does not intertwine the module action with the twist")
+        if lift.sigma_lift_inv(lift.sigma_lift(xi)).defect(xi) > eps:
+            raise ValueError("lift roundtrip is not the identity on the module")
+        b, c = _random_b(em, rng), _random_b(em, rng)
+        if lift.sigma_prime(b * c).defect(lift.sigma_prime(b) * lift.sigma_prime(c)) > eps:
+            raise ValueError("lifted twist is not multiplicative on the endomorphism algebra")
+        if lift.sigma_prime_inv(lift.sigma_prime(b)).defect(b) > eps:
+            raise ValueError("lifted twist roundtrip fails on the endomorphism algebra")
+        if regular and lift.sigma_prime(b.star()).defect(lift.sigma_prime_inv(b).star()) > eps:
+            raise ValueError("lifted twist loses the regularity property")
+
+
+def loop_check_hermitian(t, conn, samples=10, seed=0):
+    """(identity, selfadjoint, sandwich) defects of `check_hermitian`, one sample and one entry at a time."""
+    rng = np.random.default_rng(seed)
+    e = conn.idempotent.matrix
+    n = conn.n
+    m = conn.one_forms
+
+    sa = max(rel_defect(dagger(m[i][j]), m[j][i]) for i in range(n) for j in range(n))
+    sandwich = _sandwich_right(t, e, m) if conn.side == "right" else _sandwich_left(t, e, m)
+    sw = max(rel_defect(sandwich[i][j], m[i][j]) for i in range(n) for j in range(n))
+
+    worst = 0.0
+    sinv = t.sigma.inverse()
+    for _ in range(samples):
+        if conn.side == "right":
+            xi = random_module_vector(e, rng)
+            xip = random_module_vector(e, rng)
+            lhs = np.zeros((t.dim, t.dim), complex)
+            for x0, om in apply_connection(t, conn, xi):
+                lhs += t.pi(t.sigma(inner_product(xip, x0))) @ om
+            sxi = e * xip.map(sinv)
+            for x0, om in apply_connection(t, conn, sxi):
+                lhs -= dagger(om) @ t.pi(inner_product(x0, xi))
+            rhs = t.twisted_commutator(inner_product(xip, xi))
+            worst = max(worst, rel_defect(lhs, rhs))
+        else:
+            zeta = random_row_vector(e, rng)
+            zetap = random_row_vector(e, rng)
+            pairing = lambda zp, z: (zp * z.star()).entries[0][0]
+            szeta = zeta.map(t.sigma) * e
+            lhs = np.zeros((t.dim, t.dim), complex)
+            for om, z0 in apply_connection_left(t, conn, szeta):
+                lhs -= dagger(om) @ t.pi_opp(pairing(zetap, z0))
+            for om, z0 in apply_connection_left(t, conn, zetap):
+                lhs += t.pi_opp(sinv(pairing(z0, zeta))) @ om
+            rhs = t.twisted_commutator_opp(pairing(zetap, zeta))
+            worst = max(worst, rel_defect(lhs, rhs))
+    return worst, sa, sw
+
+
+def loop_check_morita_triple(rt, samples=10, seed=0):
+    """The sampled defects of `check_morita_triple` (mult, reg, hom, inv, bracket), one sample at a time."""
+    t = rt.triple
+    e = rt.lift.idempotent.matrix
+    rng = np.random.default_rng(seed)
+    proj = rt.projection
+    rep = rt.pi_r if isinstance(rt, RightTriple) else rt.pi_l
+    sp = rt.lift.sigma_prime
+    sp_inv = rt.lift.sigma_prime_inv
+    mult = reg = hom = inv = 0.0
+    bracket_id = 0.0 if isinstance(rt, RightTriple) else None
+    dm = _dirac_grid(t, rt.connection.one_forms)
+    for _ in range(samples):
+        b, c = _random_b(e, rng), _random_b(e, rng)
+        mult = max(mult, sp(b * c).defect(sp(b) * sp(c)))
+        reg = max(reg, sp(b.star()).defect(sp_inv(b).star()))
+        prod = b * c if isinstance(rt, RightTriple) else c * b
+        hom = max(hom, rel_defect(rep(b) @ rep(c), rep(prod)))
+        inv = max(inv, rel_defect(dagger(proj @ rep(b) @ proj), proj @ rep(b.star()) @ proj))
+        if isinstance(rt, RightTriple):
+            inner = dm @ _pi_grid(t, b) - _pi_grid(t, b.map(t.sigma)) @ dm
+            rhs = _pi_grid(t, e) @ inner @ proj
+            bracket_id = max(bracket_id, rel_defect(rt.bracket(b) @ proj, rhs))
+    return mult, reg, hom, inv, bracket_id
+
+
+def loop_check_real_triple(rt, samples=8, seed=0):
+    """The sampled defects of `check_real_triple` (order zero, first order), one sample at a time."""
+    e = rt.lift.idempotent.matrix
+    rng = np.random.default_rng(seed)
+    proj, dp = rt.projection, rt.d_prime
+    oz = fo = 0.0
+    sp, sp_inv = rt.lift.sigma_prime, rt.lift.sigma_prime_inv
+    for _ in range(samples):
+        b, c = _random_b(e, rng), _random_b(e, rng)
+        pb, pc = rt.pi_prime(b), rt.pi_prime_opp(c)
+        oz = max(oz, rel_defect(pb @ pc @ proj, pc @ pb @ proj))
+        x = dp @ pb - rt.pi_prime(sp(b)) @ dp
+        outer = x @ pc - rt.pi_prime_opp(sp_inv(c)) @ x
+        fo = max(fo, float(np.linalg.norm(outer @ proj)) / max(1.0, float(np.linalg.norm(x))))
+    return oz, fo
+
+
+def _agree(got, loop):
+    """Stacked and loop defects agree to STACKED_RTOL, and the loop's is O(1), so the agreement says something."""
+    return loop > 1e-3 and abs(got - loop) <= STACKED_RTOL * loop
+
+
+# Each check draws these kinds of sample per round; the sequential helpers it replaced draw them one by one.
+CHECK_DRAWS = {
+    "lift_maps": ("column", "scalar", "endo", "endo"),
+    "check_hermitian right": ("column", "column"),
+    "check_hermitian left": ("row", "row"),
+    "check_morita_triple and check_real_triple": ("endo", "endo"),
+}
+SEQUENTIAL_DRAWS = {
+    "column": random_module_vector,
+    "row": random_row_vector,
+    "scalar": lambda e, rng: amat_scalar(e.shape.random_element(rng), e.n),
+    "endo": _random_b,
+}
+
+
+@pytest.mark.parametrize("kinds", list(CHECK_DRAWS.values()), ids=list(CHECK_DRAWS))
+@pytest.mark.parametrize("t, m, ops", CASES, ids=CASE_IDS)
+def test_stacked_draws_equal_the_sequential_ones(t, m, ops, kinds):
+    samples = 3
+    r1, r2 = np.random.default_rng(9), np.random.default_rng(9)
+    stacked = _samples(m, r1, samples, kinds)
+    for s in range(samples):
+        for kind, x in zip(kinds, stacked):
+            want = SEQUENTIAL_DRAWS[kind](m, r2)
+            assert x.n == want.n
+            assert all(np.array_equal(a[s], b) for a, b in zip(x.element.blocks, want.element.blocks))
+    assert r1.random() == r2.random()
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("t, m, ops", CASES, ids=CASE_IDS)
+def test_stacked_check_hermitian_matches_its_loop(t, m, ops, side):
+    # random one-forms are far from hermitian, so all three defects are O(1)
+    conn = Connection(side, IdempotentData(m), ops)
+    got = check_hermitian(t, conn, samples=4, seed=3)
+    loop = loop_check_hermitian(t, conn, samples=4, seed=3)
+    for g, want in zip((got.identity_defect, got.selfadjoint_defect, got.sandwich_defect), loop):
+        assert _agree(g, want)
+
+
+def _unchecked_exports(monkeypatch, t, m, ops):
+    """The right and left exports of a random, non-idempotent m with random one-forms, hermiticity unchecked."""
+    monkeypatch.setattr(morita, "_require_hermitian", lambda *args: None)
+    e = IdempotentData(m)
+    lift = ModuleLift(t, e, None)
+    return (build_right_triple(lift, Connection("right", e, ops)),
+            build_left_triple(lift, Connection("left", e, ops)))
+
+
+@pytest.mark.parametrize("t, m, ops", CASES[1:], ids=CASE_IDS[1:])
+def test_stacked_check_morita_triple_matches_its_loop(monkeypatch, t, m, ops):
+    for rt in _unchecked_exports(monkeypatch, t, m, ops):
+        got = check_morita_triple(rt, samples=4, seed=5)
+        loop = loop_check_morita_triple(rt, samples=4, seed=5)
+        values = (got.sigma_prime_multiplicative, got.sigma_prime_regularity, got.rep_homomorphism,
+                  got.rep_involution, got.bracket_identity_defect)
+        for g, want in zip(values, loop):
+            assert (g is want is None) or _agree(g, want)
+
+
+def real_cases():
+    """Random non-idempotent m with random one-forms on the first-order triples U(1)xU(2) at ky = 0 and the toy.
+
+    The toy's algebra C + C is commutative, so its order-zero defect is O(1) only from n = 2 on.
+    """
+    rng = np.random.default_rng(71)
+    ky0, toy = tw.build_u1u2(1 + 0.5j, 0.0).triple, tw.two_point_model()
+    return [pytest.param(t, amat_random(t.shape, n, rng), random_ops(rng, n, t.dim), id=f"{name}-n{n}")
+            for name, t, n in (("ky0", ky0, 1), ("ky0", ky0, 2), ("toy", toy, 2))]
+
+
+@pytest.mark.parametrize("t, m, ops", real_cases())
+def test_stacked_check_real_triple_matches_its_loop(monkeypatch, t, m, ops):
+    monkeypatch.setattr(morita, "_require_hermitian", lambda *args: None)
+    e = IdempotentData(m)
+    rt = build_real_triple(ModuleLift(t, e, None), Connection("right", e, ops))
+    got = check_real_triple(rt, samples=3, seed=2)
+    for g, want in zip((got.order_zero, got.first_order), loop_check_real_triple(rt, samples=3, seed=2)):
+        assert _agree(g, want)
+
+
+def _lift_outcome(f):
+    try:
+        f()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("t, m, ops", CASES[1:], ids=CASE_IDS[1:])
+def test_failing_lift_maps_raises_the_loops_first_failure(monkeypatch, t, m, ops):
+    # a random m passed off as a lift-invertible idempotent fails the spot checks with O(1) defects
+    # (the first law holds for any m); over a sweep of tolerances through those defects the first
+    # failing (sample, law) pair moves, and the message must follow the loop
+    e = IdempotentData(m)
+    monkeypatch.setattr(morita, "check_idempotent", lambda t, e, tol: IdempotentReport(0, 0, 0, 0, 0, 0, tol))
+    outcomes = []
+    for eps in np.concatenate([[1e-13, 1e-6], np.geomspace(0.5, 2.0, 25), [1e2]]):
+        tol = Tolerance(float(eps))
+        want = _lift_outcome(lambda: loop_lift_laws(ModuleLift(t, e, None), tol))
+        assert _lift_outcome(lambda: lift_maps(t, e, tol)) == want
+        outcomes.append(want)
+    assert outcomes[0] is not None and outcomes[-1] is None
+
+
+def test_no_samples_give_zero_sampled_defects_as_the_loops(monkeypatch):
+    t, m, ops = CASES[3]
+    conn = Connection("right", IdempotentData(m), ops)
+    assert check_hermitian(t, conn, samples=0).identity_defect == loop_check_hermitian(t, conn, samples=0)[0] == 0.0
+    for rt in _unchecked_exports(monkeypatch, t, m, ops):
+        report = check_morita_triple(rt, samples=0)
+        values = (report.sigma_prime_multiplicative, report.sigma_prime_regularity, report.rep_homomorphism,
+                  report.rep_involution, report.bracket_identity_defect)
+        assert values == loop_check_morita_triple(rt, samples=0)
+    t, m, ops = real_cases()[1].values
+    e = IdempotentData(m)
+    real = build_real_triple(ModuleLift(t, e, None), Connection("right", e, ops))
+    report = check_real_triple(real, samples=0)
+    assert (report.order_zero, report.first_order) == loop_check_real_triple(real, samples=0) == (0.0, 0.0)
+    monkeypatch.setattr(morita, "check_idempotent", lambda t, e, tol: IdempotentReport(0, 0, 0, 0, 0, 0, tol))
+    assert lift_maps(t, e, samples=0).idempotent is e
