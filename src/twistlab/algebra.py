@@ -22,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, cmatrix
+from .linalg import DEFAULT_TOL, Tolerance, cmatrix, frobenius, rel_defect, rel_defects
 
 
 @dataclass(frozen=True)
@@ -149,21 +149,16 @@ class AlgebraElement:
         return np.concatenate([b.reshape(lead + (b.shape[-1] ** 2,)) for b in self.blocks], axis=-1)
 
     def norm(self) -> float:
-        return _norm(self.coefficients())
+        return frobenius(self.coefficients())
 
     def defect(self, other: AlgebraElement) -> float:
+        """`rel_defect` of the coefficient vectors: the Frobenius norms of all blocks at once."""
         if self.shape != other.shape:
             raise ValueError("algebra shape mismatch")
-        x, y = self.coefficients(), other.coefficients()
-        return _norm(x - y) / max(1.0, _norm(x), _norm(y))
+        return rel_defect(self.coefficients(), other.coefficients())
 
     def approx_eq(self, other: AlgebraElement, tol: Tolerance = DEFAULT_TOL) -> bool:
         return self.defect(other) <= tol.abs_eps
-
-
-def _norm(coeffs: np.ndarray) -> float:
-    """Frobenius norm of an element from its coefficient vector, one reduction over all blocks."""
-    return float(np.sqrt(np.vdot(coeffs, coeffs).real))
 
 
 def _from_normals(shape: AlgebraShape, x: np.ndarray, scale: float) -> AlgebraElement:
@@ -311,26 +306,21 @@ def check_regularity(
 ) -> RegularityReport:
     """Max defect of sigma(a*) = (sigma^{-1}(a))* over the matrix units plus random samples.
 
-    The elements are one (M, n_k, n_k) stack per block, the N matrix units in
-    basis order and then the samples, and each side is one stacked
-    S_k X S_k^-1 per block.  The defect of an element is `AlgebraElement.defect`.
+    The elements are one stack: the N matrix units in basis order, then the samples, one
+    (samples, 2N) normal draw, which is the stream of `samples` successive `random_element`
+    calls.  Each side is one stacked twist, compared by `rel_defects` on coefficient rows.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = rng if rng is not None else np.random.default_rng(0)
-    shape, inv = sigma.shape, sigma.inverse()
-    randoms = [shape.random_element(rng) for _ in range(samples)]
-    size = shape.basis_size
-    lhs, rhs = [None] * shape.num_blocks, [None] * shape.num_blocks
-    for k, (n, off) in enumerate(zip(shape.block_dims, shape._offsets())):
-        x = np.zeros((size + samples, n, n), dtype=complex)
-        x[off:off + n * n] = np.eye(n * n).reshape(n * n, n, n)
-        x[size:] = [a.blocks[k] for a in randoms]
-        lhs[sigma.perm[k]] = sigma.conjugators[k] @ x.conj().swapaxes(1, 2) @ sigma._conjugator_invs[k]
-        rhs[inv.perm[k]] = (inv.conjugators[k] @ x @ inv._conjugator_invs[k]).conj().swapaxes(1, 2)
-    sq_norms = lambda blocks: sum(np.sum(np.abs(b) ** 2, axis=(1, 2)) for b in blocks)
-    scale = np.sqrt(np.maximum(sq_norms(lhs), sq_norms(rhs)))
-    defects = np.sqrt(sq_norms([a - b for a, b in zip(lhs, rhs)])) / np.maximum(1.0, scale)
+    shape, size = sigma.shape, sigma.shape.basis_size
+    normals = np.zeros((size + samples, 2 * size))
+    # block k holds its n_k^2 real parts and then its imaginary parts: unit u = offset_k + l is real normal u + offset_k
+    normals[np.arange(size), np.arange(size) + np.repeat(shape._offsets(), [n * n for n in shape.block_dims])] = 1.0
+    normals[size:] = rng.standard_normal((samples, 2 * size))
+    x = _from_normals(shape, normals, 1.0)
+    lhs, rhs = sigma(x.star()).coefficients(), sigma.inverse()(x).star().coefficients()
+    defects = rel_defects(lhs[:, None], rhs[:, None])     # coefficient rows as 1 x N matrices
     return RegularityReport(float(defects.max()), tol)
 
 

@@ -36,17 +36,17 @@ def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
 
 
 def _complex_matrix(rows: list[list]) -> np.ndarray | None:
-    """One-shot conversion of well-formed [re, im] entries; None if any entry is not a pair of numbers."""
-    entries = list(chain.from_iterable(rows))
-    if not entries or not all(type(z) is list and len(z) == 2 for z in entries):
-        return None
-    if not set(map(type, chain.from_iterable(entries))) <= {int, float}:
-        return None
+    """One-shot conversion of well-formed [re, im] entries; None if any entry is not a pair of numbers.
+
+    The types of all parts are one set, and the array's shape checks every entry's length.
+    """
     try:
+        if not set(map(type, chain.from_iterable(chain.from_iterable(rows)))) <= {int, float}:
+            return None
         pairs = np.array(rows, dtype=float)
-    except OverflowError:
+    except (TypeError, ValueError, OverflowError):
         return None
-    return pairs.view(complex)[..., 0]
+    return pairs.view(complex)[..., 0] if pairs.ndim == 3 and pairs.shape[2] == 2 else None
 
 
 def matrix_from_json(v: Any, shape: tuple[int, int] | None = None) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraElement, Unitary
-from .linalg import DEFAULT_TOL, Tolerance, dagger, rel_defect
+from .linalg import DEFAULT_TOL, Tolerance, dagger, frobenius, rel_defect, relative
 from .pert import FluctuationReport, Perturbation, fluctuate, p_of_u, pert_mul
 from .triple import TwistedTriple
 
@@ -164,12 +164,11 @@ def selfadjointness_report(
 
     gauged = _gauged_fluctuation(t, flu.pert, u, tol)
     gauge_sa = rel_defect(gauged.d_omega, dagger(gauged.d_omega))
-    scale = max(1.0, float(np.linalg.norm(d_omega)))
     return SelfAdjointnessReport(
         frak_u=fu,
         gamma_u=gamma_u,
         defect_op=defect_op,
-        criterion_defect=float(np.linalg.norm(defect_op)) / scale,
+        criterion_defect=relative(frobenius(defect_op), frobenius(d_omega)),
         gauge_sa_defect=gauge_sa,
         decomposition_defect=decomposition_defect,
     )

@@ -6,7 +6,9 @@ antilinear operators that realize real structures.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -43,7 +45,8 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def frobenius(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
+    """Frobenius norm of an array of any shape (a matrix, or an algebra element's coefficient vector): one vdot."""
+    return math.sqrt(np.vdot(a, a).real)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -51,14 +54,19 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
+def relative(dist, *norms):
+    """dist / max(1, *norms), elementwise with broadcasting: the one floor of every defect in the library."""
+    if isinstance(dist, float):     # the builtin max, as a ufunc call on floats costs more than an element defect
+        return dist / max((1.0, *norms))
+    return dist / reduce(np.maximum, norms, 1.0)
+
+
 def rel_defect(x: np.ndarray, y: np.ndarray) -> float:
-    """||x-y||_F scaled by max(1, ||x||_F, ||y||_F)."""
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
+    """||x-y||_F scaled by max(1, ||x||_F, ||y||_F), through `relative`."""
+    x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    scale = max(1.0, frobenius(x), frobenius(y))
-    return frobenius(x - y) / scale
+    return relative(frobenius(x - y), frobenius(x), frobenius(y))
 
 
 def sq_norms(x: np.ndarray) -> np.ndarray:
@@ -71,7 +79,7 @@ def rel_defects(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """rel_defect of each matrix of a complex (..., m, n) stack x against y; x is overwritten by x - y."""
     scale = np.sqrt(np.maximum(sq_norms(x), sq_norms(y)))
     np.subtract(x, y, out=x)
-    return np.sqrt(sq_norms(x)) / np.maximum(1.0, scale)
+    return relative(np.sqrt(sq_norms(x)), scale)
 
 
 def approx_eq(x: np.ndarray, y: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraElement, AlgebraShape, Automorphism, identity_automorphism
-from .linalg import AntilinearOp
+from .linalg import AntilinearOp, relative
 from .pert import Perturbation, fluctuate
 from .triple import AxiomReport, RealStructure, Representation, TwistedTriple, check_axioms
 
@@ -152,8 +152,8 @@ def verify_fluctuation_formula(model: U1U2Model, p: Perturbation) -> FormulaRepo
     flu = fluctuate(model.triple, p)
     params = extract_params(model, flu.pert)
     literal = assemble_fluctuated_dirac(model, params)
-    scale = max(1.0, float(np.abs(flu.d_omega).max()), float(np.abs(literal).max()))
-    return FormulaReport(float(np.abs(flu.d_omega - literal).max()) / scale, params)
+    entrywise = lambda x: float(np.abs(x).max())
+    return FormulaReport(relative(entrywise(flu.d_omega - literal), entrywise(flu.d_omega), entrywise(literal)), params)
 
 
 def identify_left_right(a: AlgebraElement) -> AlgebraElement:

@@ -21,8 +21,8 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import AlgebraElement, AlgebraShape, Automorphism, _element, _from_normals, check_regularity
-from .linalg import DEFAULT_TOL, AntilinearOp, Tolerance, dagger, rel_defect, rel_defects, sq_norms
-from .pert import OppPerturbation, eta_opp
+from .linalg import DEFAULT_TOL, AntilinearOp, Tolerance, dagger, rel_defect, rel_defects, relative, sq_norms
+from .pert import OppPerturbation, _opp_bracket_sum
 from .triple import TwistedTriple, _basis_pair_scans, ko_dimension, ko_signs
 
 
@@ -192,14 +192,19 @@ def _samples(e: AlgebraMatrix, rng: np.random.Generator, samples: int, kinds: tu
     return out
 
 
-def _column(m: AlgebraMatrix, j: int) -> ModuleVector:
-    """Column j of m as a module vector."""
+def _columns(m: AlgebraMatrix) -> ModuleVector:
+    """The n columns of m as module vectors, stacked over a new leading axis: column j at index j."""
     blocks = []
     for b, nk in zip(m.element.blocks, m.shape.block_dims):
-        x = np.zeros((m.n, nk, m.n, nk), dtype=complex)
-        x[:, :, 0] = b.reshape(m.n, nk, m.n, nk)[:, :, j]
-        blocks.append(x.reshape(b.shape))
+        x = np.zeros((m.n, m.n, nk, m.n, nk), dtype=complex)     # x[j] holds column j in its tile column 0
+        x[:, :, :, 0] = b.reshape(m.n, nk, m.n, nk).transpose(2, 0, 1, 3)
+        blocks.append(x.reshape((m.n,) + b.shape))
     return _packed(m.shape, m.n, _element(m.element.shape, tuple(blocks)))
+
+
+def _at(x: AlgebraMatrix, j: int) -> AlgebraMatrix:
+    """Matrix j of a stack of matrices."""
+    return _packed(x.shape, x.n, _element(x.element.shape, tuple(b[j] for b in x.element.blocks)))
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +259,13 @@ def check_idempotent(t: TwistedTriple, e: IdempotentData, tol: Tolerance = DEFAU
     sig_inv = m.map(t.sigma.inverse())
     d = np.kron(np.eye(m.n), t.dirac)
     delta = _blocks(d @ _pi_grid(t, m) - _pi_grid(t, sig) @ d, m.n)     # delta(m_i^j) as blocks
-    tc = float(np.linalg.norm(delta, axis=(2, 3)).max())
     return IdempotentReport(
         idempotent_defect=(m * m).defect(m),
         selfadjoint_defect=m.star().defect(m),
         lift_defect=(m * sig * m).defect(m),
         lift_inverse_defect=(m * sig_inv * m).defect(m),
         twist_invariance_defect=sig.defect(m),
-        twist_commutation_defect=tc / max(1.0, m.norm()),
+        twist_commutation_defect=relative(float(np.linalg.norm(delta, axis=(2, 3)).max()), m.norm()),
         tol=tol,
     )
 
@@ -469,8 +473,8 @@ def apply_connection(
     """
     if conn.side != "right":
         raise ValueError("apply_connection handles right connections")
-    ops = _nabla_ops(t, conn, xi)
-    return [(_column(conn.idempotent.matrix, j), ops[j]) for j in range(conn.n)]
+    ops, columns = _nabla_ops(t, conn, xi), _columns(conn.idempotent.matrix)
+    return [(_at(columns, j), ops[j]) for j in range(conn.n)]
 
 
 def apply_connection_left(
@@ -480,8 +484,8 @@ def apply_connection_left(
     if conn.side != "left":
         raise ValueError("apply_connection_left handles left connections")
     ops = _nabla_ops(t, conn, zeta)
-    e_star = conn.idempotent.matrix.star()    # row j of e is column j of e*, starred
-    return [(ops[j], _column(e_star, j).star()) for j in range(conn.n)]
+    rows = _columns(conn.idempotent.matrix.star()).star()    # row j of e is column j of e*, starred
+    return [(ops[j], _at(rows, j)) for j in range(conn.n)]
 
 
 @dataclass(frozen=True)
@@ -764,11 +768,9 @@ def build_real_triple(lift: ModuleLift, conn: Connection, tol: Tolerance = DEFAU
     right = _on_cols(_opp_grid(t, em.map(t.sigma.inverse()) * em), n)      # sigma^{-1}(e) e on the columns
     d_full = np.kron(np.eye(n * n), t.dirac)
 
-    # connection entries of nabla(e-columns): delta(e_p^k) + (M e)_p^k
+    # connection entries of nabla(e-columns): w_p^k = delta(e_p^k) + (M e)_p^k is op p of nabla(column k)
     m = conn.one_forms
-    me = [[sum(m[p][r] @ t.pi(em.entries[r][k]) for r in range(n)) for k in range(n)]
-          for p in range(n)]
-    w = [[t.twisted_commutator(em.entries[p][k]) + me[p][k] for k in range(n)] for p in range(n)]
+    w = _nabla_ops(t, conn, _columns(em)).swapaxes(0, 1)
 
     # the column index carries the conjugate entries: block (j, l) is eps' J x_j^l J^{-1}
     conj = lambda ops: _on_cols(_grid(ep * j.conjugate(ops)), n)
@@ -823,7 +825,7 @@ def check_real_triple(
     oz = float(rel_defects(pb @ pc @ proj, pc @ pb @ proj).max(initial=0.0))
     x = dp @ pb - rt.pi_prime(rt.lift.sigma_prime(b)) @ dp
     outer = x @ pc - rt.pi_prime_opp(rt.lift.sigma_prime_inv(c)) @ x
-    fo = float((np.sqrt(sq_norms(outer @ proj)) / np.maximum(1.0, np.sqrt(sq_norms(x)))).max(initial=0.0))
+    fo = float(relative(np.sqrt(sq_norms(outer @ proj)), np.sqrt(sq_norms(x))).max(initial=0.0))
     return RealTripleReport(sa, dsec, oz, fo, *signs, ko_dimension(signs), tol)
 
 
@@ -834,9 +836,7 @@ def opp_one_form_action_corrected(
 
     Returns eta_opp(q) plus the correction sum_j pi_opp(a_j)[w, pi_opp(b_j)]_{sigma_opp}
     with w the base (right) fluctuation one-form; this is exactly the non-linear
-    term mechanism used by the fluctuation in `pert`.
+    term mechanism used by the fluctuation in `pert`.  The bracket is linear
+    in its operator, so the sum is the opposite pair-bracket sum of D + w.
     """
-    out = eta_opp(t, q)
-    for a, b in q.pairs:
-        out += t.pi_opp(a) @ t.bracket_sigma_opp(base_one_form, b)
-    return out
+    return _opp_bracket_sum(t, q, t.dirac + base_one_form)

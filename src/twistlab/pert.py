@@ -130,6 +130,11 @@ def _pair_sum(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return left.transpose(1, 0, 2).reshape(d, m * d) @ right.reshape(m * d, d)
 
 
+def _bracket_sum(left: np.ndarray, t: np.ndarray, right: np.ndarray, right_twisted: np.ndarray) -> np.ndarray:
+    """sum_j L_j (T R_j - Rt_j T) over (m, d, d) stacks L, R and Rt: the pair sum of twisted brackets of T."""
+    return _pair_sum(left, np.matmul(t, right) - np.matmul(right_twisted, t))
+
+
 def eta(t: TwistedTriple, p: Perturbation) -> TwistedOneForm:
     """Represented twisted one-form sum_j pi(a_j) (D pi(b_j) - pi(sigma(b_j)) D)."""
     images, delta = _legs(t, p.pairs)
@@ -142,14 +147,16 @@ def eta_adjoint_pairs(t: TwistedTriple, p: Perturbation, tol: Tolerance = DEFAUL
 
 
 def eta_opp(t: TwistedTriple, p: OppPerturbation) -> np.ndarray:
-    """sum_j pi_opp(a_j) [D, pi_opp(b_j)]_{sigma_opp}; the images of all legs are one GEMM and one J-conjugation."""
-    sinv = t.sigma.inverse()
-    firsts, seconds = [a for a, _ in p.pairs], [b for _, b in p.pairs]
-    images = t.opp_images(t.rep.images_of(firsts + seconds + [sinv(b) for b in seconds]))
+    """sum_j pi_opp(a_j) [D, pi_opp(b_j)]_{sigma_opp}."""
+    return _opp_bracket_sum(t, p, t.dirac)
+
+
+def _opp_bracket_sum(t: TwistedTriple, p: OppPerturbation, op: np.ndarray) -> np.ndarray:
+    """sum_j pi_opp(a_j) [T, pi_opp(b_j)]_{sigma_opp}; the images of all legs are one GEMM and one J-conjugation."""
+    sinv, seconds = t.sigma.inverse(), [b for _, b in p.pairs]
+    images = t.opp_images(t.rep.images_of([a for a, _ in p.pairs] + seconds + [sinv(b) for b in seconds]))
     a, b, b_twisted = images.reshape(3, len(p.pairs), t.dim, t.dim)
-    delta = np.matmul(t.dirac, b)
-    delta -= np.matmul(b_twisted, t.dirac)
-    return _pair_sum(a, delta)
+    return _bracket_sum(a, op, b, b_twisted)
 
 
 def opp_adjoint_pairs(t: TwistedTriple, p: OppPerturbation, tol: Tolerance = DEFAULT_TOL) -> OppPerturbation:
@@ -260,8 +267,8 @@ def fluctuate(t: TwistedTriple, p: Perturbation, tol: Tolerance = DEFAULT_TOL) -
     hat_a, hat_b, hat_b_sigma = real.j.conjugate(images)
     omega1 = _pair_sum(a, delta)
     omega1_hat = ep * real.j.conjugate(omega1)
-    omega2_a = _pair_sum(hat_a, np.matmul(omega1, hat_b) - np.matmul(hat_b_sigma, omega1))
-    omega2_b = _pair_sum(a, np.matmul(omega1_hat, b) - np.matmul(b_sigma, omega1_hat))
+    omega2_a = _bracket_sum(hat_a, omega1, hat_b, hat_b_sigma)
+    omega2_b = _bracket_sum(a, omega1_hat, b, b_sigma)
     gate = rel_defect(omega2_a, omega2_b)
     if gate > tol.abs_eps:
         raise ValueError(

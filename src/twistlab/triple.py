@@ -22,6 +22,7 @@ from .linalg import (
     detect_sign,
     rel_defect,
     rel_defects,
+    relative,
     sq_norms,
 )
 
@@ -229,7 +230,7 @@ class Representation:
         for us in _slices(n, _fit(n * r * r * _COMPLEX_BYTES, 1)):
             core = (rows[us.start * r:us.stop * r] @ cols).reshape(us.stop - us.start, r, n, r)
             norms = np.sqrt(_grid_sq_norms(core))
-            defects[us] = norms / np.maximum(1.0, norms)
+            defects[us] = relative(norms, norms)
         uu, vv, ww = self.shape.unit_products()
         for hs in _slices(len(uu), _fit(d * r * _COMPLEX_BYTES, 8)):
             u, v, w = uu[hs], vv[hs], ww[hs]
@@ -237,7 +238,7 @@ class Representation:
             y = np.matmul(f.u[u], core)[:, :, None, :]
             z = (f.s[w, :, None] * f.vh[w])[:, :, None, :]
             x = np.sqrt(_split_sq_norms(y, f.u[w], f.vh[v], z)[:, 0])
-            defects[u, v] = x / np.maximum(1.0, np.maximum(np.sqrt(sq_norms(core)), f.norms[w]))
+            defects[u, v] = relative(x, np.sqrt(sq_norms(core)), f.norms[w])
         return float(defects.max())
 
     def involution_defect(self) -> float:
@@ -483,10 +484,9 @@ def _basis_pair_scans(t: TwistedTriple) -> tuple[np.ndarray, np.ndarray]:
             nv, right, vh = vs.stop - vs.start, q.scaled_u(vs), q.vh[vs]
             y, z = _tile_products(p[us], p_cat, right, q.scaled_vh(vs), nv)
             scale = np.sqrt(np.maximum(_grid_sq_norms(y), _grid_sq_norms(z)))
-            oz[us, vs] = (np.sqrt(_split_sq_norms(y, q.u[vs], vh, z)) / np.maximum(1.0, scale)).T
+            oz[us, vs] = relative(np.sqrt(_split_sq_norms(y, q.u[vs], vh, z)), scale).T
             y, z = _tile_products(inner, inner_cat, right, qs.scaled_vh(vs), nv)
-            fo[us, vs] = (np.sqrt(_split_sq_norms(y, qs.u[vs], vh, z)).T
-                          / np.maximum(1.0, np.maximum.outer(inner_norms, q.norms[vs])))
+            fo[us, vs] = relative(np.sqrt(_split_sq_norms(y, qs.u[vs], vh, z)).T, inner_norms[:, None], q.norms[vs])
     return oz, fo
 
 
@@ -507,8 +507,7 @@ def _first_order_grid(inner: np.ndarray, q: np.ndarray, q_twisted: np.ndarray) -
         y = np.matmul(x, q)
         y -= np.matmul(q_twisted, x)
         outer[i] = [norm(z) for z in y]
-    scale = np.maximum.outer([norm(x) for x in inner], [norm(z) for z in q])
-    return outer / np.maximum(1.0, scale)
+    return relative(outer, np.maximum.outer([norm(x) for x in inner], [norm(z) for z in q]))
 
 
 def _random_pair_scans(t: TwistedTriple, left: list[AlgebraElement],
@@ -578,11 +577,8 @@ def check_axioms(
         g_herm = rel_defect(g, dagger(g))
         g_sq = rel_defect(g @ g, eye)
         p = t.rep.basis_images()
-        g_comm = max(
-            [float(rel_defects(np.matmul(g, p[us]), np.matmul(p[us], g)).max())
-             for us in _slices(len(p), _chunk(t.dim, 2))]
-            + [rel_defect(g @ t.pi(a), t.pi(a) @ g) for a in randoms]
-        )
+        stacks = [p[us] for us in _slices(len(p), _chunk(t.dim, 2))] + [t.rep.images_of(randoms)]
+        g_comm = max(float(rel_defects(np.matmul(g, x), np.matmul(x, g)).max()) for x in stacks)
         g_anti = rel_defect(g @ d, -d @ g)
 
     j_iso = ko = None

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import twistlab.algebra as algebra
 from twistlab.algebra import (
     AlgebraElement,
     AlgebraShape,
     Automorphism,
     Unitary,
+    _from_normals,
     check_regularity,
     compose,
     identity_automorphism,
@@ -187,6 +189,58 @@ def test_batched_regularity_matches_the_loop(sigma, samples):
     loop = loop_check_regularity(sigma, samples, loop_rng)
     assert abs(batched - loop) <= 1e-13 * loop + 1e-15
     assert rng.random() == loop_rng.random()     # the same draws, in the same order
+
+
+def block_loop_check_regularity(sigma, samples, rng):
+    """The per-block stacks that `check_regularity` ran before its elements became one stacked element.
+
+    Block k of the matrix units and the samples is one (N + samples, n_k, n_k)
+    stack; each side is S_k X S_k^-1 on it, and an element's squared norm is
+    the sum over its blocks.
+    """
+    shape, inv = sigma.shape, sigma.inverse()
+    randoms = [shape.random_element(rng) for _ in range(samples)]
+    size = shape.basis_size
+    lhs, rhs = [None] * shape.num_blocks, [None] * shape.num_blocks
+    for k, (n, off) in enumerate(zip(shape.block_dims, shape._offsets())):
+        x = np.zeros((size + samples, n, n), dtype=complex)
+        x[off:off + n * n] = np.eye(n * n).reshape(n * n, n, n)
+        x[size:] = [a.blocks[k] for a in randoms]
+        lhs[sigma.perm[k]] = sigma.conjugators[k] @ x.conj().swapaxes(1, 2) @ sigma._conjugator_invs[k]
+        rhs[inv.perm[k]] = (inv.conjugators[k] @ x @ inv._conjugator_invs[k]).conj().swapaxes(1, 2)
+    sq_norms = lambda blocks: sum(np.sum(np.abs(b) ** 2, axis=(1, 2)) for b in blocks)
+    scale = np.sqrt(np.maximum(sq_norms(lhs), sq_norms(rhs)))
+    return float((np.sqrt(sq_norms([a - b for a, b in zip(lhs, rhs)])) / np.maximum(1.0, scale)).max())
+
+
+@pytest.mark.parametrize("sigma", [c for c in regularity_cases() if c.id not in ("identity", "flip")])
+@pytest.mark.parametrize("samples", [1, 7, 20])
+def test_stacked_regularity_matches_the_block_loop(sigma, samples):
+    # the twists with a generic or non-scalar-square conjugator, whose defects are O(1)
+    loop = block_loop_check_regularity(sigma, samples, np.random.default_rng(samples))
+    got = check_regularity(sigma, samples=samples, rng=np.random.default_rng(samples)).max_defect
+    assert loop > 1e-3 and abs(got - loop) <= 1e-12 * loop
+
+
+@pytest.mark.parametrize("sigma", regularity_cases())
+def test_the_stacked_regularity_draw_is_the_sequential_one(monkeypatch, sigma):
+    shape, samples = sigma.shape, 5
+    drawn = []
+
+    def captured(*args):
+        drawn.append(_from_normals(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(algebra, "_from_normals", captured)
+    rng, loop_rng = np.random.default_rng(3), np.random.default_rng(3)
+    check_regularity(sigma, samples=samples, rng=rng)
+    (x,) = drawn
+    monkeypatch.undo()
+    want = [shape.random_element(loop_rng) for _ in range(samples)]
+    units = [a for _, a in shape.basis()]
+    for k in range(shape.num_blocks):
+        assert np.array_equal(x.blocks[k], np.array([a.blocks[k] for a in units + want]))
+    assert rng.random() == loop_rng.random()
 
 
 class TestUnitary:

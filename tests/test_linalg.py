@@ -9,9 +9,11 @@ from twistlab.linalg import (
     approx_eq,
     cmatrix,
     dagger,
+    frobenius,
     kron,
     rel_defect,
     rel_defects,
+    relative,
     sq_norms,
 )
 
@@ -154,3 +156,41 @@ class TestStackedDefects:
         assert np.allclose(sq_norms(x), [np.linalg.norm(m) ** 2 for m in x], rtol=1e-12, atol=0)
         assert sq_norms(np.zeros((0, 3, 3), complex)).shape == (0,)
         assert rel_defects(np.zeros((0, 3, 3), complex), np.zeros((0, 3, 3), complex)).shape == (0,)
+
+
+class TestRelative:
+    """`relative` is the one floor of every defect: dist / max(1, *norms), elementwise."""
+
+    def test_below_norm_one_it_is_the_absolute_distance(self):
+        assert relative(0.3, 0.5, 0.9) == 0.3
+        assert relative(0.3) == 0.3
+        assert relative(2e-12, 1e-12, 1.0) == 2e-12
+
+    def test_above_norm_one_it_is_the_relative_distance(self):
+        assert relative(3.0, 2.0, 6.0) == 0.5
+        assert relative(3.0, 6.0, 2.0) == 0.5
+
+    def test_elementwise_on_a_grid(self):
+        rng = np.random.default_rng(1)
+        dist, rows, cols = rng.uniform(0, 3, (4, 5)), rng.uniform(0, 3, 4), rng.uniform(0, 3, 5)
+        got = relative(dist, rows[:, None], cols)
+        assert got.shape == (4, 5)
+        assert np.array_equal(got, [[dist[i, k] / max(1.0, rows[i], cols[k]) for k in range(5)] for i in range(4)])
+
+    def test_floats_and_arrays_agree(self):
+        for dist, norms in ((0.3, (0.5, 0.9)), (3.0, (2.0, 6.0)), (1.5, (7.0,))):
+            assert relative(np.array(dist), *map(np.array, norms)) == relative(dist, *norms)
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-3, 1.0, 1e3, 1e12])
+    def test_rel_defect_and_rel_defects_follow_it(self, scale):
+        x, y = scale * crand(3, 4, 4), scale * crand(3, 4, 4)
+        want = [relative(frobenius(a - b), frobenius(a), frobenius(b)) for a, b in zip(x, y)]
+        assert [rel_defect(a, b) for a, b in zip(x, y)] == want
+        assert np.allclose(rel_defects(x.copy(), y), want, rtol=1e-14, atol=0)
+        if scale < 1e-3:
+            assert np.allclose(want, [frobenius(a - b) for a, b in zip(x, y)], rtol=0, atol=0)
+
+    def test_frobenius_is_the_matrix_norm(self):
+        x = crand(5, 7)
+        assert abs(frobenius(x) - np.linalg.norm(x)) <= 1e-14 * np.linalg.norm(x)
+        assert frobenius(x.ravel()) == frobenius(x)

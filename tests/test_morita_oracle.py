@@ -883,6 +883,19 @@ def test_stacked_check_real_triple_matches_its_loop(monkeypatch, t, m, ops):
         assert _agree(g, want)
 
 
+@pytest.mark.parametrize("t, m, ops", real_cases())
+def test_real_export_matches_the_entry_loops(monkeypatch, t, m, ops):
+    # the connection entries w_p^k of a random m and random one-forms are O(1); `build_real_triple` forms them as
+    # `_nabla_ops` of the columns of m, the loop entry by entry
+    monkeypatch.setattr(morita, "_require_hermitian", lambda *args: None)
+    e = IdempotentData(m)
+    rt = build_real_triple(ModuleLift(t, e, None), Connection("right", e, ops))
+    _, d_prime, d_second, _ = loop_real_export(t, m, rt.connection.one_forms)
+    for got, loop in ((rt.d_prime, d_prime), (rt.d_second, d_second)):
+        assert np.linalg.norm(loop) > 1e-3
+        assert np.linalg.norm(got - loop) <= STACKED_RTOL * np.linalg.norm(loop)
+
+
 def _lift_outcome(f):
     try:
         f()

@@ -12,11 +12,12 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import twistlab as tw
 from twistlab.linalg import DEFAULT_TOL, Tolerance, dagger, rel_defect
+from twistlab.morita import opp_one_form_action_corrected
 from twistlab.pert import OppPerturbation, Perturbation, act_mu, eta, eta_opp, fluctuate, normalize
 
 from conftest import ladder_triple, random_pert
@@ -40,6 +41,14 @@ def loop_eta_opp(t, p):
     op = np.zeros((t.dim, t.dim), dtype=complex)
     for a, b in p.pairs:
         op += t.pi_opp(a) @ t.twisted_commutator_opp(b)
+    return op
+
+
+def loop_opp_action_corrected(t, q, w):
+    """eta_opp(q) plus sum_j pi_opp(a_j) [w, pi_opp(b_j)]_{sigma_opp}, pair by pair."""
+    op = loop_eta_opp(t, q)
+    for a, b in q.pairs:
+        op += t.pi_opp(a) @ t.bracket_sigma_opp(w, b)
     return op
 
 
@@ -127,6 +136,18 @@ def test_batched_sums_match_the_loops(t, m, seed):
         assert getattr(f, name) == loop[name]
     target = rng.standard_normal((t.dim, t.dim)) + 1j * rng.standard_normal((t.dim, t.dim))
     assert_close(act_mu(t, f.pert, target), loop_act_mu(t, f.pert, target))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(t=triples(), m=st.integers(1, 4), seed=st.integers(0, 1000))
+def test_corrected_opposite_action_matches_the_pair_loop(t, m, seed):
+    # one pair-bracket sum of D + w against eta_opp plus a bracket of w per pair, on a random w: O(1) values
+    rng = np.random.default_rng(seed)
+    q = OppPerturbation(t.shape, random_pert(t, rng, m).pairs)
+    w = rng.standard_normal((t.dim, t.dim)) + 1j * rng.standard_normal((t.dim, t.dim))
+    got, loop = opp_one_form_action_corrected(t, q, w), loop_opp_action_corrected(t, q, w)
+    assume(np.linalg.norm(loop) > 1e-3)     # not the 1 x 1 ladder, whose brackets all vanish
+    assert np.linalg.norm(got - loop) <= 1e-12 * np.linalg.norm(loop)
 
 
 @pytest.mark.parametrize("build", [

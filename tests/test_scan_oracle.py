@@ -7,6 +7,8 @@ must reproduce their values and, for first order, the witness: the first
 pair, in row-major (u, v) order and then over the random pairs, whose defect
 is within WITNESS_RTOL of the maximum.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
@@ -261,15 +263,20 @@ def test_all_zero_defects_give_no_witness():
 # -- the factored scans against the dense ones ----------------------------------------
 
 
-def rotated(t, seed):
-    """t in the basis W H for a random unitary W: pi, D and J conjugated by W."""
+def random_unitary(d, seed):
     rng = np.random.default_rng(seed)
-    w, _ = np.linalg.qr(rng.standard_normal((t.dim, t.dim)) + 1j * rng.standard_normal((t.dim, t.dim)))
+    return np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+
+
+def rotated(t, seed):
+    """t in the basis W H for a random unitary W: pi, D, Gamma and J conjugated by W, the declared signs kept."""
+    w = random_unitary(t.dim, seed)
     wh = np.conj(w.T)
     units = tuple(w @ u @ wh for u in t.rep.unit_images)
     j = tw.AntilinearOp(w @ t.real.j.mat @ w.T)   # W J W^-1 psi = W M conj(W^H psi)
+    grading = None if t.grading is None else w @ t.grading @ wh
     return tw.TwistedTriple(t.shape, tw.Representation(t.shape, t.dim, units), w @ t.dirac @ wh, t.sigma,
-                            real=tw.RealStructure(j))
+                            grading, dataclasses.replace(t.real, j=j))
 
 
 def with_graded_j(t, seed, decades=5):
@@ -338,3 +345,59 @@ def test_the_rotated_ladder_keeps_its_verdicts():
     t = rotated(ladder_triple(4, 5), 6)
     r = check_axioms(t, samples=3)
     assert r.order_zero <= 1e-13 and r.first_order > 0.1 and r.rep_homomorphism <= 1e-13
+
+
+# -- the grading check against its per-sample loop ------------------------------------
+
+
+@pytest.mark.parametrize("build", [lambda: tw.build_u1u2(1 + 0.5j, 0.7 - 0.2j).triple, tw.two_point_model],
+                         ids=["u1u2", "toy"])
+@pytest.mark.parametrize("samples", [1, 6])
+def test_grading_check_matches_its_per_sample_loop(build, samples):
+    # Gamma rotated by a random unitary no longer commutes with pi, so the defects are O(1)
+    t = build()
+    w = random_unitary(t.dim, 4)
+    t = dataclasses.replace(t, grading=w @ t.grading @ np.conj(w.T))
+    got = check_axioms(t, samples=samples, seed=2).grading_commutes_algebra
+    loop = loop_grading(t, samples, 2)
+    assert loop > 1e-3 and abs(got - loop) <= 1e-12 * loop
+
+
+# -- basis invariance: a unitary change of basis of H changes no verdict ---------------
+
+
+INVARIANCE_CASES = {
+    "u1u2": lambda: tw.build_u1u2(1 + 0.5j, 0.7 - 0.2j).triple,
+    "u1u2_ky0": lambda: tw.build_u1u2(1 + 0.5j, 0.0).triple,
+    "random_real_triple": lambda: tw.random_real_triple(3),
+    "ladder4": lambda: ladder_triple(4, 5),
+}
+
+
+@pytest.mark.parametrize("seed", [6, 7])
+@pytest.mark.parametrize("name", INVARIANCE_CASES)
+def test_check_axioms_is_invariant_under_a_unitary_change_of_basis(name, seed):
+    """pi, D, Gamma and J' = W J W^T in the basis W H give the same report.
+
+    Verdicts, signs and flags are identical.  An O(1) defect agrees to rtol
+    1e-12; a defect that is 0 in exact arithmetic stays rounding noise on both
+    sides.  The first-order witness is compared only where first order fails:
+    on the first-order triple (ky = 0) the rotated scan's witness is a noise pair.
+    """
+    t = INVARIANCE_CASES[name]()
+    r, rr = check_axioms(t, samples=5, seed=1), check_axioms(rotated(t, seed), samples=5, seed=1)
+    assert r.failures() == rr.failures() and r.failures(True) == rr.failures(True)
+    assert r.warnings == rr.warnings
+    for f in dataclasses.fields(r):
+        x, y = getattr(r, f.name), getattr(rr, f.name)
+        if f.name in ("first_order_witness", "warnings"):
+            continue
+        if isinstance(x, float):
+            if max(x, y) > 1e-12:
+                assert abs(x - y) <= 1e-12 * max(x, y), f.name
+            else:
+                assert abs(x - y) <= 1e-13, f.name
+        else:
+            assert x == y, f.name
+    if r.first_order > 1e-12:
+        assert r.first_order_witness == rr.first_order_witness
