@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,22 +87,52 @@ def approx_eq(x: np.ndarray, y: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> boo
     return rel_defect(x, y) <= tol.abs_eps
 
 
+class _Monomial(NamedTuple):
+    """J's matrix M as a permutation with phases, M[i, p_i] = ph_i, as flat gathers on (d*d) operators.
+
+    (M conj(X) M^-1)[i, k] = ph_i conj(X)[p_i, p_k] / ph_k and
+    (M X^T M^-1)[i, k] = ph_i X[p_k, p_i] / ph_k.
+    """
+
+    index: np.ndarray               # (d*d,): p_i * d + p_k at i * d + k
+    index_adjoint: np.ndarray       # (d*d,): p_k * d + p_i at i * d + k
+    factor: np.ndarray | None       # (d*d,): ph_i / ph_k at i * d + k; None when every phase is 1
+
+
+def _monomial_gathers(m: np.ndarray) -> _Monomial | None:
+    """The gathers of a square m with exactly one nonzero in every row and every column, else None."""
+    rows, cols = np.nonzero(m)   # row-major: rows == 0..d-1 is one nonzero in every row
+    d = len(m)
+    if len(rows) != d or (rows != np.arange(d)).any() or (np.bincount(cols, minlength=d) != 1).any():
+        return None
+    ph = m[rows, cols]
+    index = np.add.outer(cols * d, cols)
+    factor = None if (ph == 1).all() else np.divide.outer(ph, ph).ravel()
+    return _Monomial(index.ravel(), index.T.ravel(), factor)
+
+
 @dataclass(frozen=True)
 class AntilinearOp:
     """Antilinear operator psi -> mat @ conj(psi).
 
     Real structures J enter every formula either applied to vectors or through
     the conjugations T -> J T J^{-1} and T -> J T* J^{-1}; these two methods
-    are the only places where an operator meets J's matrix.
+    are the only places where an operator meets J's matrix.  ``mat`` is a
+    read-only copy.  When it is monomial (a permutation with phases, as on
+    every triple the library builds) both conjugations are one index gather
+    of the flattened operators; otherwise they are the two GEMMs with mat and
+    its inverse, which stay the general path and the oracle of the gather.
     """
 
     mat: np.ndarray
 
     def __post_init__(self) -> None:
-        m = cmatrix(self.mat)
+        m = cmatrix(self.mat).copy()   # cached facts about mat must not go stale under the caller
         if m.shape[0] != m.shape[1]:
             raise ValueError("antilinear operator matrix must be square")
+        m.flags.writeable = False
         object.__setattr__(self, "mat", m)
+        object.__setattr__(self, "_monomial", _monomial_gathers(m))
 
     def __call__(self, psi: np.ndarray) -> np.ndarray:
         return self.mat @ np.conj(psi)
@@ -114,6 +145,7 @@ class AntilinearOp:
                 cached = np.linalg.inv(self.mat)
             except np.linalg.LinAlgError as exc:
                 raise ValueError("real structure not invertible") from exc
+            cached.flags.writeable = False
             object.__setattr__(self, "_inv_mat", cached)
         return cached
 
@@ -123,13 +155,28 @@ class AntilinearOp:
             raise ValueError(f"shape mismatch: {t.shape} vs (..., {self.mat.shape[0]}, {self.mat.shape[1]})")
         return t
 
+    def _gather(self, t: np.ndarray, index: np.ndarray, conj: bool) -> np.ndarray:
+        """The flat (d*d) entries of each T at index, conjugated if conj, times the phase factor."""
+        out = np.take(t.reshape(t.shape[:-2] + (t.shape[-1] ** 2,)), index, axis=-1)
+        if conj:
+            np.conjugate(out, out=out)
+        if self._monomial.factor is not None:
+            out *= self._monomial.factor
+        return out.reshape(t.shape)
+
     def conjugate(self, t: np.ndarray) -> np.ndarray:
         """J T J^{-1} = mat @ conj(T) @ mat^{-1}, for a (d, d) T or each T of a (..., d, d) stack."""
-        return self.mat @ np.conj(self._operand(t)) @ self.inv_mat
+        t = self._operand(t)
+        if self._monomial is not None:
+            return self._gather(t, self._monomial.index, True)
+        return self.mat @ np.conj(t) @ self.inv_mat
 
     def conjugate_adjoint(self, t: np.ndarray) -> np.ndarray:
         """J T* J^{-1} = mat @ T^T @ mat^{-1}, for a (d, d) T or each T of a (..., d, d) stack."""
-        return self.mat @ self._operand(t).swapaxes(-1, -2) @ self.inv_mat
+        t = self._operand(t)
+        if self._monomial is not None:
+            return self._gather(t, self._monomial.index_adjoint, False)
+        return self.mat @ t.swapaxes(-1, -2) @ self.inv_mat
 
     def isometry_defect(self) -> float:
         return rel_defect(dagger(self.mat) @ self.mat, np.eye(self.mat.shape[0]))

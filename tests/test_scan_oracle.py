@@ -179,7 +179,7 @@ def check_pair_scans(t, samples, seed):
     loop_oz, loop_fo, loop_witness = loop_pairs(t, pairs + random_pairs(t, samples, seed))
     assert_close(r.order_zero, loop_oz)
     assert_close(r.first_order, loop_fo)
-    assert r.first_order_witness == loop_witness
+    assert r.first_order_witness == (loop_witness if loop_fo > DEFAULT_TOL.abs_eps else None)
     if t.grading is not None:
         assert_close(r.grading_commutes_algebra, loop_grading(t, samples, seed))
 
@@ -381,8 +381,8 @@ def test_check_axioms_is_invariant_under_a_unitary_change_of_basis(name, seed):
 
     Verdicts, signs and flags are identical.  An O(1) defect agrees to rtol
     1e-12; a defect that is 0 in exact arithmetic stays rounding noise on both
-    sides.  The first-order witness is compared only where first order fails:
-    on the first-order triple (ky = 0) the rotated scan's witness is a noise pair.
+    sides.  The first-order witness is the same on every triple: None where
+    first order holds, although the noise pairs of the two bases differ.
     """
     t = INVARIANCE_CASES[name]()
     r, rr = check_axioms(t, samples=5, seed=1), check_axioms(rotated(t, seed), samples=5, seed=1)
@@ -399,5 +399,4 @@ def test_check_axioms_is_invariant_under_a_unitary_change_of_basis(name, seed):
                 assert abs(x - y) <= 1e-13, f.name
         else:
             assert x == y, f.name
-    if r.first_order > 1e-12:
-        assert r.first_order_witness == rr.first_order_witness
+    assert r.first_order_witness == rr.first_order_witness
