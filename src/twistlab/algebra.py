@@ -180,7 +180,11 @@ def _element(shape: AlgebraShape, blocks: tuple[np.ndarray, ...]) -> AlgebraElem
 
 @dataclass(frozen=True)
 class Automorphism:
-    """sigma(a)_{perm(k)} = S_k a_k S_k^{-1}: block permutation composed with inner."""
+    """sigma(a)_{perm(k)} = S_k a_k S_k^{-1}: block permutation composed with inner.
+
+    ``conjugators`` are read-only copies of the caller's arrays, so the cached
+    inverses always belong to them.
+    """
 
     shape: AlgebraShape
     perm: tuple[int, ...]
@@ -196,7 +200,8 @@ class Automorphism:
         conj = []
         conj_inv = []
         for k, n in enumerate(dims):
-            s = cmatrix(np.atleast_2d(self.conjugators[k]))
+            s = cmatrix(np.atleast_2d(self.conjugators[k])).copy()   # the cached inverse must not go stale
+            s.flags.writeable = False
             if s.shape != (n, n):
                 raise ValueError(f"conjugator {k} has shape {s.shape}, expected ({n},{n})")
             try:

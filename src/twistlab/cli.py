@@ -7,6 +7,7 @@ runs produce identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -360,7 +361,13 @@ def _tolerance(text: str) -> Tolerance:
         raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}") from None
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    A subcommand runs the module's `cmd_*` function looked up when it runs, so
+    a rebinding of that name (a tracer, a test double) takes effect.
+    """
     parser = argparse.ArgumentParser(prog="twistlab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"twistlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -375,28 +382,24 @@ def main(argv=None) -> int:
     p.add_argument("--samples", type=_positive_int, default=10, help="random elements sampled (>= 1)")
     p.add_argument("--require-first-order", action="store_true")
     common(p)
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("fluctuate", help="twisted inner fluctuation of a triple by a perturbation")
     p.add_argument("triple")
     p.add_argument("pert")
     p.add_argument("--check-mu", action="store_true", help="also verify the semi-group action")
     common(p)
-    p.set_defaults(func=cmd_fluctuate)
 
     p = sub.add_parser("gauge", help="gauge-transform a fluctuated Dirac operator")
     p.add_argument("triple")
     p.add_argument("pert")
     p.add_argument("unitary")
     common(p)
-    p.set_defaults(func=cmd_gauge)
 
     p = sub.add_parser("pert-mul", help="semi-group product of two perturbation files")
     p.add_argument("triple")
     p.add_argument("left")
     p.add_argument("right")
     common(p)
-    p.set_defaults(func=cmd_pert_mul)
 
     p = sub.add_parser("model", help="emit a built-in model and its verification report")
     p.add_argument("which", choices=["u1u2"])
@@ -405,7 +408,6 @@ def main(argv=None) -> int:
     p.add_argument("--verify", type=_positive_int, default=20, help="number of random formula checks (>= 1)")
     p.add_argument("--out", help="write the triple file here")
     common(p)
-    p.set_defaults(func=cmd_model)
 
     p = sub.add_parser("morita", help="Morita constructions over a triple")
     p.add_argument("triple")
@@ -415,11 +417,14 @@ def main(argv=None) -> int:
     p.add_argument("--idempotent", help="idempotent file for the module construction")
     p.add_argument("--connection", help="connection file (n x n array of pair lists); Grassmann if absent")
     common(p)
-    p.set_defaults(func=cmd_morita)
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command.replace('-', '_')}"](args)
     except (OSError, ValueError) as exc:   # file, parse and schema errors, JSONDecodeError included
         return _fail(str(exc))
 

@@ -1,4 +1,12 @@
-"""JSON file formats: complex scalar = [re, im], matrix = row-major nested arrays.
+"""JSON file formats: complex scalar = [re, im], matrix = a dense or a sparse cell.
+
+A dense cell is a row-major nested array of [re, im] entries.  A sparse cell is
+``{"shape": [r, c], "ij": [[i, j], ...], "v": [[re, im], ...]}``: the listed
+entries, every other entry +0.0.  Every reader takes either form anywhere.
+Triple documents carry ``"schema": 2`` and store each matrix whose nonzero
+entries are at most `SPARSE_MAX_DENSITY` of the whole as a sparse cell.  Every
+other document (perturbations, unitaries, idempotents) and every report matrix
+is written dense, by `matrix_to_json`.
 
 Loading validates schema and structural invariants (shapes, finiteness,
 invertibility, unitarity, idempotency); spectral axioms stay with `check`.
@@ -17,10 +25,9 @@ from .morita import AlgebraMatrix, IdempotentData
 from .pert import Perturbation
 from .triple import RealStructure, Representation, TwistedTriple, ko_signs
 
-
-def complex_to_json(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
+TRIPLE_SCHEMA = 2
+# a triple file stores a matrix sparse when at most this share of its entries is nonzero
+SPARSE_MAX_DENSITY = 0.25
 
 
 def complex_from_json(v: Any) -> complex:
@@ -30,9 +37,30 @@ def complex_from_json(v: Any) -> complex:
     return complex(v[0], v[1])
 
 
+def _pairs(m: np.ndarray) -> np.ndarray:
+    """The (r, c, 2) real view of a complex matrix: its [re, im] entries."""
+    m = np.ascontiguousarray(m, dtype=complex)
+    return m.view(float).reshape(m.shape + (2,))
+
+
 def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
-    m = np.asarray(m, dtype=complex)
-    return [[complex_to_json(z) for z in row] for row in m]
+    """A dense cell."""
+    return _pairs(m).tolist()
+
+
+def _cell_to_json(m: np.ndarray) -> list | dict:
+    """A triple file's cell: sparse when at most SPARSE_MAX_DENSITY of the entries are nonzero, else dense.
+
+    An entry is zero only when both parts are +0.0 bit for bit, so a -0.0 is
+    listed and the round trip is exact.
+    """
+    pairs = _pairs(m)
+    nonzero = np.flatnonzero(pairs.view(np.uint64).any(axis=-1))
+    if nonzero.size > SPARSE_MAX_DENSITY * m.size:
+        return pairs.tolist()
+    rows, cols = m.shape
+    return {"shape": [rows, cols], "ij": np.column_stack(np.divmod(nonzero, cols)).tolist(),
+            "v": pairs.reshape(-1, 2)[nonzero].tolist()}
 
 
 def _complex_matrix(rows: list[list]) -> np.ndarray | None:
@@ -49,7 +77,43 @@ def _complex_matrix(rows: list[list]) -> np.ndarray | None:
     return pairs.view(complex)[..., 0] if pairs.ndim == 3 and pairs.shape[2] == 2 else None
 
 
+def _sparse_from_json(v: dict, shape: tuple[int, int] | None) -> np.ndarray:
+    """The matrix of a sparse cell; its declared shape is checked against shape before anything is allocated."""
+    if v.keys() != {"shape", "ij", "v"}:
+        raise ValueError(f"sparse matrix cell must have exactly the keys shape, ij and v, got {sorted(v)}")
+    declared, ij, values = v["shape"], v["ij"], v["v"]
+    if not (isinstance(declared, list) and len(declared) == 2
+            and all(type(n) is int and n >= 1 for n in declared)):
+        raise ValueError(f"sparse cell shape must be a pair of positive JSON integers, got {declared!r}")
+    rows, cols = declared
+    if shape is not None and (rows, cols) != shape:
+        raise ValueError(f"matrix of shape {(rows, cols)} where {shape} expected")
+    if not (isinstance(ij, list) and isinstance(values, list)):
+        raise ValueError("sparse cell ij and v must be JSON lists")
+    if len(ij) != len(values):
+        raise ValueError(f"sparse cell has {len(ij)} indices in ij but {len(values)} values in v")
+    seen = set()
+    for p in ij:
+        if not (isinstance(p, list) and len(p) == 2 and type(p[0]) is int and type(p[1]) is int):
+            raise ValueError(f"sparse cell index must be an [i, j] pair of JSON integers, got {p!r}")
+        if not (0 <= p[0] < rows and 0 <= p[1] < cols):
+            raise ValueError(f"sparse cell index {p} is out of range for shape {declared}")
+        if (key := (p[0], p[1])) in seen:
+            raise ValueError(f"sparse cell lists index {p} twice")
+        seen.add(key)
+    entries = _complex_matrix([values])
+    if entries is None:   # the per-entry path names the first malformed value
+        entries = np.array([[complex_from_json(z) for z in values]], dtype=complex)
+    out = np.zeros((rows, cols), dtype=complex)
+    idx = np.array(ij, dtype=np.intp).reshape(-1, 2)
+    out[idx[:, 0], idx[:, 1]] = entries[0]
+    return out
+
+
 def matrix_from_json(v: Any, shape: tuple[int, int] | None = None) -> np.ndarray:
+    """The matrix of a dense or a sparse cell, checked against shape when one is given."""
+    if isinstance(v, dict):
+        return _sparse_from_json(v, shape)
     if not isinstance(v, list) or not v or not all(isinstance(r, list) for r in v):
         raise ValueError("matrix must be a non-empty nested array")
     ncols = len(v[0])
@@ -94,21 +158,22 @@ def triple_to_json(t: TwistedTriple) -> dict:
     for k, n in enumerate(t.shape.block_dims):
         for i in range(n):
             for j in range(n):
-                unit_images[f"{k},{i},{j}"] = matrix_to_json(t.rep.unit_images[k][i, j])
+                unit_images[f"{k},{i},{j}"] = _cell_to_json(t.rep.unit_images[k][i, j])
     doc = {
+        "schema": TRIPLE_SCHEMA,
         "algebra": {"blocks": list(t.shape.block_dims)},
         "hilbert_dim": t.dim,
         "representation": {"unit_images": unit_images},
-        "dirac": matrix_to_json(t.dirac),
+        "dirac": _cell_to_json(t.dirac),
         "automorphism": {
             "perm": list(t.sigma.perm),
-            "conjugators": [matrix_to_json(s) for s in t.sigma.conjugators],
+            "conjugators": [_cell_to_json(s) for s in t.sigma.conjugators],
         },
     }
     if t.grading is not None:
-        doc["grading"] = matrix_to_json(t.grading)
+        doc["grading"] = _cell_to_json(t.grading)
     if t.real is not None:
-        doc["real_structure"] = {"matrix": matrix_to_json(t.real.j.mat)}
+        doc["real_structure"] = {"matrix": _cell_to_json(t.real.j.mat)}
     return doc
 
 
@@ -133,9 +198,14 @@ def _integers(v: Any, field: str) -> tuple[int, ...]:
 
 
 def triple_from_json(doc: Any, tol: Tolerance = DEFAULT_TOL) -> TwistedTriple:
-    """The triple of a triple file; its KO signs are detected at tol."""
+    """The triple of a triple file; its KO signs are detected at tol.
+
+    A file without a ``schema`` field loads as one of schema 2; any other schema is rejected.
+    """
     if not isinstance(doc, dict):
         raise ValueError("triple file must be a JSON object")
+    if "schema" in doc and not (type(doc["schema"]) is int and doc["schema"] == TRIPLE_SCHEMA):
+        raise ValueError(f"triple file schema must be {TRIPLE_SCHEMA} or absent, got {doc['schema']!r}")
     try:
         blocks = _object(doc["algebra"], "algebra")["blocks"]
         dim = doc["hilbert_dim"]

@@ -124,6 +124,17 @@ class TestAutomorphism:
         with pytest.raises(ValueError):
             Automorphism(SHAPE, (1, 0), (np.eye(1), np.eye(2)))
 
+    def test_writing_the_source_conjugator_leaves_sigma_unchanged(self):
+        rng = np.random.default_rng(11)
+        source = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) + 2.0 * np.eye(2)
+        sigma = Automorphism(SHAPE, (0, 1), (np.eye(1, dtype=complex), source))
+        a = SHAPE.random_element(rng)
+        before = sigma(a).blocks[1].copy()
+        source[:] = np.diag([3.0, 0.5])   # the caller reuses its array
+        assert np.array_equal(sigma(a).blocks[1], before)
+        assert sigma.inverse()(sigma(a)).defect(a) <= 1e-12
+        assert source.flags.writeable and not sigma.conjugators[1].flags.writeable
+
 
 class TestRegularity:
     def test_identity_automorphism(self):

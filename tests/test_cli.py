@@ -7,10 +7,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import twistlab as tw
+import twistlab.cli as cli
 from twistlab.cli import main
 from twistlab.files import (
+    SPARSE_MAX_DENSITY,
+    _cell_to_json,
     complex_from_json,
     element_to_json,
     idempotent_to_json,
@@ -120,6 +125,36 @@ class TestMatrixFromJson:
         assert str(got.value) == str(want.value)
 
 
+PARTS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310]), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def planted_matrices(draw):
+    """Complex matrices whose parts include -0.0 and subnormals, with a drawn number of entries set to +0.0."""
+    r, c = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    m = np.array(draw(st.lists(PARTS, min_size=2 * r * c, max_size=2 * r * c))).view(complex).reshape(r, c)
+    zeros = draw(st.integers(0, r * c))
+    m.reshape(-1)[draw(st.permutations(range(r * c)))[:zeros]] = 0.0
+    return m
+
+
+class TestSparseCells:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(planted_matrices())
+    def test_round_trip_is_exact_to_the_bit(self, m):
+        cell = json.loads(json.dumps(_cell_to_json(m)))
+        nonzero = np.count_nonzero(m.view(np.uint64).reshape(m.shape + (2,)).any(axis=-1))
+        assert isinstance(cell, dict) == (nonzero <= SPARSE_MAX_DENSITY * m.size)
+        if not isinstance(cell, dict):
+            assert cell == matrix_to_json(m)
+        assert matrix_from_json(cell, m.shape).tobytes() == m.tobytes()
+
+    def test_dense_cells_match_the_per_entry_writer(self):
+        m = np.array([[complex(1.5, -0.0), complex(-0.0, 2.0)], [complex(0.0, 5e-324), 1e300]])
+        want = [[[complex(z).real, complex(z).imag] for z in row] for row in m]
+        assert json.dumps(matrix_to_json(m)) == json.dumps(want)
+
+
 class TestNumericOptions:
     """Out-of-range --samples and --tol are usage errors: exit 2, one error line, no traceback."""
 
@@ -169,6 +204,32 @@ SECTION_MUTATIONS = {
 }
 
 
+# sparse cells of a triple file that break the cell schema: key -> (cell key, value, error fragment)
+SPARSE_CELL_MUTATIONS = {
+    "shape_wrong": ("shape", [7, 8], "matrix of shape (7, 8) where (8, 8) expected"),
+    "shape_float": ("shape", [8.0, 8], "shape must be a pair of positive JSON integers"),
+    "shape_bool": ("shape", [True, 8], "shape must be a pair of positive JSON integers"),
+    "shape_zero": ("shape", [0, 8], "shape must be a pair of positive JSON integers"),
+    "shape_scalar": ("shape", 8, "shape must be a pair of positive JSON integers"),
+    "index_negative": ("ij", [[-1, 0], [1, 1]], "out of range"),
+    "index_out_of_range": ("ij", [[0, 0], [1, 8]], "out of range"),
+    "index_huge": ("ij", [[0, 0], [2**70, 1]], "out of range"),
+    "index_duplicated": ("ij", [[1, 1], [1, 1]], "twice"),
+    "index_bool": ("ij", [[True, 0], [1, 1]], "pair of JSON integers"),
+    "index_string": ("ij", [["0", 0], [1, 1]], "pair of JSON integers"),
+    "index_float": ("ij", [[0.0, 0], [1, 1]], "pair of JSON integers"),
+    "index_triple": ("ij", [[0, 0, 0], [1, 1]], "pair of JSON integers"),
+    "ij_scalar": ("ij", 5, "JSON lists"),
+    "value_bool": ("v", [[1.0, False], [1.0, 0.0]], "[re, im] pair"),
+    "value_string": ("v", [[1.0, 0.0], ["1", 0.0]], "[re, im] pair"),
+    "value_short": ("v", [[1.0, 0.0], [1.0]], "[re, im] pair"),
+    "lengths_differ": ("v", [[1.0, 0.0]], "2 indices in ij but 1 values in v"),
+    "unknown_key": ("nnz", 2, "exactly the keys shape, ij and v"),
+    "value_nan": ("v", [[1.0, 0.0], [float("nan"), 0.0]], "finite"),
+    "value_inf": ("v", [[1.0, float("-inf")], [1.0, 0.0]], "finite"),
+}
+
+
 class TestCheck:
     def test_exit_zero_with_first_order_violated(self, workdir, capsys):
         rc = main(["check", str(workdir / "u1u2.json")])
@@ -215,6 +276,41 @@ class TestCheck:
         if mutation in SECTION_MUTATIONS:
             section = SECTION_MUTATIONS[mutation][0]
             assert f"{section} must be a JSON object" in err and "missing" not in err
+
+    @pytest.mark.parametrize("mutation", SPARSE_CELL_MUTATIONS)
+    def test_malformed_sparse_cell_exits_two(self, workdir, capsys, mutation):
+        doc = json.loads((workdir / "u1u2.json").read_text())
+        cell = doc["representation"]["unit_images"]["0,0,0"]
+        assert cell == {"shape": [8, 8], "ij": [[0, 0], [1, 1]], "v": [[1.0, 0.0], [1.0, 0.0]]}
+        key, value, message = SPARSE_CELL_MUTATIONS[mutation]
+        cell[key] = value
+        bad = workdir / f"sparse_{mutation}.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["check", str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+        assert message in err
+
+    @pytest.mark.parametrize("schema", [1, 3, "2", 2.0, True, None])
+    def test_unknown_schema_exits_two(self, workdir, capsys, schema):
+        doc = json.loads((workdir / "u1u2.json").read_text())
+        assert doc["schema"] == 2
+        doc["schema"] = schema
+        bad = workdir / "schema.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["check", str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1 and "schema" in err
+
+    def test_file_without_schema_loads_as_before(self, workdir, capsys):
+        doc = json.loads((workdir / "u1u2.json").read_text())
+        del doc["schema"]
+        path = workdir / "no_schema.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path), "--json"]) == 0
+        unversioned = capsys.readouterr().out
+        assert main(["check", str(workdir / "u1u2.json"), "--json"]) == 0
+        assert unversioned == capsys.readouterr().out
 
     def test_json_output_deterministic(self, workdir, capsys):
         rc = main(["check", str(workdir / "u1u2.json"), "--json", "--seed", "3"])
@@ -539,3 +635,97 @@ class TestMoritaCallCounts:
         assert "d_r_equals_d_plus_omega" in out
         assert "error: exported right triple fails verification" in err
         assert "error: exported left triple fails verification" in err
+
+
+def densified(doc):
+    """The document with every sparse matrix cell rewritten as a dense nested array."""
+    if isinstance(doc, dict):
+        if doc.keys() == {"shape", "ij", "v"}:
+            return matrix_to_json(matrix_from_json(doc))
+        return {key: densified(value) for key, value in doc.items()}
+    if isinstance(doc, list):
+        return [densified(x) for x in doc]
+    return doc
+
+
+class TestDenseAgainstSparse:
+    """A triple file and its all-dense rewrite are the same triple: same arrays, byte-identical output."""
+
+    @pytest.fixture(scope="class")
+    def dense(self, workdir):
+        for name in ("u1u2", "u1u2_ky0"):
+            text = (workdir / f"{name}.json").read_text()
+            assert '"ij"' in text
+            dense = json.dumps(densified(json.loads(text)), sort_keys=True)
+            assert '"ij"' not in dense and '"schema": 2' in dense
+            (workdir / f"{name}_dense.json").write_text(dense)
+        return workdir
+
+    @pytest.mark.parametrize("name", ["u1u2", "u1u2_ky0"])
+    def test_both_files_load_to_equal_arrays(self, dense, name):
+        s, d = (load_triple(str(dense / f"{name}{suffix}.json")) for suffix in ("", "_dense"))
+        assert np.array_equal(s.rep.stack, d.rep.stack)
+        assert np.array_equal(s.dirac, d.dirac) and np.array_equal(s.grading, d.grading)
+        assert np.array_equal(s.real.j.mat, d.real.j.mat)
+        assert s.sigma.perm == d.sigma.perm
+        assert all(np.array_equal(a, b) for a, b in zip(s.sigma.conjugators, d.sigma.conjugators))
+        assert s.real.epsilon_prime == d.real.epsilon_prime == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "T"],
+        ["check", "T", "--json"],
+        ["fluctuate", "T", "P", "--check-mu", "--json"],
+        ["gauge", "T", "P", "U", "--json"],
+        ["morita", "T0", "--idempotent", "E", "--json"],
+    ], ids=["check", "check_json", "fluctuate", "gauge", "morita"])
+    def test_stdout_is_byte_identical(self, dense, capsys, argv):
+        outputs = []
+        for suffix in ("", "_dense"):
+            files = {"T": f"u1u2{suffix}.json", "T0": f"u1u2_ky0{suffix}.json", "P": "pert.json",
+                     "U": "unitary.json", "E": "idem.json"}
+            rc = main([str(dense / files[a]) if a in files else a for a in argv])
+            outputs.append((rc, capsys.readouterr().out))
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
+
+class TestParser:
+    """The parser is built once per process; each call parses as a fresh parser would."""
+
+    def test_built_once(self):
+        assert cli._parser() is cli._parser()
+
+    def test_version_twice(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["--version"])
+            assert exc.value.code == 0
+            assert capsys.readouterr().out == f"twistlab {tw.__version__}\n"
+
+    def test_back_to_back_calls_see_only_their_own_arguments(self, workdir, capsys, monkeypatch):
+        seen = []
+        for name in ("cmd_check", "cmd_gauge", "cmd_model"):
+            monkeypatch.setattr(cli, name, lambda args: seen.append(vars(args)) or 0)
+        t = str(workdir / "u1u2.json")
+        calls = [
+            ["check", t, "--samples", "3", "--json", "--seed", "5", "--require-first-order"],
+            ["gauge", t, "P", "U", "--tol", "1e-6"],
+            ["model", "u1u2", "--kx", "1,0", "--ky", "0,0", "--out", "x.json"],
+            ["check", t],
+        ]
+        for argv in calls:
+            assert main(argv) == 0
+        assert seen == [vars(cli._parser.__wrapped__().parse_args(argv)) for argv in calls]
+        assert seen[3]["samples"] == 10 and not seen[3]["json"] and seen[3]["seed"] == 0
+
+    def test_usage_errors_exit_two_between_calls(self, workdir, capsys):
+        t = str(workdir / "u1u2.json")
+        assert main(["check", t, "--json", "--seed", "3"]) == 0
+        first = capsys.readouterr().out
+        for argv in (["check"], ["nope", t], ["check", t, "--samples", "0"], ["gauge", t, "--tol", "-1"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == "" and "error:" in err
+        assert main(["check", t, "--json", "--seed", "3"]) == 0
+        assert capsys.readouterr().out == first
