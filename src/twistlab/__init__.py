@@ -8,7 +8,7 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .linalg import AntilinearOp, Tolerance, approx_eq, kron, rel_defect
+from .linalg import AntilinearOp, Tolerance, rel_defect
 from .algebra import (
     AlgebraElement,
     AlgebraShape,
@@ -43,10 +43,8 @@ from .pert import (
     pert_unit,
 )
 from .gauge import (
-    GaugeContext,
     SelfAdjointnessReport,
     find_selfadjointness_witness,
-    gauge_context,
     gauge_dirac,
     gauge_pert,
     selfadjointness_report,

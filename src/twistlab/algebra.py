@@ -157,9 +157,6 @@ class AlgebraElement:
             raise ValueError("algebra shape mismatch")
         return rel_defect(self.coefficients(), other.coefficients())
 
-    def approx_eq(self, other: AlgebraElement, tol: Tolerance = DEFAULT_TOL) -> bool:
-        return self.defect(other) <= tol.abs_eps
-
 
 def _from_normals(shape: AlgebraShape, x: np.ndarray, scale: float) -> AlgebraElement:
     """The elements `random_element` makes of the standard normals x, 2N of them per element on x's last axis."""
@@ -261,11 +258,6 @@ class Automorphism:
                                      tuple(np.kron(eye, s) for s in self._conjugator_invs))
         return cache[n]
 
-    def is_identity(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        if self.perm != tuple(range(self.shape.num_blocks)):
-            return False
-        return all(self(a).approx_eq(a, tol) for _, a in self.shape.basis())
-
 
 def _automorphism(shape: AlgebraShape, perm: tuple[int, ...], conjugators: tuple[np.ndarray, ...],
                   conjugator_invs: tuple[np.ndarray, ...]) -> Automorphism:
@@ -281,16 +273,6 @@ def identity_automorphism(shape: AlgebraShape) -> Automorphism:
         tuple(range(shape.num_blocks)),
         tuple(np.eye(n, dtype=complex) for n in shape.block_dims),
     )
-
-
-def compose(outer: Automorphism, inner: Automorphism) -> Automorphism:
-    """Pointwise composition outer(inner(.)), re-expressed in perm/conjugator form."""
-    if outer.shape != inner.shape:
-        raise ValueError("algebra shape mismatch")
-    nb = outer.shape.num_blocks
-    perm = tuple(outer.perm[inner.perm[k]] for k in range(nb))
-    conj = tuple(outer.conjugators[inner.perm[k]] @ inner.conjugators[k] for k in range(nb))
-    return Automorphism(outer.shape, perm, conj)
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,8 @@ from .gauge import gauge_dirac, selfadjointness_report
 from .linalg import DEFAULT_TOL, Tolerance, dagger, rel_defect
 from .models import build_u1u2, verify_fluctuation_formula
 from .morita import (
+    IdempotentData,
+    amat_unit,
     build_left_triple,
     build_real_triple,
     build_right_triple,
@@ -36,10 +38,11 @@ from .morita import (
     check_morita_triple,
     check_real_triple,
     conjugate_connection,
+    connection_with,
     grassmann,
     lift_maps,
 )
-from .pert import act_mu, eta, fluctuate, normalize, pert_mul
+from .pert import Perturbation, act_mu, eta, eta_adjoint_pairs, fluctuate, normalize, pert_mul
 from .triple import check_axioms
 
 
@@ -48,17 +51,27 @@ def _fail(msg: str) -> int:
     return 2
 
 
-def _emit(report: dict, as_json: bool) -> None:
+def _dumps(doc) -> str:
+    """The one JSON layout: compact, sorted keys, every ndarray a dense cell; one pass of json's C encoder."""
+    return json.dumps(doc, sort_keys=True, default=matrix_to_json)
+
+
+def _emit(doc: dict, as_json: bool) -> None:
+    """Print a command's report: one JSON line, or one `key: value` line per field, keys sorted alike."""
     if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_dumps(doc))
         return
-    for key, value in report.items():
+    for key in sorted(doc):
+        value = doc[key]
         if isinstance(value, float):
-            print(f"{key}: {value:.3e}")
-        elif isinstance(value, (str, int, bool)) or value is None:
-            print(f"{key}: {value}")
+            text = f"{value:.3e}"
+        elif isinstance(value, np.ndarray):
+            text = np.array2string(value, precision=6, suppress_small=True)
+        elif isinstance(value, (list, dict)):
+            text = _dumps(value)
         else:
-            print(f"{key}: {json.dumps(value)}")
+            text = value
+        print(f"{key}: {text}")
 
 
 def _status(defect: float | None, eps: float) -> str:
@@ -78,7 +91,7 @@ def cmd_check(args) -> int:
     report = check_axioms(t, samples=args.samples, seed=args.seed, tol=tol)
     eps = tol.abs_eps
     if args.json:
-        doc = {
+        _emit({
             "dirac_selfadjoint": report.dirac_selfadjoint,
             "regularity": report.regularity,
             "rep_homomorphism": report.rep_homomorphism,
@@ -105,8 +118,7 @@ def cmd_check(args) -> int:
             "compact_resolvent": report.compact_resolvent,
             "warnings": list(report.warnings),
             "failures": report.failures(args.require_first_order),
-        }
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        }, True)
     else:
         print(f"dirac_selfadjoint: {_status(report.dirac_selfadjoint, eps)}")
         print(f"regularity: {_status(report.regularity, eps)}")
@@ -148,24 +160,14 @@ def cmd_fluctuate(args) -> int:
         "j_compat_defect": report.j_compat_defect,
         "omega2_gate_defect": report.omega2_gate_defect,
         "first_order_defect": report.first_order_defect,
-        "omega1": matrix_to_json(report.omega1),
-        "omega1_hat": matrix_to_json(report.omega1_hat),
-        "omega2": matrix_to_json(report.omega2),
-        "d_omega": matrix_to_json(report.d_omega),
+        "omega1": report.omega1,
+        "omega1_hat": report.omega1_hat,
+        "omega2": report.omega2,
+        "d_omega": report.d_omega,
     }
     if args.check_mu:
         doc["mu_action_defect"] = rel_defect(act_mu(t, report.pert, t.dirac, tol), report.d_omega)
-    if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        for key in ("normalization_defect", "selfadjoint_omega1", "selfadjoint_d_omega",
-                    "j_compat_defect", "omega2_gate_defect", "first_order_defect"):
-            print(f"{key}: {doc[key]}")
-        if args.check_mu:
-            print(f"mu_action_defect: {doc['mu_action_defect']:.3e}")
-        for name in ("omega1", "omega1_hat", "omega2", "d_omega"):
-            print(f"{name}:")
-            print(np.array2string(getattr(report, name), precision=6, suppress_small=True))
+    _emit(doc, args.json)
     return 0
 
 
@@ -176,21 +178,18 @@ def cmd_gauge(args) -> int:
     tol = args.tol
     p = _normalized(t, p, tol)
     report = gauge_dirac(t, p, u, tol)
-    sa = selfadjointness_report(t, p, u, tol) if report.fluctuation.selfadjoint_d_omega else None
     doc = {
         "covariance_defect": report.defect,
         "bare_four_term_defect": report.bare_defect,
         "gauged_selfadjoint": report.gauged_fluctuation.selfadjoint_d_omega,
+        "gauged_d_omega": report.rhs,
     }
-    if sa is not None:
+    if report.fluctuation.selfadjoint_d_omega:
+        sa = selfadjointness_report(t, p, u, tol)
         doc["criterion_defect"] = sa.criterion_defect
         doc["gauge_sa_defect"] = sa.gauge_sa_defect
         doc["decomposition_defect"] = sa.decomposition_defect
-    if args.json:
-        doc["gauged_d_omega"] = matrix_to_json(report.rhs)
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        _emit(doc, False)
+    _emit(doc, args.json)
     return 0
 
 
@@ -199,18 +198,12 @@ def cmd_pert_mul(args) -> int:
     p = load_pert(args.left, t.shape)
     q = load_pert(args.right, t.shape)
     prod = pert_mul(p, q)
-    doc = {
+    _emit({
         "pairs": len(prod.pairs),
         "normalization_defect": prod.normalization_defect(t.sigma),
         "eta_norm": float(np.linalg.norm(eta(t, prod).op)),
         "product": pert_to_json(prod),
-    }
-    if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        for key in ("pairs", "normalization_defect", "eta_norm"):
-            print(f"{key}: {doc[key]}")
-        print(json.dumps(doc["product"]))
+    }, args.json)
     return 0
 
 
@@ -220,8 +213,6 @@ def _parse_complex(text: str) -> complex:
 
 
 def cmd_model(args) -> int:
-    from .pert import Perturbation
-
     if args.which != "u1u2":
         return _fail(f"unknown model '{args.which}'")
     try:
@@ -240,33 +231,24 @@ def cmd_model(args) -> int:
         )
         rep = verify_fluctuation_formula(model, Perturbation(model.triple.shape, pairs))
         max_defect = max(max_defect, rep.max_defect)
-    doc = triple_to_json(model.triple)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            # one dumps call, which uses json's C encoder; json.dump always encodes in pure Python
-            fh.write(json.dumps(doc, sort_keys=True))
-    report = {
+    doc = {
         "ko_dimension": model.axioms.ko_dimension,
         "order_zero": model.axioms.order_zero,
         "first_order": model.axioms.first_order,
         "formula_max_defect": max_defect,
         "written": args.out or None,
     }
-    if args.json:
-        if not args.out:
-            report["triple"] = doc
-        print(json.dumps(report, indent=2, sort_keys=True))
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            # one dumps call, which uses json's C encoder; json.dump always encodes in pure Python
+            fh.write(_dumps(triple_to_json(model.triple)))
     else:
-        _emit(report, False)
-        if not args.out:
-            print(json.dumps(doc, sort_keys=True))
+        doc["triple"] = triple_to_json(model.triple)
+    _emit(doc, args.json)
     return 0 if max_defect <= tol.abs_eps and model.axioms.passes() else 1
 
 
 def cmd_morita(args) -> int:
-    from .morita import IdempotentData, amat_unit, connection_with
-    from .pert import Perturbation, eta_adjoint_pairs
-
     t = load_triple(args.triple, args.tol)
     tol = args.tol
 

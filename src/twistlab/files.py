@@ -21,13 +21,16 @@ import numpy as np
 
 from .algebra import AlgebraElement, AlgebraShape, Automorphism, Unitary
 from .linalg import DEFAULT_TOL, AntilinearOp, Tolerance
-from .morita import AlgebraMatrix, IdempotentData
-from .pert import Perturbation
+from .morita import AlgebraMatrix, IdempotentData, connection_with
+from .pert import OppPerturbation, Perturbation, eta, eta_opp
 from .triple import RealStructure, Representation, TwistedTriple, ko_signs
 
 TRIPLE_SCHEMA = 2
 # a triple file stores a matrix sparse when at most this share of its entries is nonzero
 SPARSE_MAX_DENSITY = 0.25
+# the most bytes a file may make the loader allocate before it reads the entries: the dense
+# representation stack of a triple (N d^2 complex entries), or the declared shape of one sparse cell
+MAX_DENSE_BYTES = 1 << 30
 
 
 def complex_from_json(v: Any) -> complex:
@@ -88,6 +91,9 @@ def _sparse_from_json(v: dict, shape: tuple[int, int] | None) -> np.ndarray:
     rows, cols = declared
     if shape is not None and (rows, cols) != shape:
         raise ValueError(f"matrix of shape {(rows, cols)} where {shape} expected")
+    if rows * cols * 16 > MAX_DENSE_BYTES:
+        raise ValueError(f"sparse cell shape {declared} is {rows * cols * 16} bytes dense, "
+                         f"over the {MAX_DENSE_BYTES}-byte bound")
     if not (isinstance(ij, list) and isinstance(values, list)):
         raise ValueError("sparse cell ij and v must be JSON lists")
     if len(ij) != len(values):
@@ -220,6 +226,11 @@ def triple_from_json(doc: Any, tol: Tolerance = DEFAULT_TOL) -> TwistedTriple:
         raise ValueError(f"triple file missing required field: {exc}") from exc
     shape = AlgebraShape(_integers(blocks, "algebra.blocks"))
     dim = _integer(dim, "hilbert_dim")
+    if dim < 1:
+        raise ValueError(f"hilbert_dim must be >= 1, got {dim}")
+    if (size := shape.basis_size * dim * dim * 16) > MAX_DENSE_BYTES:
+        raise ValueError(f"hilbert_dim {dim} with {shape.basis_size} matrix units makes the representation "
+                         f"stack {size} bytes, over the {MAX_DENSE_BYTES}-byte bound")
     if not isinstance(conjugators, list) or len(conjugators) != shape.num_blocks:
         raise ValueError(f"automorphism needs a list of {shape.num_blocks} conjugators, one per block")
     images = []
@@ -285,9 +296,6 @@ def connection_cells_from_json(shape: AlgebraShape, v: Any) -> tuple[tuple[Pertu
 def connection_from_cells(t: TwistedTriple, e: IdempotentData, cells: tuple[tuple[Perturbation, ...], ...],
                           side: str = "right"):
     """The connection whose one-form entry (i, j) is eta (right) or eta_opp (left) of cells[i][j]."""
-    from .morita import connection_with
-    from .pert import eta, eta_opp, OppPerturbation
-
     n = e.n
     if len(cells) != n or any(len(row) != n for row in cells):
         raise ValueError("connection file must be an n x n array of one-form pair lists")

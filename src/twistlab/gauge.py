@@ -18,38 +18,15 @@ from .pert import FluctuationReport, Perturbation, fluctuate, p_of_u, pert_mul
 from .triple import TwistedTriple
 
 
-@dataclass(frozen=True)
-class GaugeContext:
-    """Operators of the twisted adjoint action for one unitary."""
-
-    u: Unitary
-    frak_u: AlgebraElement          # sigma(u)* u, the twist-invariance obstruction
-    ad_sigma_u: np.ndarray          # Ad(sigma(u)) = pi(sigma(u)) hat(sigma(u))
-    ad_u_star: np.ndarray           # Ad(u)* = pi(u*) hat(u*)
-
-
-def _gauge_images(t: TwistedTriple, u: Unitary) -> tuple[AlgebraElement, np.ndarray, np.ndarray]:
-    """sigma(u), and pi and hat of sigma(u), u* and sigma(u*) as two (3, d, d) stacks.
+def _gauge_images(t: TwistedTriple, u: Unitary) -> tuple[np.ndarray, np.ndarray]:
+    """pi and hat of sigma(u), u* and sigma(u*) as two (3, d, d) stacks.
 
     The three images are one `rep.images_of` GEMM and their hats one
     J-conjugation; every operator of the gauge action is built from them.
     """
-    su, us = t.sigma(u.element), u.element.star()
-    images = t.rep.images_of([su, us, t.sigma(us)])
-    return su, images, t.require_real().j.conjugate(images)
-
-
-def _context(u: Unitary, su: AlgebraElement, images: np.ndarray, hats: np.ndarray) -> GaugeContext:
-    return GaugeContext(
-        u=u,
-        frak_u=su.star() * u.element,
-        ad_sigma_u=images[0] @ hats[0],
-        ad_u_star=images[1] @ hats[1],
-    )
-
-
-def gauge_context(t: TwistedTriple, u: Unitary) -> GaugeContext:
-    return _context(u, *_gauge_images(t, u))
+    us = u.element.star()
+    images = t.rep.images_of([t.sigma(u.element), us, t.sigma(us)])
+    return images, t.require_real().j.conjugate(images)
 
 
 def gauge_pert(t: TwistedTriple, p: Perturbation, u: Unitary, tol: Tolerance = DEFAULT_TOL) -> Perturbation:
@@ -87,8 +64,7 @@ def bare_conjugation_terms(t: TwistedTriple, u: Unitary) -> tuple[np.ndarray, np
     t1 = sigma(u)[D,u*]_sigma, t2 = the hat-side mirror of t1, and t3 the mixed
     bracket coupling them; t3 vanishes exactly when the first-order condition holds.
     """
-    _, images, hats = _gauge_images(t, u)
-    return _bare_terms(t.dirac, images, hats)
+    return _bare_terms(t.dirac, *_gauge_images(t, u))
 
 
 def _gauged_fluctuation(t: TwistedTriple, p: Perturbation, u: Unitary, tol: Tolerance) -> FluctuationReport:
@@ -108,14 +84,14 @@ def _gauged_fluctuation(t: TwistedTriple, p: Perturbation, u: Unitary, tol: Tole
 
 def gauge_dirac(t: TwistedTriple, p: Perturbation, u: Unitary, tol: Tolerance = DEFAULT_TOL) -> GaugeDiracReport:
     flu = fluctuate(t, p, tol)
-    su, images, hats = _gauge_images(t, u)
-    ctx = _context(u, su, images, hats)
-    lhs = ctx.ad_sigma_u @ flu.d_omega @ ctx.ad_u_star
+    images, hats = _gauge_images(t, u)
+    ad_sigma_u, ad_u_star = images[0] @ hats[0], images[1] @ hats[1]   # Ad(sigma(u)) and Ad(u)*
+    lhs = ad_sigma_u @ flu.d_omega @ ad_u_star
     gauged = _gauged_fluctuation(t, flu.pert, u, tol)
     rhs = gauged.d_omega
 
     t1, t2, t3 = _bare_terms(t.dirac, images, hats)
-    bare_lhs = ctx.ad_sigma_u @ t.dirac @ ctx.ad_u_star
+    bare_lhs = ad_sigma_u @ t.dirac @ ad_u_star
     bare_defect = rel_defect(bare_lhs, t.dirac + t1 + t2 + t3)
     return GaugeDiracReport(
         lhs=lhs,

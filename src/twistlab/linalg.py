@@ -1,8 +1,8 @@
 """Dense complex matrix kernels and antilinear-operator support.
 
 Everything downstream works with plain ``numpy`` arrays of dtype complex128;
-this module owns the comparison policy, the Kronecker product and the
-antilinear operators that realize real structures.
+this module owns the comparison policy and the antilinear operators that
+realize real structures.
 """
 from __future__ import annotations
 
@@ -50,11 +50,6 @@ def frobenius(a: np.ndarray) -> float:
     return math.sqrt(np.vdot(a, a).real)
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, entry (i*br+k, j*bc+l) = a[i,j]*b[k,l]."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def relative(dist, *norms):
     """dist / max(1, *norms), elementwise with broadcasting: the one floor of every defect in the library."""
     if isinstance(dist, float):     # the builtin max, as a ufunc call on floats costs more than an element defect
@@ -81,10 +76,6 @@ def rel_defects(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     scale = np.sqrt(np.maximum(sq_norms(x), sq_norms(y)))
     np.subtract(x, y, out=x)
     return relative(np.sqrt(sq_norms(x)), scale)
-
-
-def approx_eq(x: np.ndarray, y: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-    return rel_defect(x, y) <= tol.abs_eps
 
 
 class _Monomial(NamedTuple):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraShape, Automorphism, identity_automorphism
+from .algebra import AlgebraShape, Automorphism, identity_automorphism
 from .linalg import AntilinearOp, relative
 from .pert import Perturbation, fluctuate
 from .triple import AxiomReport, RealStructure, Representation, TwistedTriple, check_axioms
@@ -154,15 +154,6 @@ def verify_fluctuation_formula(model: U1U2Model, p: Perturbation) -> FormulaRepo
     literal = assemble_fluctuated_dirac(model, params)
     entrywise = lambda x: float(np.abs(x).max())
     return FormulaReport(relative(entrywise(flu.d_omega - literal), entrywise(flu.d_omega), entrywise(literal)), params)
-
-
-def identify_left_right(a: AlgebraElement) -> AlgebraElement:
-    """Collapse the doubling by copying the r-components over the l-components."""
-    if a.shape != U1U2_SHAPE:
-        raise ValueError("element does not live in the doubled even algebra")
-    b = list(a.blocks)
-    b[_BLK_LR_L], b[_BLK_LL_L], b[_BLK_M_L] = b[_BLK_LR_R], b[_BLK_LL_R], b[_BLK_M_R]
-    return AlgebraElement(U1U2_SHAPE, tuple(b))
 
 
 def untwisted_params(p: Perturbation) -> FlucParams:

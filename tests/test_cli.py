@@ -2,8 +2,10 @@ import collections
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ import twistlab as tw
 import twistlab.cli as cli
 from twistlab.cli import main
 from twistlab.files import (
+    MAX_DENSE_BYTES,
     SPARSE_MAX_DENSITY,
     _cell_to_json,
     complex_from_json,
@@ -148,6 +151,11 @@ class TestSparseCells:
         if not isinstance(cell, dict):
             assert cell == matrix_to_json(m)
         assert matrix_from_json(cell, m.shape).tobytes() == m.tobytes()
+
+    def test_a_cell_of_no_expected_shape_is_bounded(self):
+        with pytest.raises(ValueError, match="byte bound"):
+            matrix_from_json({"shape": [10**7, 10**7], "ij": [], "v": []})
+        assert matrix_from_json({"shape": [2, 3], "ij": [], "v": []}).shape == (2, 3)
 
     def test_dense_cells_match_the_per_entry_writer(self):
         m = np.array([[complex(1.5, -0.0), complex(-0.0, 2.0)], [complex(0.0, 5e-324), 1e300]])
@@ -290,6 +298,28 @@ class TestCheck:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
         assert message in err
+
+    @pytest.mark.parametrize("dim", [10**7, 0, -3])
+    def test_hilbert_dim_out_of_range_exits_two_before_allocating(self, workdir, capsys, dim):
+        # every unit image an empty sparse cell of the declared size: a few bytes in the file
+        doc = json.loads((workdir / "u1u2.json").read_text())
+        doc["hilbert_dim"] = dim
+        units = doc["representation"]["unit_images"]
+        for key in units:
+            units[key] = {"shape": [dim, dim], "ij": [], "v": []}
+        bad = workdir / "hilbert_dim.json"
+        bad.write_text(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            rc = main(["check", str(bad)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+        assert "hilbert_dim" in err
+        assert peak < MAX_DENSE_BYTES // 64
 
     @pytest.mark.parametrize("schema", [1, 3, "2", 2.0, True, None])
     def test_unknown_schema_exits_two(self, workdir, capsys, schema):
@@ -686,6 +716,38 @@ class TestDenseAgainstSparse:
             rc = main([str(dense / files[a]) if a in files else a for a in argv])
             outputs.append((rc, capsys.readouterr().out))
         assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
+
+# one command of each report shape; T, T0, P, U and E name the workdir's files
+LAYOUT_COMMANDS = {
+    "check": ["check", "T"],
+    "fluctuate": ["fluctuate", "T", "P", "--check-mu"],
+    "gauge": ["gauge", "T", "P", "U"],
+    "pert_mul": ["pert-mul", "T", "P", "P"],
+    "model": ["model", "u1u2", "--kx", "1,0.5", "--ky", "0.7,-0.2", "--verify", "1"],
+    "model_out": ["model", "u1u2", "--kx", "1,0.5", "--ky", "0.7,-0.2", "--verify", "1", "--out", "OUT"],
+    "morita_self": ["morita", "T", "--self", "--omega", "P"],
+    "morita_idempotent": ["morita", "T0", "--idempotent", "E"],
+}
+
+
+@pytest.mark.parametrize("name", LAYOUT_COMMANDS)
+def test_one_output_layout(workdir, tmp_path, capsys, name):
+    """--json prints one line, compact with sorted keys; the text form prints the same keys in that order."""
+    files = {"T": workdir / "u1u2.json", "T0": workdir / "u1u2_ky0.json", "P": workdir / "pert.json",
+             "U": workdir / "unitary.json", "E": workdir / "idem.json", "OUT": tmp_path / "t.json"}
+    argv = [str(files[a]) if a in files else a for a in LAYOUT_COMMANDS[name]]
+    assert main(argv + ["--json"]) == 0
+    out = capsys.readouterr().out
+    doc = json.loads(out)
+    assert out == json.dumps(doc, sort_keys=True) + "\n"
+    if name == "model_out":
+        assert files["OUT"].read_text() == json.dumps(json.loads(files["OUT"].read_text()), sort_keys=True)
+    if name == "check":   # check keeps its per-axiom table
+        return
+    assert main(argv) == 0
+    keys = re.findall(r"^(\w+): ", capsys.readouterr().out, flags=re.MULTILINE)
+    assert keys == list(doc)
 
 
 class TestParser:

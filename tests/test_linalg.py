@@ -6,11 +6,9 @@ from hypothesis import strategies as st
 from twistlab.linalg import (
     AntilinearOp,
     Tolerance,
-    approx_eq,
     cmatrix,
     dagger,
     frobenius,
-    kron,
     rel_defect,
     rel_defects,
     relative,
@@ -29,49 +27,28 @@ def random_unitary(n, rng=RNG):
     return q @ np.diag(np.exp(1j * np.angle(np.diag(r))))
 
 
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_diag_with_identity(self):
-        out = kron(np.diag([1.0, -1.0]), np.eye(2))
-        assert np.array_equal(out, np.diag([1.0, 1.0, -1.0, -1.0]))
-
-    def test_entries_against_loop_oracle(self):
-        x, y = crand(2, 2), crand(2, 2)
-        out = kron(x, y)
-        # brute-force entry enumeration (FMA in the vectorized path allows ULP slack)
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    for l in range(2):
-                        assert abs(out[2 * i + k, 2 * j + l] - x[i, j] * y[k, l]) <= 1e-14
-
-    def test_associative(self):
-        a, b, c = crand(2, 3), crand(2, 2), crand(3, 2)
-        assert np.allclose(kron(kron(a, b), c), kron(a, kron(b, c)), atol=1e-12)
-
-
 class TestApproxEq:
+    """X ~ Y at a tolerance iff rel_defect(X, Y) <= abs_eps."""
+
     def test_equal(self):
         x = crand(3, 3)
-        assert approx_eq(x, x)
+        assert rel_defect(x, x) == 0.0
 
     def test_below_threshold(self):
         x = np.zeros((2, 2))
         y = np.zeros((2, 2))
         y[0, 0] = 0.5e-10
-        assert approx_eq(x, y)
+        assert rel_defect(x, y) <= Tolerance().abs_eps
 
     def test_above_threshold(self):
         x = np.eye(2)
         y = np.eye(2).astype(complex)
         y[0, 0] += 1e-3
-        assert not approx_eq(x, y)
+        assert not rel_defect(x, y) <= Tolerance().abs_eps
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            approx_eq(np.eye(2), np.eye(3))
+            rel_defect(np.eye(2), np.eye(3))
 
     def test_tolerance_positive(self):
         with pytest.raises(ValueError):

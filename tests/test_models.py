@@ -2,13 +2,19 @@ import numpy as np
 import pytest
 
 import twistlab as tw
+from twistlab.algebra import AlgebraElement
 from twistlab.linalg import dagger, rel_defect
 from twistlab.models import (
+    _BLK_LL_L,
+    _BLK_LL_R,
+    _BLK_LR_L,
+    _BLK_LR_R,
+    _BLK_M_L,
+    _BLK_M_R,
     FIRST_ORDER_WITNESS,
     U1U2_SHAPE,
     assemble_fluctuated_dirac,
     extract_params,
-    identify_left_right,
     two_point_model,
     untwisted_params,
     verify_fluctuation_formula,
@@ -17,6 +23,15 @@ from twistlab.pert import fluctuate, normalize, pert_unit
 from twistlab.triple import check_axioms
 
 from conftest import random_normalized_pert, random_pert
+
+
+def identify_left_right(a: AlgebraElement) -> AlgebraElement:
+    """Collapse the doubling by copying the r-components over the l-components."""
+    if a.shape != U1U2_SHAPE:
+        raise ValueError("element does not live in the doubled even algebra")
+    b = list(a.blocks)
+    b[_BLK_LR_L], b[_BLK_LL_L], b[_BLK_M_L] = b[_BLK_LR_R], b[_BLK_LL_R], b[_BLK_M_R]
+    return AlgebraElement(U1U2_SHAPE, tuple(b))
 
 
 def elem(**blocks):
