@@ -168,6 +168,15 @@ def _from_normals(shape: AlgebraShape, x: np.ndarray, scale: float) -> AlgebraEl
     return _element(shape, tuple(blocks))
 
 
+def stack(shape: AlgebraShape, parts) -> AlgebraElement:
+    """The list of elements (or equal-shaped stacks) parts as one stack over a new leading axis."""
+    if any(x.shape != shape for x in parts):
+        raise ValueError("algebra shape mismatch")
+    if not parts:
+        return _element(shape, tuple(np.zeros((0, n, n), dtype=complex) for n in shape.block_dims))
+    return _element(shape, tuple(np.stack(blocks) for blocks in zip(*(x.blocks for x in parts))))
+
+
 def _element(shape: AlgebraShape, blocks: tuple[np.ndarray, ...]) -> AlgebraElement:
     """The element with these blocks, trusted: they are finite complex (..., n_k, n_k) arrays, so nothing is checked."""
     out = object.__new__(AlgebraElement)

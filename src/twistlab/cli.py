@@ -199,7 +199,7 @@ def cmd_pert_mul(args) -> int:
     q = load_pert(args.right, t.shape)
     prod = pert_mul(p, q)
     _emit({
-        "pairs": len(prod.pairs),
+        "pairs": len(prod),
         "normalization_defect": prod.normalization_defect(t.sigma),
         "eta_norm": float(np.linalg.norm(eta(t, prod).op)),
         "product": pert_to_json(prod),
@@ -258,8 +258,7 @@ def cmd_morita(args) -> int:
         p = _normalized(t, load_pert(args.omega, t.shape), tol)
         # selfadjoint one-form via pair-level symmetrization (stays normalised)
         padj = eta_adjoint_pairs(t, p, tol)
-        p_sym = Perturbation(t.shape, tuple((0.5 * a, b) for a, b in p.pairs)
-                             + tuple((0.5 * a, b) for a, b in padj.pairs))
+        p_sym = Perturbation(t.shape, tuple((0.5 * a, b) for a, b in p.pairs + padj.pairs))
         w = eta(t, p_sym).op
         idem = IdempotentData(amat_unit(t.shape, 1))
         ep = t.epsilon_prime(tol)

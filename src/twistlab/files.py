@@ -300,7 +300,7 @@ def connection_from_cells(t: TwistedTriple, e: IdempotentData, cells: tuple[tupl
     if len(cells) != n or any(len(row) != n for row in cells):
         raise ValueError("connection file must be an n x n array of one-form pair lists")
     ops = tuple(
-        tuple(eta(t, p).op if side == "right" else eta_opp(t, OppPerturbation(t.shape, p.pairs))
+        tuple(eta(t, p).op if side == "right" else eta_opp(t, OppPerturbation._of(p.first, p.second))
               for p in row)
         for row in cells
     )

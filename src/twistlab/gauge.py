@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, Unitary
+from .algebra import AlgebraElement, Unitary, stack
 from .linalg import DEFAULT_TOL, Tolerance, dagger, frobenius, rel_defect, relative
 from .pert import FluctuationReport, Perturbation, fluctuate, p_of_u, pert_mul
 from .triple import TwistedTriple
@@ -21,11 +21,11 @@ from .triple import TwistedTriple
 def _gauge_images(t: TwistedTriple, u: Unitary) -> tuple[np.ndarray, np.ndarray]:
     """pi and hat of sigma(u), u* and sigma(u*) as two (3, d, d) stacks.
 
-    The three images are one `rep.images_of` GEMM and their hats one
+    The three images are one `pi` call on their stack and their hats one
     J-conjugation; every operator of the gauge action is built from them.
     """
     us = u.element.star()
-    images = t.rep.images_of([t.sigma(u.element), us, t.sigma(us)])
+    images = t.pi(stack(t.shape, [t.sigma(u.element), us, t.sigma(us)]))
     return images, t.require_real().j.conjugate(images)
 
 
@@ -126,7 +126,7 @@ def selfadjointness_report(
     d_omega = flu.d_omega
     ep = t.epsilon_prime(tol)
     fu = t.sigma(u.element).star() * u.element
-    images = t.rep.images_of([fu, t.sigma(fu)])
+    images = t.pi(stack(t.shape, [fu, t.sigma(fu)]))
     (pi_fu, pi_sfu), (hat_fu, hat_sfu) = images, t.real.j.conjugate(images)
 
     bracket = d_omega @ pi_fu - pi_sfu @ d_omega

@@ -178,13 +178,11 @@ class AntilinearOp:
 
 
 def detect_sign(transformed: np.ndarray, original: np.ndarray, tol: Tolerance = DEFAULT_TOL):
-    """Return (sign, defect) with sign in {+1,-1,None} minimizing ||transformed - sign*original||."""
+    """Return (sign, defect) with sign in {+1,-1,None} minimizing ||transformed - sign*original||.
+
+    -1 needs the strictly smaller defect (NaN is the largest); a defect over tol, or NaN, gives no sign.
+    """
     d_plus = rel_defect(transformed, original)
     d_minus = rel_defect(transformed, -original)
-    if d_plus <= d_minus:
-        sign, defect = 1, d_plus
-    else:
-        sign, defect = -1, d_minus
-    if defect > tol.abs_eps:
-        return None, defect
-    return sign, defect
+    sign, defect = (-1, d_minus) if d_minus < d_plus or math.isnan(d_plus) else (1, d_plus)
+    return (sign if defect <= tol.abs_eps else None), defect

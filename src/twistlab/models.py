@@ -93,6 +93,18 @@ class FlucParams:
     sigma_upper: np.ndarray   # shape (2,), indexed by J'
 
 
+def _params(p: Perturbation, lr: int, ll: int, m: int) -> FlucParams:
+    """The parameter sums over the pair axis; the legs the twist routes are read from blocks lr, ll and m (l or r copy)."""
+    a, b = p.first.blocks, p.second.blocks
+    a_lr_r, b_lr_r, b_ll_r, b_mr = a[_BLK_LR_R][:, 0, 0], b[_BLK_LR_R][:, 0, 0], b[_BLK_LL_R][:, 0, 0], b[_BLK_M_R]
+    b_lr, a_m = b[lr][:, 0, 0], a[m]
+    phi = (a_lr_r * (b[ll][:, 0, 0] - b_lr)).sum()
+    phi_p = (a[ll][:, 0, 0] * (b_lr_r - b_ll_r)).sum()
+    s_up = (a_lr_r[:, None] * (b[m][:, 0, :] - b_lr[:, None] * [1.0, 0.0])).sum(axis=0)
+    s_lo = (a_m[:, :, 0] * b_lr_r[:, None] - (a_m @ b_mr)[:, :, 0]).sum(axis=0)
+    return FlucParams(phi, phi_p, s_lo, s_up)
+
+
 def extract_params(model: U1U2Model, p: Perturbation) -> FlucParams:
     """Closed-form parameters of the fluctuation from the perturbation pairs.
 
@@ -101,27 +113,7 @@ def extract_params(model: U1U2Model, p: Perturbation) -> FlucParams:
     """
     if p.shape != U1U2_SHAPE:
         raise ValueError("perturbation does not live in the doubled even algebra")
-    phi = 0j
-    phi_p = 0j
-    s_up = np.zeros(2, dtype=complex)
-    s_lo = np.zeros(2, dtype=complex)
-    for a, b in p.pairs:
-        a_lr_r = a.blocks[_BLK_LR_R][0, 0]
-        a_ll_l = a.blocks[_BLK_LL_L][0, 0]
-        a_ml = a.blocks[_BLK_M_L]
-        b_lr_r = b.blocks[_BLK_LR_R][0, 0]
-        b_ll_r = b.blocks[_BLK_LL_R][0, 0]
-        b_mr = b.blocks[_BLK_M_R]
-        b_lr_l = b.blocks[_BLK_LR_L][0, 0]
-        b_ll_l = b.blocks[_BLK_LL_L][0, 0]
-        b_ml = b.blocks[_BLK_M_L]
-        phi += a_lr_r * (b_ll_l - b_lr_l)
-        phi_p += a_ll_l * (b_lr_r - b_ll_r)
-        for jj in range(2):
-            s_up[jj] += a_lr_r * (b_ml[0, jj] - (b_lr_l if jj == 0 else 0.0))
-        for ii in range(2):
-            s_lo[ii] += a_ml[ii, 0] * b_lr_r - a_ml[ii, :] @ b_mr[:, 0]
-    return FlucParams(phi, phi_p, s_lo, s_up)
+    return _params(p, _BLK_LR_L, _BLK_LL_L, _BLK_M_L)
 
 
 def assemble_fluctuated_dirac(model: U1U2Model, params: FlucParams) -> np.ndarray:
@@ -158,22 +150,7 @@ def verify_fluctuation_formula(model: U1U2Model, p: Perturbation) -> FormulaRepo
 
 def untwisted_params(p: Perturbation) -> FlucParams:
     """Parameter formulas of the non-twisted model (single copy, r-components only)."""
-    phi = 0j
-    phi_p = 0j
-    s_up = np.zeros(2, dtype=complex)
-    s_lo = np.zeros(2, dtype=complex)
-    for a, b in p.pairs:
-        ar, al = a.blocks[_BLK_LR_R][0, 0], a.blocks[_BLK_LL_R][0, 0]
-        am = a.blocks[_BLK_M_R]
-        br, bl = b.blocks[_BLK_LR_R][0, 0], b.blocks[_BLK_LL_R][0, 0]
-        bm = b.blocks[_BLK_M_R]
-        phi += ar * (bl - br)
-        phi_p += al * (br - bl)
-        for jj in range(2):
-            s_up[jj] += ar * (bm[0, jj] - (br if jj == 0 else 0.0))
-        for ii in range(2):
-            s_lo[ii] += am[ii, 0] * br - am[ii, :] @ bm[:, 0]
-    return FlucParams(phi, phi_p, s_lo, s_up)
+    return _params(p, _BLK_LR_R, _BLK_LL_R, _BLK_M_R)
 
 
 # ---------------------------------------------------------------------------

@@ -1,45 +1,78 @@
 """Twisted one-forms, perturbation semi-groups, and inner fluctuations.
 
-A perturbation is a formal sum of pairs a_j (x) b_j in the enveloping algebra;
-it is the semi-group element, and the non-linear fluctuation term depends on
-this decomposition, not on the represented one-form alone.  Twisted
-normalisation means sum_j a_j sigma(b_j) = e.
+A perturbation is a formal sum of pairs a_j (x) b_j in the enveloping algebra,
+the semi-group element, held as two stacks of legs over a leading pair axis.
+The fluctuation depends on the pairs only through C = sum_j a_j (x) b_j, the
+leg diagnostic on the pairs.  Twisted normalisation means sum_j a_j sigma(b_j) = e.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraShape, Unitary
+from .algebra import AlgebraElement, AlgebraShape, Unitary, _element, stack
 from .linalg import DEFAULT_TOL, Tolerance, dagger, rel_defect
 from .triple import TwistedTriple, _first_order_grid
 
-Pairs = tuple[tuple[AlgebraElement, AlgebraElement], ...]
+
+def _unstack(x: AlgebraElement) -> list[AlgebraElement]:
+    """The elements of a stack over one leading axis, as views of its blocks."""
+    return [_element(x.shape, tuple(b[j] for b in x.blocks)) for j in range(len(x.blocks[0]))]
 
 
-@dataclass(frozen=True)
+def _append(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
+    """The stack x with the element y appended."""
+    return _element(x.shape, tuple(np.concatenate([bx, by[None]]) for bx, by in zip(x.blocks, y.blocks)))
+
+
+def _outer(x: AlgebraElement, y: AlgebraElement, op) -> AlgebraElement:
+    """op(x_j, y_k) on the blocks of every pair of elements of two stacks, in j-major order, as one stack."""
+    return _element(x.shape, tuple(op(bx[:, None], by[None]).reshape((len(bx) * len(by),) + bx.shape[1:])
+                                   for bx, by in zip(x.blocks, y.blocks)))
+
+
+@dataclass(frozen=True, init=False)
 class _PairSum:
-    """Formal sum of element pairs; the two sides differ only in the normalisation product."""
+    """Formal sum of element pairs; the two sides differ only in the normalisation product.
+
+    The legs a_j and b_j are the read-only stacks `first` and `second`, of
+    length len(p); `pairs` is the tuple of (a_j, b_j) as views of them.
+    """
 
     shape: AlgebraShape
-    pairs: Pairs
+    first: AlgebraElement
+    second: AlgebraElement
 
-    def __post_init__(self) -> None:
-        pairs = tuple((a, b) for a, b in self.pairs)
-        if any(a.shape != self.shape or b.shape != self.shape for a, b in pairs):
-            raise ValueError("pair element with mismatched algebra shape")
-        object.__setattr__(self, "pairs", pairs)
+    def __init__(self, shape: AlgebraShape, pairs) -> None:
+        pairs = tuple((a, b) for a, b in pairs)
+        if any(x.blocks[0].ndim != 2 for pair in pairs for x in pair):
+            raise ValueError("a pair element must be one element, not a stack")
+        self._hold(stack(shape, [a for a, _ in pairs]), stack(shape, [b for _, b in pairs]))
 
-    @staticmethod
-    def _normalizer(a: AlgebraElement, b: AlgebraElement, sigma) -> AlgebraElement:
-        raise NotImplementedError
+    def _hold(self, first: AlgebraElement, second: AlgebraElement) -> None:
+        for b in first.blocks + second.blocks:
+            b.flags.writeable = False
+        self.__dict__.update(shape=first.shape, first=first, second=second)
+
+    @classmethod
+    def _of(cls, first: AlgebraElement, second: AlgebraElement):
+        """The formal sum of these leg stacks, trusted: equal lengths, and arrays no one else writes."""
+        out = object.__new__(cls)
+        out._hold(first, second)
+        return out
+
+    def __len__(self) -> int:
+        return len(self.first.blocks[0])
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[AlgebraElement, AlgebraElement], ...]:
+        return tuple(zip(_unstack(self.first), _unstack(self.second)))
 
     def _normalization_sum(self, sigma) -> AlgebraElement:
-        acc = self.shape.zero()
-        for a, b in self.pairs:
-            acc = acc + self._normalizer(a, b, sigma)
-        return acc
+        terms = self._normalizer(self.first, self.second, sigma)
+        return _element(self.shape, tuple(b.sum(axis=0) for b in terms.blocks))
 
     def normalization_defect(self, sigma) -> float:
         return self._normalization_sum(sigma).defect(self.shape.unit())
@@ -48,7 +81,6 @@ class _PairSum:
         return self.normalization_defect(sigma) <= tol.abs_eps
 
 
-@dataclass(frozen=True)
 class Perturbation(_PairSum):
     """Formal sum sum_j a_j (x) b_j^opp acting from both sides of an operator."""
 
@@ -57,7 +89,6 @@ class Perturbation(_PairSum):
         return a * sigma(b)
 
 
-@dataclass(frozen=True)
 class OppPerturbation(_PairSum):
     """Formal sum sum_j a_j^opp (x) b_j; normalised iff sum_j b_j sigma(a_j) = e."""
 
@@ -69,7 +100,7 @@ class OppPerturbation(_PairSum):
 def _adjoint_pairs(t: TwistedTriple, p: _PairSum, tol: Tolerance):
     if not p.is_normalized(t.sigma, tol):
         raise ValueError("adjoint pairs require a twisted-normalised perturbation")
-    return type(p)(p.shape, tuple((b.star(), a.star()) for a, b in p.pairs))
+    return type(p)._of(p.second.star(), p.first.star())
 
 
 @dataclass(frozen=True)
@@ -87,38 +118,29 @@ def pert_mul(p: Perturbation, q: Perturbation) -> Perturbation:
     """Product in the enveloping algebra: (a (x) b^opp)(a' (x) b'^opp) = aa' (x) (b'b)^opp."""
     if p.shape != q.shape:
         raise ValueError("algebra shape mismatch")
-    pairs = tuple((a * ap, bp * b) for a, b in p.pairs for ap, bp in q.pairs)
-    return Perturbation(p.shape, pairs)
+    return Perturbation._of(_outer(p.first, q.first, np.matmul), _outer(p.second, q.second, lambda b, bp: bp @ b))
 
 
 def opp_mul(p: OppPerturbation, q: OppPerturbation) -> OppPerturbation:
     """(a^opp (x) b)(a'^opp (x) b') = (a'a)^opp (x) bb'."""
     if p.shape != q.shape:
         raise ValueError("algebra shape mismatch")
-    pairs = tuple((ap * a, b * bp) for a, b in p.pairs for ap, bp in q.pairs)
-    return OppPerturbation(p.shape, pairs)
+    return OppPerturbation._of(_outer(p.first, q.first, lambda a, ap: ap @ a), _outer(p.second, q.second, np.matmul))
 
 
 def normalize(t: TwistedTriple, p: Perturbation) -> Perturbation:
     """Append the pair (e - sum_j a_j sigma(b_j), e); eta is unchanged since delta(e) = 0."""
     e = p.shape.unit()
-    return Perturbation(p.shape, p.pairs + ((e - p._normalization_sum(t.sigma), e),))
+    return Perturbation._of(_append(p.first, e - p._normalization_sum(t.sigma)), _append(p.second, e))
 
 
-def _legs(t: TwistedTriple, pairs: Pairs) -> tuple[np.ndarray, np.ndarray]:
+def _legs(t: TwistedTriple, p: Perturbation) -> tuple[np.ndarray, np.ndarray]:
     """A perturbation's leg images, formed once and shared by every sum over its pairs.
 
-    Returns pi(a_j), pi(b_j) and pi(sigma(b_j)) as one (3, m, d, d) array, and
-    delta(b_j) = D pi(b_j) - pi(sigma(b_j)) D as an (m, d, d) stack.  The
-    first legs are one GEMM of their coefficients.  The second legs are formed
-    one at a time, as `TwistedTriple.first_order_defect` forms them, so that
-    the leg diagnostic of `fluctuate` reproduces it bit for bit: a multi-row
-    GEMM can round differently from the single-row product of `pi`, depending on the BLAS.
+    Returns pi(a_j), pi(b_j) and pi(sigma(b_j)) as one (3, m, d, d) array, one `pi` call,
+    and delta(b_j) = D pi(b_j) - pi(sigma(b_j)) D as an (m, d, d) stack.
     """
-    images = np.empty((3, len(pairs), t.dim, t.dim), dtype=complex)
-    images[0] = t.rep.images_of([a for a, _ in pairs])
-    for j, (_, b) in enumerate(pairs):
-        images[1, j], images[2, j] = t.pi(b), t.pi(t.sigma(b))
+    images = t.pi(stack(p.shape, [p.first, p.second, t.sigma(p.second)]))
     delta = np.matmul(t.dirac, images[1])
     delta -= np.matmul(images[2], t.dirac)
     return images, delta
@@ -137,7 +159,7 @@ def _bracket_sum(left: np.ndarray, t: np.ndarray, right: np.ndarray, right_twist
 
 def eta(t: TwistedTriple, p: Perturbation) -> TwistedOneForm:
     """Represented twisted one-form sum_j pi(a_j) (D pi(b_j) - pi(sigma(b_j)) D)."""
-    images, delta = _legs(t, p.pairs)
+    images, delta = _legs(t, p)
     return TwistedOneForm(_pair_sum(images[0], delta), p)
 
 
@@ -153,9 +175,7 @@ def eta_opp(t: TwistedTriple, p: OppPerturbation) -> np.ndarray:
 
 def _opp_bracket_sum(t: TwistedTriple, p: OppPerturbation, op: np.ndarray) -> np.ndarray:
     """sum_j pi_opp(a_j) [T, pi_opp(b_j)]_{sigma_opp}; the images of all legs are one GEMM and one J-conjugation."""
-    sinv, seconds = t.sigma.inverse(), [b for _, b in p.pairs]
-    images = t.opp_images(t.rep.images_of([a for a, _ in p.pairs] + seconds + [sinv(b) for b in seconds]))
-    a, b, b_twisted = images.reshape(3, len(p.pairs), t.dim, t.dim)
+    a, b, b_twisted = t.opp_images(t.pi(stack(p.shape, [p.first, p.second, t.sigma.inverse()(p.second)])))
     return _bracket_sum(a, op, b, b_twisted)
 
 
@@ -168,7 +188,7 @@ def hat_pert(t: TwistedTriple, p: Perturbation, tol: Tolerance = DEFAULT_TOL) ->
     t.require_real()
     if not p.is_normalized(t.sigma, tol):
         raise ValueError("hat requires a twisted-normalised perturbation")
-    return OppPerturbation(p.shape, tuple((a.star(), b.star()) for a, b in p.pairs))
+    return OppPerturbation._of(p.first.star(), p.second.star())
 
 
 def p_of_u(t: TwistedTriple, u: Unitary) -> Perturbation:
@@ -184,25 +204,26 @@ def p_opp_of_u(t: TwistedTriple, u: Unitary) -> OppPerturbation:
 class _LegDefect:
     """The leg first-order diagnostic of one fluctuation, computed on its first read and then kept.
 
-    Until then it holds the triple, the second legs b_k and the delta(b_k)
-    stack that the fluctuation formed; the read forms pi_opp of the hat legs
-    b_k* and of sigma^-1(b_k*) leg by leg, as `TwistedTriple.first_order_defect`
-    does, takes the max of `_first_order_grid` and drops its inputs.
+    Until then it holds the triple and the stack of second legs b_k.  The read
+    forms delta(b_k) and pi_opp of the hat legs b_k* and of sigma^-1(b_k*) leg
+    by leg, as `TwistedTriple.first_order_defect` does, so that it reproduces
+    it bit for bit, takes the max of `_first_order_grid` and drops its inputs.
     """
 
-    def __init__(self, t: TwistedTriple, legs: list[AlgebraElement], delta: np.ndarray):
-        self._inputs = (t, legs, delta)
+    def __init__(self, t: TwistedTriple, legs: AlgebraElement):
+        self._inputs = (t, legs)
         self._value: float | None = None
 
     @property
     def value(self) -> float:
         if self._value is None:
-            t, legs, delta = self._inputs
+            t, legs = self._inputs
             sinv = t.sigma.inverse()
-            q, q_twisted = np.empty_like(delta), np.empty_like(delta)
-            for k, c in enumerate(b.star() for b in legs):
-                q[k], q_twisted[k] = t.pi_opp(c), t.pi_opp(sinv(c))
-            self._value = float(_first_order_grid(delta, q, q_twisted).max())
+            legs = _unstack(legs)
+            hats = [b.star() for b in legs]
+            self._value = float(_first_order_grid(np.array([t.twisted_commutator(b) for b in legs]),
+                                                  np.array([t.pi_opp(c) for c in hats]),
+                                                  np.array([t.pi_opp(sinv(c)) for c in hats])).max())
             self._inputs = None
         return self._value
 
@@ -262,7 +283,7 @@ def fluctuate(t: TwistedTriple, p: Perturbation, tol: Tolerance = DEFAULT_TOL) -
         p = normalize(t, p)
     ep = t.epsilon_prime(tol)
 
-    images, delta = _legs(t, p.pairs)
+    images, delta = _legs(t, p)
     a, b, b_sigma = images
     hat_a, hat_b, hat_b_sigma = real.j.conjugate(images)
     omega1 = _pair_sum(a, delta)
@@ -270,7 +291,7 @@ def fluctuate(t: TwistedTriple, p: Perturbation, tol: Tolerance = DEFAULT_TOL) -
     omega2_a = _bracket_sum(hat_a, omega1, hat_b, hat_b_sigma)
     omega2_b = _bracket_sum(a, omega1_hat, b, b_sigma)
     gate = rel_defect(omega2_a, omega2_b)
-    if gate > tol.abs_eps:
+    if not gate <= tol.abs_eps:   # a NaN gate fails too
         raise ValueError(
             f"omega2 formulas diverge (defect {gate:.3e}); order-zero condition is likely broken"
         )
@@ -286,7 +307,7 @@ def fluctuate(t: TwistedTriple, p: Perturbation, tol: Tolerance = DEFAULT_TOL) -
         selfadjoint_d_omega=rel_defect(d_omega, dagger(d_omega)) <= tol.abs_eps,
         j_compat_defect=rel_defect(real.j.conjugate(d_omega), ep * d_omega),
         omega2_gate_defect=gate,
-        _leg_defect=_LegDefect(t, [b for _, b in p.pairs], delta),
+        _leg_defect=_LegDefect(t, p.second),
     )
     p.__dict__["_fluctuation"] = (t, tol, fields)
     return FluctuationReport(pert=p, **fields)
@@ -302,8 +323,8 @@ def act_mu(t: TwistedTriple, p: Perturbation, target: np.ndarray, tol: Tolerance
     if not p.is_normalized(t.sigma, tol):
         raise ValueError("the combined action requires a twisted-normalised perturbation")
     target = np.asarray(target, dtype=complex)
-    images = t.rep.images_of([a for a, _ in p.pairs] + [b for _, b in p.pairs])
-    a, b = images.reshape(2, len(p.pairs), t.dim, t.dim)
-    hat_a, hat_b = t.real.j.conjugate(images).reshape(2, len(p.pairs), t.dim, t.dim)
+    images = t.pi(stack(p.shape, [p.first, p.second]))
+    a, b = images
+    hat_a, hat_b = t.real.j.conjugate(images)
     inner = _pair_sum(np.matmul(hat_a, target), hat_b)
     return _pair_sum(np.matmul(a, inner), b)

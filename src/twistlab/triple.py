@@ -12,7 +12,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraShape, Automorphism, check_regularity
+from .algebra import AlgebraElement, AlgebraShape, Automorphism, _from_normals, check_regularity
 from .linalg import (
     DEFAULT_TOL,
     AntilinearOp,
@@ -241,13 +241,6 @@ class Representation:
         out = np.zeros(coeffs.shape[:-1] + (self.stack.shape[1],), dtype=complex)
         out[..., cols] = coeffs[..., src]
         return out.reshape(out_shape)
-
-    def images_of(self, elements: list[AlgebraElement]) -> np.ndarray:
-        """pi of each element, as an (m, d, d) stack: one `images` call on their coefficient rows, m = 0 included."""
-        if any(x.shape != self.shape for x in elements):
-            raise ValueError("algebra shape mismatch")
-        coeffs = np.array([x.coefficients() for x in elements], dtype=complex)
-        return self.images(coeffs.reshape(len(elements), len(self.stack)))
 
     def homomorphism_defect(self) -> float:
         """Max defect of pi(E^(k)_ij) pi(E^(l)_pq) = delta_kl delta_jp pi(E^(k)_iq), over all pairs.
@@ -547,9 +540,8 @@ def _first_order_grid(inner: np.ndarray, q: np.ndarray, q_twisted: np.ndarray) -
     return relative(outer, np.maximum.outer([norm(x) for x in inner], [norm(z) for z in q]))
 
 
-def _random_pair_scans(t: TwistedTriple, left: list[AlgebraElement],
-                       right: list[AlgebraElement]) -> tuple[np.ndarray, np.ndarray]:
-    """Order-zero and first-order defects of every pair (a, b) in left x right, as grids.
+def _random_pair_scans(t: TwistedTriple, left: AlgebraElement, right: AlgebraElement) -> tuple[np.ndarray, np.ndarray]:
+    """Order-zero and first-order defects of every pair (a, b) of the stacks left x right, as grids.
 
     Order zero is rel_defect of pi(a) pi_opp(b) against pi_opp(b) pi(a), and
     first order is `_first_order_grid`, one call per chunk of right.  Each
@@ -559,16 +551,16 @@ def _random_pair_scans(t: TwistedTriple, left: list[AlgebraElement],
     exactly 0 there into rounding noise, moving the witness.
     """
     rep, dirac, d = t.rep, t.dirac, t.dim
-    sigma_inv = t.sigma.inverse()
-    a = rep.images_of(left)
+    a = t.pi(left)
     inner = np.matmul(dirac, a)
-    inner -= np.matmul(rep.images_of([t.sigma(x) for x in left]), dirac)
-    oz = np.empty((len(left), len(right)))
-    fo = np.empty((len(left), len(right)))
-    for ks in _slices(len(right), _chunk(d, 4)):
-        q = t.opp_images(rep.images_of(right[ks]))
-        qs = t.opp_images(rep.images_of([sigma_inv(x) for x in right[ks]]))
-        for i in range(len(left)):
+    inner -= np.matmul(t.pi(t.sigma(left)), dirac)
+    right_c, right_twisted_c = right.coefficients(), t.sigma.inverse()(right).coefficients()
+    oz = np.empty((len(a), len(right_c)))
+    fo = np.empty((len(a), len(right_c)))
+    for ks in _slices(len(right_c), _chunk(d, 4)):
+        q = t.opp_images(rep.images(right_c[ks]))
+        qs = t.opp_images(rep.images(right_twisted_c[ks]))
+        for i in range(len(a)):
             oz[i, ks] = rel_defects(np.matmul(a[i], q), np.matmul(q, a[i]))
         fo[:, ks] = _first_order_grid(inner, q, qs)
     return oz, fo
@@ -593,7 +585,9 @@ def check_axioms(
     warnings: list[str] = []
 
     labels = t.shape.labels()
-    randoms = [t.shape.random_element(rng) for _ in range(samples)]
+    # one draw of the stream of `samples` successive `random_element` calls
+    normals = rng.standard_normal((samples, 2 * t.shape.basis_size))
+    randoms = _from_normals(t.shape, normals, 1.0)
 
     dirac_sa = rel_defect(d, dagger(d))
     regularity = check_regularity(t.sigma, samples=samples, rng=rng, tol=tol).max_defect
@@ -614,7 +608,7 @@ def check_axioms(
         g_herm = rel_defect(g, dagger(g))
         g_sq = rel_defect(g @ g, eye)
         p = t.rep.basis_images()
-        stacks = [p[us] for us in _slices(len(p), _chunk(t.dim, 2))] + [t.rep.images_of(randoms)]
+        stacks = [p[us] for us in _slices(len(p), _chunk(t.dim, 2))] + [t.pi(randoms)]
         g_comm = max(float(rel_defects(np.matmul(g, x), np.matmul(x, g)).max()) for x in stacks)
         g_anti = rel_defect(g @ d, -d @ g)
 
@@ -637,7 +631,7 @@ def check_axioms(
         # the first 4 * samples pairs of the samples x samples grid, in row-major order
         rows = min(4, samples)
         rand_pairs = [(i, k) for i in range(rows) for k in range(samples)]
-        rand_oz, rand_fo = _random_pair_scans(t, randoms[:rows], randoms)
+        rand_oz, rand_fo = _random_pair_scans(t, _from_normals(t.shape, normals[:rows], 1.0), randoms)
         order_zero = float(max(oz_grid.max(), rand_oz.max()))
         fo_all = np.concatenate([fo_grid.ravel(), rand_fo.ravel()])   # basis pairs in row-major (u, v) order, then random
         first_order = float(fo_all.max())

@@ -417,6 +417,26 @@ class TestFluctuate:
         err = capsys.readouterr().err
         assert "finite" in err and "Traceback" not in err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_legs_exit_two_without_nan(self, workdir, capsys):
+        # finite legs 1e200 e overflow in the products: the omega2 gate is NaN and must refuse, not print NaN
+        e = U1U2_SHAPE.unit()
+        big = workdir / "big_pert.json"
+        big.write_text(json.dumps(pert_to_json(tw.Perturbation(U1U2_SHAPE, ((1e200 * e, 1e200 * e),)))))
+        assert main(["fluctuate", str(workdir / "u1u2.json"), str(big), "--json"]) == 2
+        out, err = capsys.readouterr()
+        assert "NaN" not in out
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: omega2 formulas diverge (defect nan); order-zero condition is likely broken"]
+
+    def test_zero_pairs_fluctuate_as_the_appended_unit_pair(self, workdir, capsys, u1u2):
+        empty = workdir / "empty.json"
+        empty.write_text("[]")
+        assert main(["fluctuate", str(workdir / "u1u2.json"), str(empty), "--check-mu", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert np.allclose(matrix_from_json(doc["d_omega"]), u1u2.triple.dirac, atol=1e-13)
+        assert doc["mu_action_defect"] <= 1e-12
+
 
 class TestGaugeAndProduct:
     def test_gauge_defect_small(self, workdir, capsys):

@@ -8,6 +8,7 @@ from twistlab.linalg import (
     Tolerance,
     cmatrix,
     dagger,
+    detect_sign,
     frobenius,
     rel_defect,
     rel_defects,
@@ -171,3 +172,27 @@ class TestRelative:
         x = crand(5, 7)
         assert abs(frobenius(x) - np.linalg.norm(x)) <= 1e-14 * np.linalg.norm(x)
         assert frobenius(x.ravel()) == frobenius(x)
+
+
+class TestDetectSign:
+    def test_the_smaller_defect_wins_and_a_tie_is_plus(self):
+        x = crand(3, 3)
+        assert detect_sign(x, x) == (1, 0.0)
+        assert detect_sign(-x, x) == (-1, 0.0)
+        # against 0 both defects are ||x|| / max(1, ||x||) = 1: a tie, which is +1 within a loose tolerance
+        assert detect_sign(x, np.zeros((3, 3)), Tolerance(2.0)) == (1, 1.0)
+        assert detect_sign(x, np.zeros((3, 3))) == (None, 1.0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_an_overflowing_defect_picks_no_wrong_sign(self):
+        # ||x|| overflows: the defect of the true sign is 0 / inf = 0, the other inf / inf = NaN
+        x = 1e200 * crand(3, 3)
+        assert detect_sign(x, x) == (1, 0.0)
+        assert detect_sign(-x, x) == (-1, 0.0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_nan_defect_gives_no_sign(self):
+        nan = np.full((3, 3), np.nan)
+        for x, y in ((nan, crand(3, 3)), (crand(3, 3), nan), (nan, nan)):
+            sign, defect = detect_sign(x, y)
+            assert sign is None and np.isnan(defect)

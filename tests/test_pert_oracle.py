@@ -1,10 +1,14 @@
-"""The batched fluctuation sums against the per-pair loops they replace, and the report reuse rule.
+"""The batched fluctuation sums and semi-group operations against the per-pair loops they replace.
 
 The reference functions below are the loops that eta, eta_opp, act_mu and
-fluctuate ran pair by pair.  The batched code forms each leg's images once and
-takes every sum over the pairs as one GEMM, so its matrices agree with the
+fluctuate ran pair by pair, and the comprehensions over pairs that pert_mul,
+opp_mul, normalize, eta_adjoint_pairs and hat_pert were.  The batched code
+holds a perturbation's legs as two stacks, forms each leg's images once and
+takes every sum over the pairs as one GEMM, so its results agree with the
 loops up to rounding.  The leg first-order diagnostic forms the second legs
 exactly as the loop did, so first_order_defect is identical, bit for bit.
+Also here: the report reuse rule, and that a fluctuation depends on the pairs
+only through C = sum_j a_j (x) b_j.
 """
 import dataclasses
 import gc
@@ -18,7 +22,21 @@ from hypothesis import strategies as st
 import twistlab as tw
 from twistlab.linalg import DEFAULT_TOL, Tolerance, dagger, rel_defect
 from twistlab.morita import opp_one_form_action_corrected
-from twistlab.pert import OppPerturbation, Perturbation, act_mu, eta, eta_opp, fluctuate, normalize
+from twistlab.algebra import stack
+from twistlab.pert import (
+    OppPerturbation,
+    Perturbation,
+    act_mu,
+    eta,
+    eta_adjoint_pairs,
+    eta_opp,
+    fluctuate,
+    hat_pert,
+    normalize,
+    opp_adjoint_pairs,
+    opp_mul,
+    pert_mul,
+)
 
 from conftest import ladder_triple, random_pert
 from test_scan_oracle import triples
@@ -165,6 +183,114 @@ def test_batched_fluctuation_matches_the_loop_on_fixed_triples(build):
             assert_close(getattr(f, name), loop[name])
         assert f.first_order_defect == loop["first_order_defect"]
         assert_close(act_mu(t, f.pert, t.dirac), loop_act_mu(t, f.pert, t.dirac))
+
+
+# -- the stacked semi-group operations against the pair comprehensions ---------------
+
+
+def loop_pert_mul(p, q):
+    return Perturbation(p.shape, tuple((a * ap, bp * b) for a, b in p.pairs for ap, bp in q.pairs))
+
+
+def loop_opp_mul(p, q):
+    return OppPerturbation(p.shape, tuple((ap * a, b * bp) for a, b in p.pairs for ap, bp in q.pairs))
+
+
+def loop_normalization_sum(p, sigma):
+    acc = p.shape.zero()
+    for a, b in p.pairs:
+        acc = acc + (a * sigma(b) if isinstance(p, Perturbation) else b * sigma(a))
+    return acc
+
+
+def loop_normalize(t, p):
+    e = p.shape.unit()
+    return Perturbation(p.shape, p.pairs + ((e - loop_normalization_sum(p, t.sigma), e),))
+
+
+def loop_adjoint_pairs(p):
+    return type(p)(p.shape, tuple((b.star(), a.star()) for a, b in p.pairs))
+
+
+def loop_hat_pert(p):
+    return OppPerturbation(p.shape, tuple((a.star(), b.star()) for a, b in p.pairs))
+
+
+def assert_pairs_close(got, loop):
+    assert type(got) is type(loop) and len(got) == len(got.pairs) == len(loop.pairs)
+    for (a, b), (la, lb) in zip(got.pairs, loop.pairs):
+        assert_close(np.concatenate([a.coefficients(), b.coefficients()]),
+                     np.concatenate([la.coefficients(), lb.coefficients()]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(t=triples(), m=st.integers(0, 4), k=st.integers(0, 4), seed=st.integers(0, 1000))
+def test_stacked_semigroup_operations_match_the_pair_comprehensions(t, m, k, seed):
+    rng = np.random.default_rng(seed)
+    p, q = random_pert(t, rng, m), random_pert(t, rng, k)
+    p_opp, q_opp = OppPerturbation(t.shape, p.pairs), OppPerturbation(t.shape, q.pairs)
+    assert_pairs_close(pert_mul(p, q), loop_pert_mul(p, q))
+    assert_pairs_close(opp_mul(p_opp, q_opp), loop_opp_mul(p_opp, q_opp))
+    for x in (p, p_opp):
+        assert_close(x._normalization_sum(t.sigma).coefficients(), loop_normalization_sum(x, t.sigma).coefficients())
+
+    n = normalize(t, p)
+    assert_pairs_close(n, loop_normalize(t, p))
+    assert_pairs_close(eta_adjoint_pairs(t, n), loop_adjoint_pairs(n))
+    assert_pairs_close(hat_pert(t, n), loop_hat_pert(n))
+    e = t.shape.unit()   # the pair (e, e - sum_j b_j sigma(a_j)) normalises an opposite perturbation
+    n_opp = OppPerturbation(t.shape, q_opp.pairs + ((e, e - loop_normalization_sum(q_opp, t.sigma)),))
+    assert_pairs_close(opp_adjoint_pairs(t, n_opp), loop_adjoint_pairs(n_opp))
+
+
+def test_the_pairs_are_read_only_views_of_the_input(u1u2):
+    t = u1u2.triple
+    rng = np.random.default_rng(12)
+    pairs = tuple((t.shape.random_element(rng), t.shape.random_element(rng)) for _ in range(3))
+    p = Perturbation(t.shape, pairs)
+    assert len(p) == 3 and p.pairs is p.pairs
+    for (a, b), (pa, pb) in zip(pairs, p.pairs):
+        for x, px in ((a, pa), (b, pb)):
+            assert all(np.array_equal(u, v) for u, v in zip(x.blocks, px.blocks))
+    with pytest.raises(ValueError, match="read-only"):
+        p.pairs[0][1].blocks[0][0, 0] = 1.0
+    pairs[0][0].blocks[0][0, 0] = 7.0   # the stacks are copies of the caller's legs
+    assert p.first.blocks[0][0, 0, 0] != 7.0
+
+
+def test_a_stacked_leg_is_refused(u1u2):
+    shape = u1u2.triple.shape
+    e = shape.unit()
+    for pair in ((stack(shape, [e, e]), e), (e, stack(shape, [e]))):
+        with pytest.raises(ValueError, match="not a stack"):
+            Perturbation(shape, (pair,))
+        with pytest.raises(ValueError, match="not a stack"):
+            OppPerturbation(shape, (pair,))
+
+
+# -- the fluctuation depends on the pairs only through C ---------------------------------
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(t=triples(), m=st.integers(1, 4), seed=st.integers(0, 1000))
+def test_the_fluctuation_depends_only_on_c(t, m, seed):
+    # split each pair (a, b) into (a1, b) and (a - a1, b), and append (x, y) and (-x, y): C is unchanged
+    rng = np.random.default_rng(seed)
+    p = random_pert(t, rng, m)
+    pairs = []
+    for a, b in p.pairs:
+        a1 = t.shape.random_element(rng, 0.5)
+        pairs += [(a1, b), (a - a1, b)]
+    x, y = t.shape.random_element(rng, 0.5), t.shape.random_element(rng, 0.5)
+    q = Perturbation(t.shape, tuple(pairs) + ((x, y), (-x, y)))
+    f, g = outcome(fluctuate, t, p), outcome(fluctuate, t, q)
+    if isinstance(f, tuple) or isinstance(g, tuple):   # eps' detection, or the omega2 gate, refuses both alike
+        assert f == g
+        return
+    for name in ("omega1", "omega2", "d_omega"):
+        want, got = getattr(f, name), getattr(g, name)
+        assert np.linalg.norm(got - want) <= 1e-12 * max(1.0, np.linalg.norm(want)), name
+    # the leg diagnostic is a maximum over the pair list's second legs, not a function of C, so it may differ
 
 
 # -- zero pairs ----------------------------------------------------------------------

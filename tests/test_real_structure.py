@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twistlab as tw
+from twistlab.algebra import stack
 from twistlab.linalg import detect_sign
 from twistlab.morita import Connection, conjugate_connection, connection_with, grassmann
 from twistlab.triple import _KO_GRADED, _KO_ODD, ko_dimension, ko_signs
@@ -49,7 +50,7 @@ def test_pi_opp_is_the_adjoint_conjugation_of_pi(u1u2):
     t = u1u2.triple
     a = t.shape.random_element(np.random.default_rng(2))
     assert np.array_equal(t.pi_opp(a), t.real.j.conjugate_adjoint(t.pi(a)))
-    assert np.array_equal(t.opp_images(t.rep.images_of([a]))[0], t.real.j.conjugate_adjoint(t.rep.images_of([a])[0]))
+    assert np.array_equal(t.opp_images(t.rep(stack(t.shape, [a])))[0], t.real.j.conjugate_adjoint(t.rep(stack(t.shape, [a]))[0]))
 
 
 # -- KO signs ----------------------------------------------------------------------

@@ -15,6 +15,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import twistlab as tw
+from twistlab.algebra import stack
 from twistlab.linalg import DEFAULT_TOL, dagger, rel_defect
 from twistlab.triple import (
     WITNESS_RTOL,
@@ -216,7 +217,7 @@ def test_first_order_grid_is_the_pair_defect(t, m, n, seed):
     for i, a in enumerate(left):
         for k, b in enumerate(right):
             assert grid[i, k] == t.first_order_defect(a, b)
-    _, fo = _random_pair_scans(t, left, right)
+    _, fo = _random_pair_scans(t, stack(t.shape, left), stack(t.shape, right))
     assert_close(fo, grid)
 
 

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twistlab as tw
+from twistlab.algebra import stack
 from twistlab.morita import AlgebraMatrix, IdempotentData, build_real_triple, grassmann, lift_maps
 from twistlab.triple import SCATTER_MIN_DIM
 
@@ -168,7 +169,7 @@ def test_scatter_matches_elements_and_real_coefficients():
     rng = np.random.default_rng(4)
     xs = [t.shape.random_element(rng) for _ in range(3)]
     coeffs = np.array([x.coefficients() for x in xs])
-    assert np.array_equal(t.rep.images_of(xs), (coeffs @ t.rep.stack).reshape(3, t.dim, t.dim))
+    assert np.array_equal(t.rep(stack(t.shape, xs)), (coeffs @ t.rep.stack).reshape(3, t.dim, t.dim))
     real = rng.standard_normal((2, len(t.rep.stack)))
     assert np.array_equal(t.rep.images(real), (real @ t.rep.stack).reshape(2, t.dim, t.dim))
 
