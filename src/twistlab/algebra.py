@@ -291,7 +291,7 @@ class RegularityReport:
 
     @property
     def passes(self) -> bool:
-        return self.max_defect <= self.tol.abs_eps
+        return self.tol.accepts(self.max_defect)
 
 
 def check_regularity(
@@ -329,5 +329,5 @@ class Unitary:
         u = self.element
         if u.defect(e) == 0.0:
             return
-        if (u * u.star()).defect(e) > DEFAULT_TOL.abs_eps or (u.star() * u).defect(e) > DEFAULT_TOL.abs_eps:
+        if not DEFAULT_TOL.accepts((u * u.star()).defect(e), (u.star() * u).defect(e)):
             raise ValueError("element is not unitary: u u* = u* u = e fails")

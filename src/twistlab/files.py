@@ -22,7 +22,7 @@ import numpy as np
 from .algebra import AlgebraElement, AlgebraShape, Automorphism, Unitary
 from .linalg import DEFAULT_TOL, AntilinearOp, Tolerance
 from .morita import AlgebraMatrix, IdempotentData, connection_with
-from .pert import OppPerturbation, Perturbation, eta, eta_opp
+from .pert import Perturbation, eta
 from .triple import RealStructure, Representation, TwistedTriple, ko_signs
 
 TRIPLE_SCHEMA = 2
@@ -293,18 +293,12 @@ def connection_cells_from_json(shape: AlgebraShape, v: Any) -> tuple[tuple[Pertu
     return tuple(cells)
 
 
-def connection_from_cells(t: TwistedTriple, e: IdempotentData, cells: tuple[tuple[Perturbation, ...], ...],
-                          side: str = "right"):
-    """The connection whose one-form entry (i, j) is eta (right) or eta_opp (left) of cells[i][j]."""
+def connection_from_cells(t: TwistedTriple, e: IdempotentData, cells: tuple[tuple[Perturbation, ...], ...]):
+    """The right connection whose one-form entry (i, j) is eta of cells[i][j]."""
     n = e.n
     if len(cells) != n or any(len(row) != n for row in cells):
         raise ValueError("connection file must be an n x n array of one-form pair lists")
-    ops = tuple(
-        tuple(eta(t, p).op if side == "right" else eta_opp(t, OppPerturbation._of(p.first, p.second))
-              for p in row)
-        for row in cells
-    )
-    return connection_with(t, e, ops, side)
+    return connection_with(t, e, tuple(tuple(eta(t, p).op for p in row) for row in cells), "right")
 
 
 def load_json(path: str) -> Any:

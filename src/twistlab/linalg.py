@@ -26,6 +26,17 @@ class Tolerance:
         if not self.abs_eps > 0:
             raise ValueError("tolerance must be positive")
 
+    def accepts(self, *defects: float | np.ndarray) -> bool:
+        """The one pass rule: every defect, a float or an array of floats, is at most abs_eps.
+
+        A NaN is never accepted and an empty array always is.  A float takes a
+        plain comparison, as most verdicts compare one float.
+        """
+        for x in defects:
+            if not (x <= self.abs_eps if isinstance(x, float) else np.all(np.asarray(x) <= self.abs_eps)):
+                return False
+        return True
+
 
 DEFAULT_TOL = Tolerance()
 
@@ -185,4 +196,4 @@ def detect_sign(transformed: np.ndarray, original: np.ndarray, tol: Tolerance = 
     d_plus = rel_defect(transformed, original)
     d_minus = rel_defect(transformed, -original)
     sign, defect = (-1, d_minus) if d_minus < d_plus or math.isnan(d_plus) else (1, d_plus)
-    return (sign if defect <= tol.abs_eps else None), defect
+    return (sign if tol.accepts(defect) else None), defect

@@ -233,24 +233,20 @@ class IdempotentReport:
 
     @property
     def twist_invariant(self) -> bool:
-        return self.twist_invariance_defect <= self.tol.abs_eps
+        return self.tol.accepts(self.twist_invariance_defect)
 
     @property
     def twist_commuting(self) -> bool:
-        return self.twist_commutation_defect <= self.tol.abs_eps
+        return self.tol.accepts(self.twist_commutation_defect)
 
     @property
     def lift_invertible(self) -> bool:
-        return max(self.lift_defect, self.lift_inverse_defect) <= self.tol.abs_eps
+        return self.tol.accepts(self.lift_defect, self.lift_inverse_defect)
 
     @property
     def passes(self) -> bool:
-        eps = self.tol.abs_eps
-        return (
-            max(self.idempotent_defect, self.selfadjoint_defect) <= eps
-            and self.lift_invertible
-            and (self.twist_invariant or self.twist_commuting)
-        )
+        return (self.tol.accepts(self.idempotent_defect, self.selfadjoint_defect)
+                and self.lift_invertible and (self.twist_invariant or self.twist_commuting))
 
 
 def check_idempotent(t: TwistedTriple, e: IdempotentData, tol: Tolerance = DEFAULT_TOL) -> IdempotentReport:
@@ -297,7 +293,7 @@ def lift_maps(
     t: TwistedTriple, e: IdempotentData, tol: Tolerance = DEFAULT_TOL, samples: int = 5
 ) -> ModuleLift:
     report = check_idempotent(t, e, tol)
-    if max(report.idempotent_defect, report.selfadjoint_defect) > tol.abs_eps:
+    if not tol.accepts(report.idempotent_defect, report.selfadjoint_defect):
         raise ValueError("not a selfadjoint idempotent: e*e = e = e^dagger fails")
     if not report.lift_invertible:
         raise ValueError("lift of the twist is not invertible: e sigma(e) e = e fails")
@@ -319,9 +315,9 @@ def lift_maps(
     if check_regularity(t.sigma, samples=3, tol=tol).passes:
         laws.append((sp(b.star()), sp_inv(b).star(), "lifted twist loses the regularity property"))
     # the first failure in sample-major order, as a loop over the samples would meet it
-    failed = np.stack([x.defects(y) for x, y, _ in laws], axis=1).ravel() > tol.abs_eps
-    if failed.any():
-        raise ValueError(laws[int(np.argmax(failed)) % len(laws)][2])
+    for k, defect in enumerate(np.stack([x.defects(y) for x, y, _ in laws], axis=1).ravel()):
+        if not tol.accepts(defect):
+            raise ValueError(laws[k % len(laws)][2])
     return lift
 
 
@@ -435,7 +431,7 @@ class Connection:
         return self.idempotent.n
 
     def is_grassmann(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        return all(float(np.linalg.norm(x)) <= tol.abs_eps for row in self.one_forms for x in row)
+        return tol.accepts(np.linalg.norm(self.one_forms, axis=(2, 3)))
 
 
 def grassmann(t: TwistedTriple, e: IdempotentData, side: str = "right") -> Connection:
@@ -497,8 +493,7 @@ class HermiticityReport:
 
     @property
     def passes(self) -> bool:
-        eps = self.tol.abs_eps
-        return max(self.identity_defect, self.selfadjoint_defect, self.sandwich_defect) <= eps
+        return self.tol.accepts(self.identity_defect, self.selfadjoint_defect, self.sandwich_defect)
 
 
 def _sandwich_right(t: TwistedTriple, e: AlgebraMatrix, m) -> np.ndarray:
@@ -562,7 +557,7 @@ def conjugate_connection(t: TwistedTriple, conn: Connection, tol: Tolerance = DE
     if conn.side != "right":
         raise ValueError("conjugation starts from a right connection")
     real = t.require_real()
-    if _triple_first_order_defect(t) > tol.abs_eps:
+    if not tol.accepts(_triple_first_order_defect(t)):
         raise ValueError("conjugation requires first order")
     ep = t.epsilon_prime(tol)
     return Connection("left", conn.idempotent, (ep * real.j.conjugate(conn.one_forms)).swapaxes(0, 1))
@@ -612,9 +607,6 @@ class LeftTriple:
 
     def pi_l(self, b: AlgebraMatrix) -> np.ndarray:
         return _opp_grid(self.triple, b) @ self.projection
-
-    def bracket(self, b: AlgebraMatrix) -> np.ndarray:
-        return self.d_l @ self.pi_l(b) - self.pi_l(self.lift.sigma_prime_inv(b)) @ self.d_l
 
 
 def _require_hermitian(t: TwistedTriple, conn: Connection, tol: Tolerance) -> None:
@@ -674,12 +666,9 @@ class MoritaTripleReport:
 
     @property
     def passes(self) -> bool:
-        eps = self.tol.abs_eps
-        vals = [self.selfadjoint_defect, self.sigma_prime_multiplicative,
-                self.sigma_prime_regularity, self.rep_homomorphism, self.rep_involution]
-        if self.bracket_identity_defect is not None:
-            vals.append(self.bracket_identity_defect)
-        return max(vals) <= eps
+        bracket = () if self.bracket_identity_defect is None else (self.bracket_identity_defect,)
+        return self.tol.accepts(self.selfadjoint_defect, self.sigma_prime_multiplicative,
+                                self.sigma_prime_regularity, self.rep_homomorphism, self.rep_involution, *bracket)
 
 
 def check_morita_triple(
@@ -752,7 +741,7 @@ def build_real_triple(lift: ModuleLift, conn: Connection, tol: Tolerance = DEFAU
     t, e = lift.triple, lift.idempotent
     if t.real is None or t.grading is None:
         raise ValueError("real construction requires a real, graded triple")
-    if _triple_first_order_defect(t) > tol.abs_eps:
+    if not tol.accepts(_triple_first_order_defect(t)):
         raise ValueError("real construction requires the twisted first-order condition")
     if conn.side != "right":
         raise ValueError("real construction starts from a right connection")
@@ -800,11 +789,8 @@ class RealTripleReport:
 
     @property
     def passes(self) -> bool:
-        eps = self.tol.abs_eps
-        return (
-            max(self.selfadjoint_defect, self.d_second_defect, self.order_zero, self.first_order) <= eps
-            and None not in (self.j_squared_sign, self.j_dirac_sign, self.j_grading_sign)
-        )
+        return (self.tol.accepts(self.selfadjoint_defect, self.d_second_defect, self.order_zero, self.first_order)
+                and None not in (self.j_squared_sign, self.j_dirac_sign, self.j_grading_sign))
 
 
 def check_real_triple(

@@ -78,7 +78,7 @@ class _PairSum:
         return self._normalization_sum(sigma).defect(self.shape.unit())
 
     def is_normalized(self, sigma, tol: Tolerance = DEFAULT_TOL) -> bool:
-        return self.normalization_defect(sigma) <= tol.abs_eps
+        return tol.accepts(self.normalization_defect(sigma))
 
 
 class Perturbation(_PairSum):
@@ -291,7 +291,7 @@ def fluctuate(t: TwistedTriple, p: Perturbation, tol: Tolerance = DEFAULT_TOL) -
     omega2_a = _bracket_sum(hat_a, omega1, hat_b, hat_b_sigma)
     omega2_b = _bracket_sum(a, omega1_hat, b, b_sigma)
     gate = rel_defect(omega2_a, omega2_b)
-    if not gate <= tol.abs_eps:   # a NaN gate fails too
+    if not tol.accepts(gate):
         raise ValueError(
             f"omega2 formulas diverge (defect {gate:.3e}); order-zero condition is likely broken"
         )
@@ -303,8 +303,8 @@ def fluctuate(t: TwistedTriple, p: Perturbation, tol: Tolerance = DEFAULT_TOL) -
         omega1_hat=omega1_hat,
         omega2=omega2_a,
         d_omega=d_omega,
-        selfadjoint_omega1=rel_defect(omega1, dagger(omega1)) <= tol.abs_eps,
-        selfadjoint_d_omega=rel_defect(d_omega, dagger(d_omega)) <= tol.abs_eps,
+        selfadjoint_omega1=tol.accepts(rel_defect(omega1, dagger(omega1))),
+        selfadjoint_d_omega=tol.accepts(rel_defect(d_omega, dagger(d_omega))),
         j_compat_defect=rel_defect(real.j.conjugate(d_omega), ep * d_omega),
         omega2_gate_defect=gate,
         _leg_defect=_LegDefect(t, p.second),

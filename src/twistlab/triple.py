@@ -275,18 +275,16 @@ class Representation:
         """Max defect of pi(E^(k)_ij)* = pi(E^(k)_ji)."""
         p = self.basis_images()
         star = self.shape.star_index()
-        worst = 0.0
-        for us in _slices(len(p), _chunk(self.dim, 3)):
-            adjoints = np.conj(p[us]).transpose(0, 2, 1).copy()
-            worst = max(worst, float(rel_defects(adjoints, p[star[us]]).max()))
-        return worst
+        defects = [rel_defects(np.conj(p[us]).transpose(0, 2, 1).copy(), p[star[us]])
+                   for us in _slices(len(p), _chunk(self.dim, 3))]
+        return float(np.concatenate(defects).max())
 
     def unital_defect(self) -> float:
         return rel_defect(self(self.shape.unit()), np.eye(self.dim))
 
     def unit_is_projection(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         p = self(self.shape.unit())
-        return rel_defect(p @ p, p) <= tol.abs_eps and rel_defect(dagger(p), p) <= tol.abs_eps
+        return tol.accepts(rel_defect(p @ p, p), rel_defect(dagger(p), p))
 
     def is_faithful(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         """pi is injective iff the images of the matrix units are linearly independent."""
@@ -453,9 +451,7 @@ class AxiomReport:
     tol: Tolerance = field(default=DEFAULT_TOL)
 
     def failures(self, require_first_order: bool = False) -> list[str]:
-        """Names of the mandatory axioms whose defect exceeds the tolerance."""
-        eps = self.tol.abs_eps
-        out = []
+        """Names of the mandatory axioms whose defect the tolerance does not accept."""
         checks = {
             "dirac_selfadjoint": self.dirac_selfadjoint,
             "regularity": self.regularity,
@@ -471,14 +467,11 @@ class AxiomReport:
             "epsilon_double_prime": self.epsilon_double_prime_defect,
             "order_zero": self.order_zero,
         }
-        for name, defect in checks.items():
-            if defect is not None and defect > eps:
-                out.append(name)
-        if self.rep_unital > eps and not self.rep_unit_is_projection:
-            out.append("rep_unital")
-        if require_first_order and self.first_order is not None and self.first_order > eps:
-            out.append("first_order")
-        return out
+        if not self.rep_unit_is_projection:
+            checks["rep_unital"] = self.rep_unital
+        if require_first_order:
+            checks["first_order"] = self.first_order
+        return [name for name, defect in checks.items() if defect is not None and not self.tol.accepts(defect)]
 
     def passes(self, require_first_order: bool = False) -> bool:
         return not self.failures(require_first_order)
@@ -599,7 +592,7 @@ def check_axioms(
     faithful = t.rep.is_faithful(tol)
     if not faithful:
         warnings.append("representation is not faithful")
-    if rep_unital > tol.abs_eps and unit_proj:
+    if unit_proj and not tol.accepts(rep_unital):
         warnings.append("pi(unit) is a proper projection, not the identity")
 
     g_herm = g_sq = g_comm = g_anti = None
@@ -609,7 +602,7 @@ def check_axioms(
         g_sq = rel_defect(g @ g, eye)
         p = t.rep.basis_images()
         stacks = [p[us] for us in _slices(len(p), _chunk(t.dim, 2))] + [t.pi(randoms)]
-        g_comm = max(float(rel_defects(np.matmul(g, x), np.matmul(x, g)).max()) for x in stacks)
+        g_comm = float(np.concatenate([rel_defects(np.matmul(g, x), np.matmul(x, g)) for x in stacks]).max())
         g_anti = rel_defect(g @ d, -d @ g)
 
     j_iso = ko = None
@@ -632,11 +625,11 @@ def check_axioms(
         rows = min(4, samples)
         rand_pairs = [(i, k) for i in range(rows) for k in range(samples)]
         rand_oz, rand_fo = _random_pair_scans(t, _from_normals(t.shape, normals[:rows], 1.0), randoms)
-        order_zero = float(max(oz_grid.max(), rand_oz.max()))
+        order_zero = float(np.maximum(oz_grid.max(), rand_oz.max()))
         fo_all = np.concatenate([fo_grid.ravel(), rand_fo.ravel()])   # basis pairs in row-major (u, v) order, then random
         first_order = float(fo_all.max())
         # within tolerance every defect is rounding noise, whose largest pair depends on the basis of H
-        w = _witness_index(fo_all) if first_order > tol.abs_eps else None
+        w = None if tol.accepts(first_order) else _witness_index(fo_all)
         if w is not None:
             n = len(labels)
             fo_witness = ((labels[w // n], labels[w % n]) if w < n * n

@@ -811,3 +811,77 @@ class TestParser:
             assert out == "" and "error:" in err
         assert main(["check", t, "--json", "--seed", "3"]) == 0
         assert capsys.readouterr().out == first
+
+
+def _cli(argv, cwd):
+    """`python -m twistlab.cli argv` in a fresh process: (exit code, stdout, stderr)."""
+    src = os.path.dirname(os.path.dirname(tw.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "twistlab.cli", *map(str, argv)], capture_output=True,
+                          text=True, env=env, cwd=cwd, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestNaNDefects:
+    """A defect that overflows to NaN fails its verdict, and numpy warnings stay off stderr."""
+
+    @pytest.fixture(scope="class")
+    def huge(self, workdir):
+        with np.errstate(all="ignore"):
+            doc = triple_to_json(tw.build_u1u2(1e200, 1e200).triple)
+        path = workdir / "huge_u1u2.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_require_first_order_fails_on_a_nan_first_order(self, huge, capsys):
+        assert main(["check", str(huge), "--require-first-order", "--json"]) == 1
+        out, err = capsys.readouterr()
+        doc = json.loads(out)
+        assert doc["failures"] == ["first_order"]
+        assert np.isnan(doc["first_order"]) and '"first_order": NaN' in out
+        assert err == ""
+
+    def test_check_prints_nothing_on_stderr(self, huge, workdir):
+        rc, out, err = _cli(["check", huge, "--require-first-order"], workdir)
+        assert rc == 1
+        assert "first_order: nan VIOLATED" in out
+        assert err == ""
+
+    def test_overflowing_legs_print_one_error_line(self, workdir):
+        e = U1U2_SHAPE.unit()
+        big = workdir / "big_legs.json"
+        big.write_text(json.dumps(pert_to_json(tw.Perturbation(U1U2_SHAPE, ((1e200 * e, 1e200 * e),)))))
+        rc, out, err = _cli(["fluctuate", workdir / "u1u2.json", big], workdir)
+        assert (rc, out) == (2, "")
+        assert err.splitlines() == [
+            "error: omega2 formulas diverge (defect nan); order-zero condition is likely broken"]
+
+    def test_overflowing_unitary_prints_one_error_line(self, workdir):
+        big = workdir / "big_unitary.json"
+        big.write_text(json.dumps(element_to_json(1e200 * U1U2_SHAPE.unit())))
+        rc, out, err = _cli(["gauge", workdir / "u1u2.json", workdir / "pert.json", big], workdir)
+        assert (rc, out) == (2, "")
+        assert err.splitlines() == ["error: element is not unitary: u u* = u* u = e fails"]
+
+
+class TestFailingAxioms:
+    """Files that break one mandatory axiom exit 1 and name it in `failures`."""
+
+    def _check(self, workdir, capsys, name, mutate):
+        doc = json.loads((workdir / "u1u2.json").read_text())
+        mutate(doc)
+        path = workdir / name
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path), "--json"]) == 1
+        return json.loads(capsys.readouterr().out)["failures"]
+
+    def test_non_selfadjoint_dirac(self, workdir, capsys):
+        def mutate(doc):
+            doc["dirac"][0][1] = [1.0, 0.0]     # D[0, 1] = 1 while D[1, 0] = 0
+        assert "dirac_selfadjoint" in self._check(workdir, capsys, "dirac_not_sa.json", mutate)
+
+    def test_unit_image_that_is_neither_one_nor_a_projection(self, workdir, capsys):
+        def mutate(doc):
+            cell = doc["representation"]["unit_images"]["0,0,0"]
+            cell["v"] = [[3.0 * re, 3.0 * im] for re, im in cell["v"]]     # pi(1) = diag(3, 3, 1, ..., 1)
+        assert "rep_unital" in self._check(workdir, capsys, "unit_scaled.json", mutate)
