@@ -17,7 +17,7 @@ stay 2-D.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Iterator
 
 import numpy as np
@@ -294,27 +294,17 @@ class RegularityReport:
         return self.tol.accepts(self.max_defect)
 
 
-def check_regularity(
-    sigma: Automorphism,
-    samples: int = 20,
-    rng: np.random.Generator | None = None,
-    tol: Tolerance = DEFAULT_TOL,
-) -> RegularityReport:
-    """Max defect of sigma(a*) = (sigma^{-1}(a))* over the matrix units plus random samples.
+def check_regularity(sigma: Automorphism, tol: Tolerance = DEFAULT_TOL) -> RegularityReport:
+    """Max defect of sigma(a*) = (sigma^{-1}(a))* over the matrix units.
 
-    The elements are one stack: the N matrix units in basis order, then the samples, one
-    (samples, 2N) normal draw, which is the stream of `samples` successive `random_element`
-    calls.  Each side is one stacked twist, compared by `rel_defects` on coefficient rows.
+    The identity is antilinear in a, so the matrix units decide it.  They are
+    one stack, row u of the N x N identity holding the block entries of E_u;
+    each side is one stacked twist, compared by `rel_defects` on coefficient rows.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = rng if rng is not None else np.random.default_rng(0)
     shape, size = sigma.shape, sigma.shape.basis_size
-    normals = np.zeros((size + samples, 2 * size))
-    # block k holds its n_k^2 real parts and then its imaginary parts: unit u = offset_k + l is real normal u + offset_k
-    normals[np.arange(size), np.arange(size) + np.repeat(shape._offsets(), [n * n for n in shape.block_dims])] = 1.0
-    normals[size:] = rng.standard_normal((samples, 2 * size))
-    x = _from_normals(shape, normals, 1.0)
+    eye = np.eye(size, dtype=complex)
+    x = _element(shape, tuple(eye[:, off:off + n * n].reshape(size, n, n)
+                              for off, n in zip(shape._offsets(), shape.block_dims)))
     lhs, rhs = sigma(x.star()).coefficients(), sigma.inverse()(x).star().coefficients()
     defects = rel_defects(lhs[:, None], rhs[:, None])     # coefficient rows as 1 x N matrices
     return RegularityReport(float(defects.max()), tol)
@@ -322,12 +312,15 @@ def check_regularity(
 
 @dataclass(frozen=True)
 class Unitary:
-    element: AlgebraElement
+    """An element with u u* = u* u = e, checked at tol."""
 
-    def __post_init__(self) -> None:
+    element: AlgebraElement
+    tol: InitVar[Tolerance] = DEFAULT_TOL
+
+    def __post_init__(self, tol: Tolerance) -> None:
         e = self.element.shape.unit()
         u = self.element
         if u.defect(e) == 0.0:
             return
-        if not DEFAULT_TOL.accepts((u * u.star()).defect(e), (u.star() * u).defect(e)):
+        if not tol.accepts((u * u.star()).defect(e), (u.star() * u).defect(e)):
             raise ValueError("element is not unitary: u u* = u* u = e fails")

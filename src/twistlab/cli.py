@@ -1,7 +1,8 @@
 """Command-line workbench.
 
 Exit codes: 0 success (all mandatory checks pass), 1 axiom/check failure,
-2 file, parse or schema error.  All sampled checks are seeded, so repeated
+2 file, parse or schema error.  `check` decides every axiom on the matrix
+units, and the sampled checks of `model` and `morita` are seeded, so repeated
 runs produce identical output.
 """
 from __future__ import annotations
@@ -86,7 +87,7 @@ def _normalized(t, p, tol: Tolerance):
 def cmd_check(args) -> int:
     t = load_triple(args.triple, args.tol)
     tol = args.tol
-    report = check_axioms(t, samples=args.samples, seed=args.seed, tol=tol)
+    report = check_axioms(t, tol=tol)
     if args.json:
         _emit({
             "dirac_selfadjoint": report.dirac_selfadjoint,
@@ -170,7 +171,7 @@ def cmd_fluctuate(args) -> int:
 def cmd_gauge(args) -> int:
     t = load_triple(args.triple, args.tol)
     p = load_pert(args.pert, t.shape)
-    u = load_unitary(args.unitary, t.shape)
+    u = load_unitary(args.unitary, t.shape, args.tol)
     tol = args.tol
     p = _normalized(t, p, tol)
     report = gauge_dirac(t, p, u, tol)
@@ -217,7 +218,7 @@ def cmd_model(args) -> int:
     except ValueError:
         return _fail("--kx/--ky must be RE,IM pairs")
     tol = args.tol
-    model = build_u1u2(kx, ky, seed=args.seed)
+    model = build_u1u2(kx, ky)
     rng = np.random.default_rng(args.seed)
     defects = []
     for _ in range(args.verify):
@@ -351,12 +352,13 @@ def _parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
+        p.add_argument("--seed", type=int, default=0, help="seed of the sampled checks of model and morita")
         p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="comparison tolerance (> 0)")
 
     p = sub.add_parser("check", help="verify the axioms of a triple file")
     p.add_argument("triple")
-    p.add_argument("--samples", type=_positive_int, default=10, help="random elements sampled (>= 1)")
+    p.add_argument("--samples", type=_positive_int, default=10,
+                   help="ignored: every axiom is decided on the matrix units (>= 1)")
     p.add_argument("--require-first-order", action="store_true")
     common(p)
 

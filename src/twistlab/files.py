@@ -233,6 +233,9 @@ def triple_from_json(doc: Any, tol: Tolerance = DEFAULT_TOL) -> TwistedTriple:
                          f"stack {size} bytes, over the {MAX_DENSE_BYTES}-byte bound")
     if not isinstance(conjugators, list) or len(conjugators) != shape.num_blocks:
         raise ValueError(f"automorphism needs a list of {shape.num_blocks} conjugators, one per block")
+    unknown = sorted(unit_images.keys() - {f"{k},{i},{j}" for k, i, j in shape.labels()})
+    if unknown:
+        raise ValueError(f"representation.unit_images key {unknown[0]!r} names no matrix unit of the algebra")
     images = []
     for k, n in enumerate(shape.block_dims):
         arr = np.zeros((n, n, dim, dim), dtype=complex)
@@ -258,8 +261,9 @@ def triple_from_json(doc: Any, tol: Tolerance = DEFAULT_TOL) -> TwistedTriple:
     return TwistedTriple(shape, rep, dirac, sigma, grading=grading, real=real)
 
 
-def unitary_from_json(shape: AlgebraShape, v: Any) -> Unitary:
-    return Unitary(element_from_json(shape, v))
+def unitary_from_json(shape: AlgebraShape, v: Any, tol: Tolerance = DEFAULT_TOL) -> Unitary:
+    """The unitary of a unitary file, its unitarity checked at tol."""
+    return Unitary(element_from_json(shape, v), tol)
 
 
 def idempotent_to_json(e: IdempotentData) -> list:
@@ -314,8 +318,8 @@ def load_pert(path: str, shape: AlgebraShape) -> Perturbation:
     return pert_from_json(shape, load_json(path))
 
 
-def load_unitary(path: str, shape: AlgebraShape) -> Unitary:
-    return unitary_from_json(shape, load_json(path))
+def load_unitary(path: str, shape: AlgebraShape, tol: Tolerance = DEFAULT_TOL) -> Unitary:
+    return unitary_from_json(shape, load_json(path), tol)
 
 
 def load_idempotent(path: str, shape: AlgebraShape) -> IdempotentData:

@@ -23,7 +23,9 @@ from .triple import AxiomReport, RealStructure, Representation, TwistedTriple, c
 U1U2_SHAPE = AlgebraShape((1, 1, 2, 1, 1, 2))
 _BLK_LR_R, _BLK_LL_R, _BLK_M_R, _BLK_LR_L, _BLK_LL_L, _BLK_M_L = range(6)
 
-# matrix-unit pair maximizing the first-order defect (defect equals |ky| there)
+# a matrix-unit pair whose first-order defect is 0 exactly when ky is.  It attains the maximum,
+# min(|ky|, 1), only at small |kx|: at |kx| = 1 the first maximal pair, and so the reported
+# witness, is ((_BLK_M_R, 0, 0), (_BLK_LR_L, 0, 0))
 FIRST_ORDER_WITNESS = ((_BLK_LR_R, 0, 0), (_BLK_LR_L, 0, 0))
 
 
@@ -69,6 +71,7 @@ class U1U2Model:
 
 
 def build_u1u2(kx: complex, ky: complex, samples: int = 10, seed: int = 0) -> U1U2Model:
+    """The U(1)xU(2) triple at (kx, ky) with its axiom report; samples and seed are accepted and ignored."""
     kx, ky = complex(kx), complex(ky)
     i2, z4 = np.eye(2), np.zeros((4, 4))
     x = np.kron(np.array([[0, kx], [np.conj(kx), 0]]), i2)
@@ -80,7 +83,7 @@ def build_u1u2(kx: complex, ky: complex, samples: int = 10, seed: int = 0) -> U1
     real = RealStructure(AntilinearOp(jmat), epsilon=1, epsilon_prime=1, epsilon_double_prime=-1)
     triple = TwistedTriple(U1U2_SHAPE, _u1u2_representation(), dirac, u1u2_flip(),
                            grading=grading, real=real)
-    return U1U2Model(kx, ky, triple, check_axioms(triple, samples=samples, seed=seed))
+    return U1U2Model(kx, ky, triple, check_axioms(triple))
 
 
 @dataclass(frozen=True)

@@ -312,7 +312,7 @@ def lift_maps(
         (sp(b * c), sp_b * sp(c), "lifted twist is not multiplicative on the endomorphism algebra"),
         (sp_inv(sp_b), b, "lifted twist roundtrip fails on the endomorphism algebra"),
     ]
-    if check_regularity(t.sigma, samples=3, tol=tol).passes:
+    if check_regularity(t.sigma, tol=tol).passes:
         laws.append((sp(b.star()), sp_inv(b).star(), "lifted twist loses the regularity property"))
     # the first failure in sample-major order, as a loop over the samples would meet it
     for k, defect in enumerate(np.stack([x.defects(y) for x, y, _ in laws], axis=1).ravel()):

@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
-import twistlab.algebra as algebra
 from twistlab.algebra import (
     AlgebraElement,
     AlgebraShape,
     Automorphism,
     Unitary,
-    _from_normals,
     check_regularity,
     identity_automorphism,
 )
+from twistlab.linalg import DEFAULT_TOL, Tolerance
 
 SHAPE = AlgebraShape((1, 2))          # C + M2(C)
 DOUBLE = AlgebraShape((1, 2, 1, 2))   # (C + M2) + (C + M2), for the flip
@@ -165,7 +164,7 @@ class TestRegularity:
 
 
 def loop_check_regularity(sigma, samples, rng):
-    """The per-element loop that `check_regularity` batches: five elements built per sample."""
+    """The per-element loop over the matrix units and then `samples` random elements, five elements built per one."""
     inv = sigma.inverse()
     elements = [a for _, a in sigma.shape.basis()]
     elements += [sigma.shape.random_element(rng) for _ in range(samples)]
@@ -189,19 +188,18 @@ def regularity_cases():
 @pytest.mark.parametrize("sigma", regularity_cases())
 @pytest.mark.parametrize("samples", [1, 7, 20])
 def test_batched_regularity_matches_the_loop(sigma, samples):
-    rng, loop_rng = np.random.default_rng(samples), np.random.default_rng(samples)
-    batched = check_regularity(sigma, samples=samples, rng=rng).max_defect
-    loop = loop_check_regularity(sigma, samples, loop_rng)
-    assert abs(batched - loop) <= 1e-13 * loop + 1e-15
-    assert rng.random() == loop_rng.random()     # the same draws, in the same order
+    # the value is the loop's over the matrix units; the loop over `samples` random elements too gives the verdict
+    report = check_regularity(sigma)
+    loop = loop_check_regularity(sigma, 0, None)
+    assert abs(report.max_defect - loop) <= 1e-13 * loop + 1e-15
+    assert report.passes == DEFAULT_TOL.accepts(loop_check_regularity(sigma, samples, np.random.default_rng(samples)))
 
 
 def block_loop_check_regularity(sigma, samples, rng):
-    """The per-block stacks that `check_regularity` ran before its elements became one stacked element.
+    """The defect of each matrix unit and then of `samples` random elements, by per-block stacks.
 
-    Block k of the matrix units and the samples is one (N + samples, n_k, n_k)
-    stack; each side is S_k X S_k^-1 on it, and an element's squared norm is
-    the sum over its blocks.
+    Block k of the elements is one (N + samples, n_k, n_k) stack; each side is
+    S_k X S_k^-1 on it, and an element's squared norm is the sum over its blocks.
     """
     shape, inv = sigma.shape, sigma.inverse()
     randoms = [shape.random_element(rng) for _ in range(samples)]
@@ -215,37 +213,18 @@ def block_loop_check_regularity(sigma, samples, rng):
         rhs[inv.perm[k]] = (inv.conjugators[k] @ x @ inv._conjugator_invs[k]).conj().swapaxes(1, 2)
     sq_norms = lambda blocks: sum(np.sum(np.abs(b) ** 2, axis=(1, 2)) for b in blocks)
     scale = np.sqrt(np.maximum(sq_norms(lhs), sq_norms(rhs)))
-    return float((np.sqrt(sq_norms([a - b for a, b in zip(lhs, rhs)])) / np.maximum(1.0, scale)).max())
+    return np.sqrt(sq_norms([a - b for a, b in zip(lhs, rhs)])) / np.maximum(1.0, scale)
 
 
 @pytest.mark.parametrize("sigma", [c for c in regularity_cases() if c.id not in ("identity", "flip")])
 @pytest.mark.parametrize("samples", [1, 7, 20])
 def test_stacked_regularity_matches_the_block_loop(sigma, samples):
     # the twists with a generic or non-scalar-square conjugator, whose defects are O(1)
-    loop = block_loop_check_regularity(sigma, samples, np.random.default_rng(samples))
-    got = check_regularity(sigma, samples=samples, rng=np.random.default_rng(samples)).max_defect
-    assert loop > 1e-3 and abs(got - loop) <= 1e-12 * loop
-
-
-@pytest.mark.parametrize("sigma", regularity_cases())
-def test_the_stacked_regularity_draw_is_the_sequential_one(monkeypatch, sigma):
-    shape, samples = sigma.shape, 5
-    drawn = []
-
-    def captured(*args):
-        drawn.append(_from_normals(*args))
-        return drawn[-1]
-
-    monkeypatch.setattr(algebra, "_from_normals", captured)
-    rng, loop_rng = np.random.default_rng(3), np.random.default_rng(3)
-    check_regularity(sigma, samples=samples, rng=rng)
-    (x,) = drawn
-    monkeypatch.undo()
-    want = [shape.random_element(loop_rng) for _ in range(samples)]
-    units = [a for _, a in shape.basis()]
-    for k in range(shape.num_blocks):
-        assert np.array_equal(x.blocks[k], np.array([a.blocks[k] for a in units + want]))
-    assert rng.random() == loop_rng.random()
+    defects = block_loop_check_regularity(sigma, samples, np.random.default_rng(samples))
+    loop = defects[:sigma.shape.basis_size].max()
+    report = check_regularity(sigma)
+    assert loop > 1e-3 and abs(report.max_defect - loop) <= 1e-12 * loop
+    assert report.passes == DEFAULT_TOL.accepts(defects.max())
 
 
 class TestUnitary:
@@ -257,3 +236,10 @@ class TestUnitary:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="not unitary"):
             Unitary(2.0 * SHAPE.unit())
+
+    def test_unitarity_is_checked_at_the_given_tolerance(self):
+        # a unitary times (1 + 1e-8): its defect, about 2e-8, is over the default 1e-10 and within 1e-6
+        near = (1 + 1e-8) * SHAPE.random_unitary(np.random.default_rng(14)).element
+        with pytest.raises(ValueError, match="not unitary"):
+            Unitary(near)
+        assert Unitary(near, Tolerance(1e-6)).element is near

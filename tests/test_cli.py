@@ -342,6 +342,28 @@ class TestCheck:
         assert main(["check", str(workdir / "u1u2.json"), "--json"]) == 0
         assert unversioned == capsys.readouterr().out
 
+    @pytest.mark.parametrize("key", ["9,0,0", "x,y,z", "0,0,1", "2,2,0"])
+    def test_unit_image_key_of_no_matrix_unit_exits_two(self, workdir, capsys, key):
+        doc = json.loads((workdir / "u1u2.json").read_text())
+        units = doc["representation"]["unit_images"]
+        units[key] = units["0,0,0"]
+        bad = workdir / "extra_unit_key.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["check", str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+        assert repr(key) in err
+
+    def test_json_output_ignores_samples_and_seed(self, workdir, capsys):
+        outs = []
+        for extra in (["--samples", "1", "--seed", "0"], ["--samples", "10", "--seed", "9"]):
+            assert main(["check", str(workdir / "u1u2.json"), "--json", *extra]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        doc = json.loads(outs[0])
+        assert doc["first_order"] == pytest.approx(abs(0.7 - 0.2j), rel=1e-12, abs=0.0)
+        assert doc["first_order_witness"] == [[2, 0, 0], [3, 0, 0]]
+
     def test_json_output_deterministic(self, workdir, capsys):
         rc = main(["check", str(workdir / "u1u2.json"), "--json", "--seed", "3"])
         first = capsys.readouterr().out
@@ -454,6 +476,17 @@ class TestGaugeAndProduct:
         assert rc == 0
         defect = float(capsys.readouterr().out.split("covariance_defect:")[1].split()[0])
         assert defect <= 1e-12
+
+    def test_unitary_is_checked_at_the_command_tolerance(self, workdir, capsys):
+        # a unitary times (1 + 1e-8) is unitary within 1e-6, not within the default 1e-10
+        near = workdir / "near_unitary.json"
+        u = U1U2_SHAPE.random_unitary(np.random.default_rng(3)).element
+        near.write_text(json.dumps(element_to_json((1 + 1e-8) * u)))
+        argv = ["gauge", str(workdir / "u1u2.json"), str(workdir / "pert.json"), str(near)]
+        assert main(argv + ["--tol", "1e-6"]) == 0
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: element is not unitary: u u* = u* u = e fails"]
 
     def test_pert_mul(self, workdir, capsys):
         rc = main(["pert-mul", str(workdir / "u1u2.json"), str(workdir / "pert.json"),

@@ -697,7 +697,7 @@ def loop_lift_laws(lift, tol=DEFAULT_TOL, samples=5):
     rng = np.random.default_rng(0)
     em = e.matrix
     eps = tol.abs_eps
-    regular = check_regularity(t.sigma, samples=3, tol=tol).passes
+    regular = check_regularity(t.sigma, tol=tol).passes
     for _ in range(samples):
         xi = random_module_vector(em, rng)
         a = amat_scalar(t.shape.random_element(rng), e.n)

@@ -4,8 +4,12 @@ The reference functions below are the loops that check_axioms and
 Representation ran pair by pair, and the dense scans that formed every d x d
 product of a basis pair before the scans ran on thin factors.  The scans
 must reproduce their values and, for first order, the witness: the first
-pair, in row-major (u, v) order and then over the random pairs, whose defect
-is within WITNESS_RTOL of the maximum.
+basis pair, in row-major (u, v) order, whose defect is within WITNESS_RTOL of
+the maximum.
+
+check_axioms decides every axiom on the matrix units.  It once also sampled
+seeded random elements and pairs; `sampled_reference` rebuilds that report,
+and its verdicts must be the basis verdicts.
 """
 import dataclasses
 
@@ -15,18 +19,17 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import twistlab as tw
-from twistlab.algebra import stack
 from twistlab.linalg import DEFAULT_TOL, dagger, rel_defect
 from twistlab.triple import (
     WITNESS_RTOL,
     _basis_pair_scans,
     _first_order_grid,
-    _random_pair_scans,
     _witness_index,
     check_axioms,
 )
 
 from conftest import ladder_triple
+from test_algebra import loop_check_regularity
 
 RTOL, ATOL = 1e-13, 1e-15   # ATOL: rounding noise of a defect that is 0 in exact arithmetic
 
@@ -60,12 +63,13 @@ def basis_pairs(t):
 
 
 def randoms(t, samples, seed):
-    """The random elements check_axioms draws first from its seeded generator."""
+    """The random elements the sampled check_axioms drew first from its seeded generator."""
     rng = np.random.default_rng(seed)
     return [t.shape.random_element(rng) for _ in range(samples)]
 
 
 def random_pairs(t, samples, seed):
+    """The sampled pairs: the first 4 * samples of the samples x samples grid, in row-major order."""
     rs = randoms(t, samples, seed)
     return [(("rand", i), a, ("rand", k), b) for i, a in enumerate(rs) for k, b in enumerate(rs)][: 4 * samples]
 
@@ -87,10 +91,30 @@ def loop_involution(rep):
                for (k, i, j), ea in rep.shape.basis())
 
 
-def loop_grading(t, samples, seed):
+def loop_grading(t, samples=0, seed=0):
+    """Max defect of Gamma pi(a) = pi(a) Gamma over the matrix units and then `samples` random elements."""
     g = t.grading
     elements = [a for _, a in t.shape.basis()] + randoms(t, samples, seed)
     return max(rel_defect(g @ t.pi(a), t.pi(a) @ g) for a in elements)
+
+
+def sampled_reference(t, samples, seed):
+    """The report of the sampled check_axioms: its basis report, with regularity, the grading check,
+    order zero and first order also taken over seeded random elements, as it drew them.
+
+    From one generator at seed it drew `samples` elements, which built the
+    grading samples and the `random_pairs`, and then `samples` more for regularity.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        t.shape.random_element(rng)
+    changes = {"regularity": loop_check_regularity(t.sigma, samples, rng)}
+    if t.grading is not None:
+        changes["grading_commutes_algebra"] = loop_grading(t, samples, seed)
+    if t.real is not None:
+        pairs = basis_pairs(t) + random_pairs(t, samples, seed)
+        changes["order_zero"], changes["first_order"], _ = loop_pairs(t, pairs)
+    return dataclasses.replace(check_axioms(t), **changes)
 
 
 def _norms(x):
@@ -163,32 +187,31 @@ def assert_close(batched, loop):
     np.testing.assert_allclose(batched, loop, rtol=RTOL, atol=ATOL)
 
 
-def check_pair_scans(t, samples, seed):
+def check_pair_scans(t):
     oz, fo = _basis_pair_scans(t)
     pairs = basis_pairs(t)
     assert_close(oz.ravel(), [rel_defect(t.pi(a) @ t.pi_opp(b), t.pi_opp(b) @ t.pi(a)) for _, a, _, b in pairs])
     assert_close(fo.ravel(), [t.first_order_defect(a, b) for _, a, _, b in pairs])
 
-    # witness over the basis pairs alone, where ties such as pi(E_00) + pi(E_11) = 1 occur
-    _, _, loop_witness = loop_pairs(t, pairs)
+    # the witness, where ties such as pi(E_00) + pi(E_11) = 1 occur
+    loop_oz, loop_fo, loop_witness = loop_pairs(t, pairs)
     w = _witness_index(fo.ravel())
     labels = t.shape.labels()
     assert loop_witness == (None if w is None else (labels[w // len(labels)], labels[w % len(labels)]))
 
-    # what check_axioms reports, random pairs included
-    r = check_axioms(t, samples=samples, seed=seed)
-    loop_oz, loop_fo, loop_witness = loop_pairs(t, pairs + random_pairs(t, samples, seed))
+    # what check_axioms reports
+    r = check_axioms(t)
     assert_close(r.order_zero, loop_oz)
     assert_close(r.first_order, loop_fo)
     assert r.first_order_witness == (loop_witness if loop_fo > DEFAULT_TOL.abs_eps else None)
     if t.grading is not None:
-        assert_close(r.grading_commutes_algebra, loop_grading(t, samples, seed))
+        assert_close(r.grading_commutes_algebra, loop_grading(t))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(t=triples(), samples=st.integers(1, 6), seed=st.integers(0, 1000))
-def test_pair_scans_match_the_loop(t, samples, seed):
-    check_pair_scans(t, samples, seed)
+@given(t=triples())
+def test_pair_scans_match_the_loop(t):
+    check_pair_scans(t)
 
 
 @pytest.mark.parametrize("build", [
@@ -199,7 +222,7 @@ def test_pair_scans_match_the_loop(t, samples, seed):
     tw.two_point_model,
 ], ids=["ladder6", "u1u2", "u1u2_complex", "u1u2_ky0", "toy"])
 def test_pair_scans_match_the_loop_on_fixed_triples(build):
-    check_pair_scans(build(), 10, 0)
+    check_pair_scans(build())
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -217,8 +240,6 @@ def test_first_order_grid_is_the_pair_defect(t, m, n, seed):
     for i, a in enumerate(left):
         for k, b in enumerate(right):
             assert grid[i, k] == t.first_order_defect(a, b)
-    _, fo = _random_pair_scans(t, stack(t.shape, left), stack(t.shape, right))
-    assert_close(fo, grid)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -256,7 +277,7 @@ def test_all_zero_defects_give_no_witness():
     flat = tw.TwistedTriple(t.shape, t.rep, np.zeros((t.dim, t.dim)), t.sigma, real=t.real)
     _, fo = _basis_pair_scans(flat)
     assert not fo.any()
-    r = check_axioms(flat, samples=3)
+    r = check_axioms(flat)
     assert r.first_order == 0.0 and r.first_order_witness is None
     assert loop_pairs(flat, basis_pairs(flat) + random_pairs(flat, 3, 0))[2] is None
 
@@ -344,24 +365,26 @@ def test_factored_homomorphism_matches_the_dense_scan_on_a_broken_representation
 def test_the_rotated_ladder_keeps_its_verdicts():
     # order zero holds and first order fails in every basis
     t = rotated(ladder_triple(4, 5), 6)
-    r = check_axioms(t, samples=3)
+    r = check_axioms(t)
     assert r.order_zero <= 1e-13 and r.first_order > 0.1 and r.rep_homomorphism <= 1e-13
 
 
-# -- the grading check against its per-sample loop ------------------------------------
+# -- the grading check against its per-element loop -----------------------------------
 
 
 @pytest.mark.parametrize("build", [lambda: tw.build_u1u2(1 + 0.5j, 0.7 - 0.2j).triple, tw.two_point_model],
                          ids=["u1u2", "toy"])
 @pytest.mark.parametrize("samples", [1, 6])
 def test_grading_check_matches_its_per_sample_loop(build, samples):
-    # Gamma rotated by a random unitary no longer commutes with pi, so the defects are O(1)
+    # Gamma rotated by a random unitary no longer commutes with pi, so the defects are O(1);
+    # the value is the loop's over the matrix units, and `samples` random elements more change no verdict
     t = build()
     w = random_unitary(t.dim, 4)
     t = dataclasses.replace(t, grading=w @ t.grading @ np.conj(w.T))
-    got = check_axioms(t, samples=samples, seed=2).grading_commutes_algebra
-    loop = loop_grading(t, samples, 2)
+    got = check_axioms(t).grading_commutes_algebra
+    loop = loop_grading(t)
     assert loop > 1e-3 and abs(got - loop) <= 1e-12 * loop
+    assert DEFAULT_TOL.accepts(got) == DEFAULT_TOL.accepts(loop_grading(t, samples, 2))
 
 
 # -- basis invariance: a unitary change of basis of H changes no verdict ---------------
@@ -386,7 +409,7 @@ def test_check_axioms_is_invariant_under_a_unitary_change_of_basis(name, seed):
     first order holds, although the noise pairs of the two bases differ.
     """
     t = INVARIANCE_CASES[name]()
-    r, rr = check_axioms(t, samples=5, seed=1), check_axioms(rotated(t, seed), samples=5, seed=1)
+    r, rr = check_axioms(t), check_axioms(rotated(t, seed))
     assert r.failures() == rr.failures() and r.failures(True) == rr.failures(True)
     assert r.warnings == rr.warnings
     for f in dataclasses.fields(r):
@@ -401,3 +424,48 @@ def test_check_axioms_is_invariant_under_a_unitary_change_of_basis(name, seed):
         else:
             assert x == y, f.name
     assert r.first_order_witness == rr.first_order_witness
+
+
+# -- the basis decides: verdicts of the sampled reference, and no dependence on samples or seed
+
+
+REFERENCE_CORPUS = {
+    "ladder6_seed0": lambda: ladder_triple(6, 0),
+    "ladder6_seed11": lambda: ladder_triple(6, 11),
+    "u1u2": lambda: tw.build_u1u2(1 + 0.5j, 0.7 - 0.2j).triple,
+    "u1u2_ky0": lambda: tw.build_u1u2(1 + 0.5j, 0.0).triple,
+    "toy": tw.two_point_model,
+    "random_real_triple": lambda: tw.random_real_triple(3),
+}
+
+
+def check_basis_decides(t, samples, seed):
+    """The basis report has the sampled verdicts and a witness that attains it, whatever samples and seed say."""
+    r = check_axioms(t)
+    ref = sampled_reference(t, samples, seed)
+    assert r.failures() == ref.failures()
+    assert r.failures(require_first_order=True) == ref.failures(require_first_order=True)
+    if r.first_order_witness is not None:
+        (la, lb), sh = r.first_order_witness, t.shape
+        own = t.first_order_defect(sh.matrix_unit(*la), sh.matrix_unit(*lb))
+        assert abs(own - r.first_order) <= WITNESS_RTOL * r.first_order
+    assert check_axioms(t, samples=samples, seed=seed) == r
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(t=triples(), samples=st.integers(1, 6), seed=st.integers(0, 1000))
+def test_basis_verdicts_are_the_sampled_verdicts(t, samples, seed):
+    check_basis_decides(t, samples, seed)
+
+
+@pytest.mark.parametrize("name", REFERENCE_CORPUS)
+def test_basis_verdicts_are_the_sampled_verdicts_on_the_corpus(name):
+    check_basis_decides(REFERENCE_CORPUS[name](), 10, 0)
+
+
+@pytest.mark.parametrize("kx, ky", [(1.0, 1.0), (1 + 0.5j, 0.7 - 0.2j), (1.0, 1e-6), (1.0, 2.0)])
+def test_u1u2_first_order_is_abs_ky(kx, ky):
+    # the first maximal basis pair has defect |ky| / max(1, |ky|), whatever samples and seed say
+    r = tw.build_u1u2(kx, ky, samples=3, seed=5).axioms
+    assert r.first_order == pytest.approx(min(abs(ky), 1.0), rel=1e-12, abs=0.0)
+    assert r.first_order_witness == ((2, 0, 0), (3, 0, 0))
