@@ -542,10 +542,13 @@ def check_axioms(
     """Evaluate every axiom on the matrix-unit basis of A.
 
     Each axiom is linear, antilinear or bilinear in its algebra arguments, and
-    pi is the linear extension of its basis images, so the N matrix units (and,
-    for order zero and first order, the N x N grid of basis pairs) decide it
-    exactly.  The report depends on the triple and tol alone: samples and seed
-    are accepted and ignored.
+    pi is the linear extension of its basis images, so an axiom holds on all of
+    A exactly when it holds on the N matrix units (and, for order zero and
+    first order, on the N x N grid of basis pairs).  Each reported defect is
+    the largest relative defect over that basis, compared against tol; a
+    sampled element can read higher, so a defect within a small factor of tol
+    may pass here where a sampled check failed it.  The report depends on the
+    triple and tol alone: samples and seed are accepted and ignored.
     """
     d = t.dirac
     eye = np.eye(t.dim)

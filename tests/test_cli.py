@@ -248,6 +248,12 @@ class TestCheck:
     def test_require_first_order_fails(self, workdir):
         assert main(["check", str(workdir / "u1u2.json"), "--require-first-order"]) == 1
 
+    def test_require_first_order_passes_a_defect_within_the_tolerance(self, tmp_path):
+        # first_order is the basis maximum |ky| = 7e-11, at most tol = 1e-10
+        path = str(tmp_path / "near.json")
+        assert main(["model", "u1u2", "--kx", "1,0", "--ky", "7e-11,0", "--verify", "1", "--out", path]) == 0
+        assert main(["check", path, "--require-first-order"]) == 0
+
     def test_malformed_json_exits_two(self, workdir, capsys):
         bad = workdir / "bad.json"
         bad.write_text("{nope")

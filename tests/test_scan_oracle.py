@@ -469,3 +469,13 @@ def test_u1u2_first_order_is_abs_ky(kx, ky):
     r = tw.build_u1u2(kx, ky, samples=3, seed=5).axioms
     assert r.first_order == pytest.approx(min(abs(ky), 1.0), rel=1e-12, abs=0.0)
     assert r.first_order_witness == ((2, 0, 0), (3, 0, 0))
+
+
+def test_a_first_order_defect_near_the_tolerance_passes_on_the_basis():
+    # the samples read 1.5 to 2.7 times |ky|, above tol; the basis maximum is |ky|, within it
+    t = tw.build_u1u2(1.0, 7e-11).triple
+    r = check_axioms(t)
+    assert r.first_order == pytest.approx(7e-11, rel=1e-12, abs=0.0)
+    assert r.failures(require_first_order=True) == []
+    for samples, seed in [(10, 0), (20, 0), (10, 3)]:
+        assert sampled_reference(t, samples, seed).failures(require_first_order=True) == ["first_order"]
