@@ -43,7 +43,7 @@ from .morita import (
     grassmann,
     lift_maps,
 )
-from .pert import Perturbation, act_mu, eta, eta_adjoint_pairs, fluctuate, normalize, pert_mul
+from .pert import Perturbation, act_mu, eta, eta_adjoint_pairs, fluctuate, normalize, pert_mul, random_perturbations
 from .triple import check_axioms
 
 
@@ -219,15 +219,8 @@ def cmd_model(args) -> int:
         return _fail("--kx/--ky must be RE,IM pairs")
     tol = args.tol
     model = build_u1u2(kx, ky)
-    rng = np.random.default_rng(args.seed)
-    defects = []
-    for _ in range(args.verify):
-        pairs = tuple(
-            (model.triple.shape.random_element(rng, 0.6), model.triple.shape.random_element(rng, 0.6))
-            for _ in range(int(rng.integers(1, 4)))
-        )
-        defects.append(verify_fluctuation_formula(model, Perturbation(model.triple.shape, pairs)).max_defect)
-    max_defect = float(np.max(defects))
+    perts = random_perturbations(model.triple.shape, np.random.default_rng(args.seed), args.verify, 0.6)
+    max_defect = float(np.max(verify_fluctuation_formula(model, perts).max_defect))
     doc = {
         "ko_dimension": model.axioms.ko_dimension,
         "order_zero": model.axioms.order_zero,
@@ -352,7 +345,9 @@ def _parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--seed", type=int, default=0, help="seed of the sampled checks of model and morita")
+        p.add_argument("--seed", type=int, default=0,
+                       help="seed of the --verify draws of model and of the spot checks of morita;"
+                            " the other commands accept and ignore it")
         p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="comparison tolerance (> 0)")
 
     p = sub.add_parser("check", help="verify the axioms of a triple file")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .algebra import AlgebraShape, Automorphism, identity_automorphism
 from .linalg import AntilinearOp, relative
-from .pert import Perturbation, fluctuate
+from .pert import Perturbation, _fluctuate_each, fluctuate
 from .triple import AxiomReport, RealStructure, Representation, TwistedTriple, check_axioms
 
 # block order of the doubled even algebra: (lR^r, lL^r, m^r, lR^l, lL^l, m^l)
@@ -88,7 +88,10 @@ def build_u1u2(kx: complex, ky: complex, samples: int = 10, seed: int = 0) -> U1
 
 @dataclass(frozen=True)
 class FlucParams:
-    """The six complex fluctuation parameters (three once the one-form is selfadjoint)."""
+    """The six complex fluctuation parameters (three once the one-form is selfadjoint).
+
+    Of a stack of perturbations, each field holds one entry per perturbation on a leading axis.
+    """
 
     phi: complex
     phi_prime: complex
@@ -99,17 +102,17 @@ class FlucParams:
 def _params(p: Perturbation, lr: int, ll: int, m: int) -> FlucParams:
     """The parameter sums over the pair axis; the legs the twist routes are read from blocks lr, ll and m (l or r copy)."""
     a, b = p.first.blocks, p.second.blocks
-    a_lr_r, b_lr_r, b_ll_r, b_mr = a[_BLK_LR_R][:, 0, 0], b[_BLK_LR_R][:, 0, 0], b[_BLK_LL_R][:, 0, 0], b[_BLK_M_R]
-    b_lr, a_m = b[lr][:, 0, 0], a[m]
-    phi = (a_lr_r * (b[ll][:, 0, 0] - b_lr)).sum()
-    phi_p = (a[ll][:, 0, 0] * (b_lr_r - b_ll_r)).sum()
-    s_up = (a_lr_r[:, None] * (b[m][:, 0, :] - b_lr[:, None] * [1.0, 0.0])).sum(axis=0)
-    s_lo = (a_m[:, :, 0] * b_lr_r[:, None] - (a_m @ b_mr)[:, :, 0]).sum(axis=0)
+    a_lr_r, b_lr_r, b_ll_r = a[_BLK_LR_R][..., 0, 0], b[_BLK_LR_R][..., 0, 0], b[_BLK_LL_R][..., 0, 0]
+    b_lr, a_m, b_mr = b[lr][..., 0, 0], a[m], b[_BLK_M_R]
+    phi = (a_lr_r * (b[ll][..., 0, 0] - b_lr)).sum(axis=-1)
+    phi_p = (a[ll][..., 0, 0] * (b_lr_r - b_ll_r)).sum(axis=-1)
+    s_up = (a_lr_r[..., None] * (b[m][..., 0, :] - b_lr[..., None] * [1.0, 0.0])).sum(axis=-2)
+    s_lo = (a_m[..., :, 0] * b_lr_r[..., None] - (a_m @ b_mr)[..., :, 0]).sum(axis=-2)
     return FlucParams(phi, phi_p, s_lo, s_up)
 
 
 def extract_params(model: U1U2Model, p: Perturbation) -> FlucParams:
-    """Closed-form parameters of the fluctuation from the perturbation pairs.
+    """Closed-form parameters of the fluctuation from the perturbation pairs, or of each perturbation of a stack.
 
     The twist routes the otherwise-unrepresented components lR^l, lL^r of the
     second legs into the result, so they are read even though pi ignores them.
@@ -120,35 +123,50 @@ def extract_params(model: U1U2Model, p: Perturbation) -> FlucParams:
 
 
 def assemble_fluctuated_dirac(model: U1U2Model, params: FlucParams) -> np.ndarray:
-    """Literal index assembly of the fluctuated Dirac operator from the parameters."""
+    """Literal index assembly of the fluctuated Dirac operator from the parameters, one per entry of a stack of them.
+
+    The kx blocks are 2 x 2 matrices (x) 1_2, and the ky blocks E_11 (x) an outer product.
+    """
     kx, ky = model.kx, model.ky
-    i2 = np.eye(2)
+    phi, phi_p = np.asarray(params.phi), np.asarray(params.phi_prime)
     e1 = np.array([1.0, 0.0])
-    out = np.zeros((8, 8), dtype=complex)
-    out[:4, :4] = np.kron(np.array([[0, kx * (1 + params.phi)],
-                                    [np.conj(kx) * (1 + params.phi_prime), 0]]), i2)
-    out[4:, 4:] = np.kron(np.array([[0, np.conj(kx) * (1 + np.conj(params.phi))],
-                                    [kx * (1 + np.conj(params.phi_prime)), 0]]), i2)
-    out[4:, :4] = ky * np.kron(_eu(2, 0, 0),
-                               np.outer(params.sigma_lower + e1, np.conj(params.sigma_upper) + e1))
-    out[:4, 4:] = np.conj(ky) * np.kron(_eu(2, 0, 0),
-                                        np.outer(np.conj(params.sigma_lower) + e1, params.sigma_upper + e1))
+    lower, upper = params.sigma_lower + e1, params.sigma_upper + e1
+    out = np.zeros(phi.shape + (8, 8), dtype=complex)
+    for i in range(2):
+        out[..., i, 2 + i] = kx * (1 + phi)
+        out[..., 2 + i, i] = np.conj(kx) * (1 + phi_p)
+        out[..., 4 + i, 6 + i] = np.conj(kx) * (1 + np.conj(phi))
+        out[..., 6 + i, 4 + i] = kx * (1 + np.conj(phi_p))
+    out[..., 4:6, :2] = ky * (lower[..., :, None] * np.conj(upper)[..., None, :])
+    out[..., :2, 4:6] = np.conj(ky) * (np.conj(lower)[..., :, None] * upper[..., None, :])
     return out
 
 
 @dataclass(frozen=True)
 class FormulaReport:
+    """The largest entrywise defect and the parameters; of a stack, one defect per perturbation, a (P,) array."""
+
     max_defect: float
     params: FlucParams
 
 
 def verify_fluctuation_formula(model: U1U2Model, p: Perturbation) -> FormulaReport:
-    """Compare the fluctuation against the parameter assembly; max entrywise defect."""
-    flu = fluctuate(model.triple, p)
-    params = extract_params(model, flu.pert)
+    """Compare the fluctuation against the parameter assembly; max entrywise defect.
+
+    p is one perturbation, fluctuated by `fluctuate`, or a stack of them (see
+    `pert`), fluctuated in one pass by `pert._fluctuate_each`.
+    """
+    single = p.first.blocks[0].ndim == 3
+    if single:
+        flu = fluctuate(model.triple, p)
+        p, d_omega = flu.pert, flu.d_omega
+    else:
+        p, d_omega = _fluctuate_each(model.triple, p)
+    params = extract_params(model, p)
     literal = assemble_fluctuated_dirac(model, params)
-    entrywise = lambda x: float(np.abs(x).max())
-    return FormulaReport(relative(entrywise(flu.d_omega - literal), entrywise(flu.d_omega), entrywise(literal)), params)
+    entrywise = lambda x: np.abs(x).max(axis=(-2, -1))
+    defect = relative(entrywise(d_omega - literal), entrywise(d_omega), entrywise(literal))
+    return FormulaReport(float(defect) if single else defect, params)
 
 
 def untwisted_params(p: Perturbation) -> FlucParams:

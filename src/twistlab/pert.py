@@ -4,6 +4,12 @@ A perturbation is a formal sum of pairs a_j (x) b_j in the enveloping algebra,
 the semi-group element, held as two stacks of legs over a leading pair axis.
 The fluctuation depends on the pairs only through C = sum_j a_j (x) b_j, the
 leg diagnostic on the pairs.  Twisted normalisation means sum_j a_j sigma(b_j) = e.
+
+A trusted perturbation (`_PairSum._of`) may also hold a stack of P
+perturbations: legs over a leading batch axis and then the pair axis, (P, m).
+Perturbations with fewer pairs are padded with zero pairs, which change no
+C.  `random_perturbations` makes such a stack, and `_fluctuate_each`
+fluctuates it in one pass of the kernel `fluctuate` runs on one perturbation.
 """
 from __future__ import annotations
 
@@ -12,8 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraShape, Unitary, _element, stack
-from .linalg import DEFAULT_TOL, Tolerance, dagger, rel_defect
+from .algebra import AlgebraElement, AlgebraShape, Unitary, _element, _from_normals, stack
+from .linalg import DEFAULT_TOL, Tolerance, dagger, rel_defect, rel_defects
 from .triple import TwistedTriple, _first_order_grid
 
 
@@ -23,8 +29,9 @@ def _unstack(x: AlgebraElement) -> list[AlgebraElement]:
 
 
 def _append(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """The stack x with the element y appended."""
-    return _element(x.shape, tuple(np.concatenate([bx, by[None]]) for bx, by in zip(x.blocks, y.blocks)))
+    """The stack x with the element y appended on the pair axis; a batch of stacks takes a batch of elements."""
+    return _element(x.shape, tuple(np.concatenate([bx, by[..., None, :, :]], axis=-3)
+                                   for bx, by in zip(x.blocks, y.blocks)))
 
 
 def _outer(x: AlgebraElement, y: AlgebraElement, op) -> AlgebraElement:
@@ -71,8 +78,9 @@ class _PairSum:
         return tuple(zip(_unstack(self.first), _unstack(self.second)))
 
     def _normalization_sum(self, sigma) -> AlgebraElement:
+        """sum_j of the normalisation products over the pair axis; one element per perturbation of a stack."""
         terms = self._normalizer(self.first, self.second, sigma)
-        return _element(self.shape, tuple(b.sum(axis=0) for b in terms.blocks))
+        return _element(self.shape, tuple(b.sum(axis=-3) for b in terms.blocks))
 
     def normalization_defect(self, sigma) -> float:
         return self._normalization_sum(sigma).defect(self.shape.unit())
@@ -134,11 +142,27 @@ def normalize(t: TwistedTriple, p: Perturbation) -> Perturbation:
     return Perturbation._of(_append(p.first, e - p._normalization_sum(t.sigma)), _append(p.second, e))
 
 
+def _normalize_each(t: TwistedTriple, p: Perturbation, tol: Tolerance) -> Perturbation:
+    """A stack of perturbations, each normalised as `fluctuate` normalises one.
+
+    The pair (e - sum_j a_j sigma(b_j), e) is appended to each perturbation
+    whose normalisation defect is over tol, and a zero pair to the others.
+    """
+    e = p.shape.unit()
+    s = p._normalization_sum(t.sigma)
+    defects = rel_defects(s.coefficients()[:, None], e.coefficients()[None])   # coefficient rows as 1 x N matrices
+    todo = np.array([not tol.accepts(float(x)) for x in defects])[:, None, None]
+    return Perturbation._of(
+        _append(p.first, _element(p.shape, tuple(np.where(todo, be - bs, 0) for be, bs in zip(e.blocks, s.blocks)))),
+        _append(p.second, _element(p.shape, tuple(np.where(todo, be, 0) for be in e.blocks))))
+
+
 def _legs(t: TwistedTriple, p: Perturbation) -> tuple[np.ndarray, np.ndarray]:
     """A perturbation's leg images, formed once and shared by every sum over its pairs.
 
     Returns pi(a_j), pi(b_j) and pi(sigma(b_j)) as one (3, m, d, d) array, one `pi` call,
-    and delta(b_j) = D pi(b_j) - pi(sigma(b_j)) D as an (m, d, d) stack.
+    and delta(b_j) = D pi(b_j) - pi(sigma(b_j)) D as an (m, d, d) stack; a stack of
+    perturbations gives (3, P, m, d, d) and (P, m, d, d).
     """
     images = t.pi(stack(p.shape, [p.first, p.second, t.sigma(p.second)]))
     delta = np.matmul(t.dirac, images[1])
@@ -147,13 +171,14 @@ def _legs(t: TwistedTriple, p: Perturbation) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pair_sum(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """sum_j left_j right_j over two (m, d, d) stacks as one (d, m d) x (m d, d) GEMM; 0 when m = 0."""
-    m, d, _ = right.shape
-    return left.transpose(1, 0, 2).reshape(d, m * d) @ right.reshape(m * d, d)
+    """sum_j left_j right_j over two (..., m, d, d) stacks: a (d, m d) x (m d, d) GEMM per leading index; 0 if m = 0."""
+    *lead, m, d, _ = right.shape
+    return left.swapaxes(-3, -2).reshape(*lead, d, m * d) @ right.reshape(*lead, m * d, d)
 
 
 def _bracket_sum(left: np.ndarray, t: np.ndarray, right: np.ndarray, right_twisted: np.ndarray) -> np.ndarray:
-    """sum_j L_j (T R_j - Rt_j T) over (m, d, d) stacks L, R and Rt: the pair sum of twisted brackets of T."""
+    """sum_j L_j (T R_j - Rt_j T) over (..., m, d, d) stacks L, R, Rt and a (..., d, d) T: the pair sum of twisted brackets."""
+    t = t[..., None, :, :]
     return _pair_sum(left, np.matmul(t, right) - np.matmul(right_twisted, t))
 
 
@@ -258,16 +283,40 @@ class FluctuationReport:
         return self._leg_defect.value
 
 
-def fluctuate(t: TwistedTriple, p: Perturbation, tol: Tolerance = DEFAULT_TOL) -> FluctuationReport:
-    """Twisted inner fluctuation including the non-linear term.
+def _fluctuation(t: TwistedTriple, p: Perturbation, ep: int, tol: Tolerance):
+    """omega1, omega1_hat, omega2, D_omega and the omega2 gate of a normalised perturbation or stack of them.
 
     omega2 is computed by two independent formulas, as a hat-twisted bracket of
     omega1 and as a plain-twisted bracket of omega1_hat; their agreement rests
     on the order-zero condition, so divergence signals a broken input.  The leg
-    images are formed once (`_legs`), and omega1 and both omega2 formulas are
-    one GEMM each over them.  The leg diagnostic first_order_defect, which
-    most callers never read, waits for its first read (`_LegDefect`); the
-    omega2 gate is a check that raises, so it stays eager.
+    images are one `pi` call and their hats one J-gather (`_legs`), and omega1
+    and both omega2 formulas are one GEMM each per perturbation over them.  The
+    gate is `rel_defect` of the two formulas, one per perturbation of a stack
+    (`rel_defects`); if any is over tol it raises with the first such defect.
+    """
+    real = t.real
+    images, delta = _legs(t, p)
+    a, b, b_sigma = images
+    hat_a, hat_b, hat_b_sigma = real.j.conjugate(images)
+    omega1 = _pair_sum(a, delta)
+    omega1_hat = ep * real.j.conjugate(omega1)
+    omega2 = _bracket_sum(hat_a, omega1, hat_b, hat_b_sigma)
+    other = _bracket_sum(a, omega1_hat, b, b_sigma)
+    gate = rel_defect(omega2, other) if omega2.ndim == 2 else rel_defects(other, omega2)
+    if not tol.accepts(gate):
+        first = next(x for x in np.ravel(gate) if not tol.accepts(float(x)))
+        raise ValueError(
+            f"omega2 formulas diverge (defect {first:.3e}); order-zero condition is likely broken"
+        )
+    return omega1, omega1_hat, omega2, t.dirac + omega1 + omega1_hat + omega2, gate
+
+
+def fluctuate(t: TwistedTriple, p: Perturbation, tol: Tolerance = DEFAULT_TOL) -> FluctuationReport:
+    """Twisted inner fluctuation including the non-linear term, by `_fluctuation`.
+
+    The leg diagnostic first_order_defect, which most callers never read, waits
+    for its first read (`_LegDefect`); the omega2 gate is a check that raises,
+    so it stays eager.
 
     The report is remembered on the normalised perturbation it describes,
     report.pert, without a reference back to the report: fluctuate(t,
@@ -282,26 +331,13 @@ def fluctuate(t: TwistedTriple, p: Perturbation, tol: Tolerance = DEFAULT_TOL) -
     if not p.is_normalized(t.sigma, tol):
         p = normalize(t, p)
     ep = t.epsilon_prime(tol)
-
-    images, delta = _legs(t, p)
-    a, b, b_sigma = images
-    hat_a, hat_b, hat_b_sigma = real.j.conjugate(images)
-    omega1 = _pair_sum(a, delta)
-    omega1_hat = ep * real.j.conjugate(omega1)
-    omega2_a = _bracket_sum(hat_a, omega1, hat_b, hat_b_sigma)
-    omega2_b = _bracket_sum(a, omega1_hat, b, b_sigma)
-    gate = rel_defect(omega2_a, omega2_b)
-    if not tol.accepts(gate):
-        raise ValueError(
-            f"omega2 formulas diverge (defect {gate:.3e}); order-zero condition is likely broken"
-        )
-    d_omega = t.dirac + omega1 + omega1_hat + omega2_a
-    for x in (omega1, omega1_hat, omega2_a, d_omega):
+    omega1, omega1_hat, omega2, d_omega, gate = _fluctuation(t, p, ep, tol)
+    for x in (omega1, omega1_hat, omega2, d_omega):
         x.flags.writeable = False
     fields = dict(
         omega1=omega1,
         omega1_hat=omega1_hat,
-        omega2=omega2_a,
+        omega2=omega2,
         d_omega=d_omega,
         selfadjoint_omega1=tol.accepts(rel_defect(omega1, dagger(omega1))),
         selfadjoint_d_omega=tol.accepts(rel_defect(d_omega, dagger(d_omega))),
@@ -311,6 +347,32 @@ def fluctuate(t: TwistedTriple, p: Perturbation, tol: Tolerance = DEFAULT_TOL) -
     )
     p.__dict__["_fluctuation"] = (t, tol, fields)
     return FluctuationReport(pert=p, **fields)
+
+
+def _fluctuate_each(t: TwistedTriple, p: Perturbation, tol: Tolerance = DEFAULT_TOL):
+    """A stack of P perturbations, each normalised as `fluctuate` does, and their D_omega as a (P, d, d) stack.
+
+    One pass of `_fluctuation` over the whole stack, which raises as
+    `fluctuate` does if any perturbation fails the omega2 gate.
+    """
+    t.require_real()
+    p = _normalize_each(t, p, tol)
+    return p, _fluctuation(t, p, t.epsilon_prime(tol), tol)[3]
+
+
+def random_perturbations(shape: AlgebraShape, rng: np.random.Generator, count: int, scale: float) -> Perturbation:
+    """count random perturbations of 1 to 3 pairs, as one stack zero-padded to the largest pair count.
+
+    Each perturbation draws its pair count, rng.integers(1, 4), and then its
+    legs a_1, b_1, a_2, b_2, ..., so the stream is that of drawing the pairs
+    one by one with `shape.random_element(rng, scale)`.
+    """
+    size = 2 * shape.basis_size
+    draws = [rng.standard_normal((int(rng.integers(1, 4)), 2, size)) for _ in range(count)]
+    normals = np.zeros((count, max(len(x) for x in draws), 2, size))
+    for row, x in zip(normals, draws):
+        row[:len(x)] = x
+    return Perturbation._of(*(_from_normals(shape, normals[:, :, side], scale) for side in (0, 1)))
 
 
 def act_mu(t: TwistedTriple, p: Perturbation, target: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -34,6 +34,7 @@ from twistlab.models import U1U2_SHAPE
 from twistlab.morita import AlgebraMatrix, IdempotentData
 
 from conftest import random_pert
+from test_models import loop_draws, stacked
 
 
 @pytest.fixture(scope="module")
@@ -656,6 +657,61 @@ class TestModelAndMorita:
                    "--connection", str(workdir / "conn_1x1.json"), "--json"])
         assert rc == 1
         assert "n x n" in json.loads(capsys.readouterr().out)["construction_error"]
+
+
+class TestModelDraws:
+    """`model --verify n` draws its n perturbations as the one-by-one loop did and verifies them as one stack."""
+
+    @pytest.fixture
+    def drawn(self, monkeypatch):
+        stacks = []
+        def recorded(model, p, _f=cli.verify_fluctuation_formula):
+            stacks.append(p)
+            return _f(model, p)
+        monkeypatch.setattr(cli, "verify_fluctuation_formula", recorded)
+        return stacks
+
+    def _model(self, seed, n, kx="1,0.5", ky="0.7,-0.2"):
+        return main(["model", "u1u2", f"--kx={kx}", f"--ky={ky}", "--seed", str(seed), "--verify", str(n), "--json"])
+
+    @pytest.mark.parametrize("seed, n", [(0, 1), (4, 7), (11, 20)])
+    def test_the_draws_are_those_of_the_loop(self, drawn, capsys, seed, n):
+        assert self._model(seed, n) == 0
+        [got] = drawn
+        want = stacked(loop_draws(U1U2_SHAPE, np.random.default_rng(seed), n))
+        for x, y in ((got.first, want.first), (got.second, want.second)):
+            assert all(np.array_equal(bx, by) for bx, by in zip(x.blocks, y.blocks))
+
+    def test_the_first_draws_do_not_depend_on_the_count(self, drawn, capsys):
+        assert self._model(3, 12) == 0 and self._model(3, 5) == 0
+        many, few = drawn
+        m = few.first.blocks[0].shape[1]
+        for x, y in ((many.first, few.first), (many.second, few.second)):
+            for bx, by in zip(x.blocks, y.blocks):
+                assert np.array_equal(bx[:5, :m], by) and not bx[:5, m:].any()
+
+    def test_overflowing_parameters_print_one_error_line(self, workdir):
+        rc, out, err = _cli(["model", "u1u2", "--kx=1e200,0", "--ky=1e200,0", "--verify", "5"], workdir)
+        assert (rc, out) == (2, "")
+        assert err.splitlines() == [
+            "error: omega2 formulas diverge (defect nan); order-zero condition is likely broken"]
+
+    def test_the_zero_dirac_operator_passes(self, capsys):
+        assert self._model(0, 5, kx="0,0", ky="0,0") == 0
+        assert json.loads(capsys.readouterr().out)["formula_max_defect"] == 0.0
+
+
+@pytest.mark.parametrize("argv", [["check", "T"], ["fluctuate", "T", "P", "--check-mu"], ["gauge", "T", "P", "U"],
+                                  ["pert-mul", "T", "P", "P"]])
+def test_seed_is_read_only_by_model_and_morita(workdir, capsys, argv):
+    """The other commands accept --seed and ignore it: the same bytes under two seeds."""
+    files = {"T": workdir / "u1u2.json", "P": workdir / "pert.json", "U": workdir / "unitary.json"}
+    argv = [str(files[a]) if a in files else a for a in argv]
+    outs = []
+    for extra in (["--seed", "0"], ["--seed", "7"], ["--seed", "0", "--json"], ["--seed", "7", "--json"]):
+        assert main(argv + extra) == 0
+        outs.append(capsys.readouterr())
+    assert outs[0] == outs[1] and outs[2] == outs[3]
 
 
 class TestMoritaCallCounts:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import twistlab as tw
-from twistlab.algebra import AlgebraElement
+from twistlab.algebra import AlgebraElement, _element
 from twistlab.linalg import dagger, rel_defect
 from twistlab.models import (
     _BLK_LL_L,
@@ -19,7 +19,7 @@ from twistlab.models import (
     untwisted_params,
     verify_fluctuation_formula,
 )
-from twistlab.pert import fluctuate, normalize, pert_unit
+from twistlab.pert import _fluctuate_each, fluctuate, normalize, pert_unit
 from twistlab.triple import check_axioms
 
 from conftest import random_normalized_pert, random_pert
@@ -200,3 +200,79 @@ class TestCorpusTriples:
         assert r.passes()
         assert r.regularity <= 1e-12
         assert r.order_zero <= 1e-12
+
+
+# -- a stack of perturbations against the per-perturbation loop ------------------
+
+
+def loop_draws(shape, rng, count):
+    """The perturbations `model --verify count` drew one at a time: a pair count, then its pairs."""
+    return [tw.Perturbation(shape, tuple((shape.random_element(rng, 0.6), shape.random_element(rng, 0.6))
+                                         for _ in range(int(rng.integers(1, 4)))))
+            for _ in range(count)]
+
+
+def stacked(perts):
+    """The perturbations as one stack, zero-padded to the largest pair count, as `random_perturbations` lays it out."""
+    m = max(len(p) for p in perts)
+
+    def side(legs):
+        return _element(perts[0].shape, tuple(
+            np.stack([np.concatenate([b, np.zeros((m - len(b),) + b.shape[1:], dtype=complex)]) for b in blocks])
+            for blocks in zip(*(x.blocks for x in legs))))
+
+    return tw.Perturbation._of(side([p.first for p in perts]), side([p.second for p in perts]))
+
+
+def close(x, y, rtol=1e-13):
+    """Entrywise within rtol of the largest entry of y (and of 1): rounding noise of sums in another order."""
+    return np.abs(np.asarray(x) - y).max() <= rtol * max(1.0, np.abs(y).max())
+
+
+def batches(model):
+    """Stacks of mixed pair counts (1 to 3), of one perturbation, and with an already normalised member."""
+    t, rng = model.triple, np.random.default_rng(21)
+    mixed = loop_draws(t.shape, rng, 9)
+    assert {len(p) for p in mixed} == {1, 2, 3}
+    with_normalized = mixed[:3] + [random_normalized_pert(t, rng, 2)] + mixed[3:5]
+    return [mixed, mixed[:1], with_normalized, [random_normalized_pert(t, rng, 1)]]
+
+
+class TestStackedVerification:
+    @pytest.fixture(params=["u1u2", "u1u2_ky0"])
+    def model(self, request):
+        return request.getfixturevalue(request.param)
+
+    def test_each_perturbation_matches_the_loop(self, model):
+        t = model.triple
+        for perts in batches(model):
+            report = verify_fluctuation_formula(model, stacked(perts))
+            _, d_omega = _fluctuate_each(t, stacked(perts))
+            assert report.max_defect.shape == d_omega.shape[:1] == (len(perts),)
+            for k, p in enumerate(perts):
+                single = verify_fluctuation_formula(model, p)
+                assert abs(report.max_defect[k] - single.max_defect) <= 1e-15
+                assert close(d_omega[k], fluctuate(t, p).d_omega)
+                for name in ("phi", "phi_prime", "sigma_lower", "sigma_upper"):
+                    assert close(getattr(report.params, name)[k], getattr(single.params, name))
+
+    def test_only_the_perturbations_not_normalised_get_the_normalising_pair(self, model):
+        t = model.triple
+        perts = batches(model)[2]
+        normalized, _ = _fluctuate_each(t, stacked(perts))
+        for k, p in enumerate(perts):
+            last = [(b[k, -1], bs[k, -1]) for b, bs in zip(normalized.first.blocks, normalized.second.blocks)]
+            if p.is_normalized(t.sigma):
+                assert all(not a.any() and not b.any() for a, b in last)
+            else:
+                want = normalize(t, p)
+                assert all(close(a, wa[-1]) and np.array_equal(b, wb[-1])
+                           for (a, b), wa, wb in zip(last, want.first.blocks, want.second.blocks))
+
+    def test_one_failing_perturbation_fails_the_gate_of_the_stack(self, u1u2):
+        e = U1U2_SHAPE.unit()
+        rng = np.random.default_rng(22)
+        perts = loop_draws(U1U2_SHAPE, rng, 2) + [tw.Perturbation(U1U2_SHAPE, ((1e200 * e, 1e200 * e),))]
+        _fluctuate_each(u1u2.triple, stacked(perts[:2]))   # the others pass
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=r"omega2 formulas diverge \(defect nan\)"):
+            verify_fluctuation_formula(u1u2, stacked(perts))
