@@ -8,11 +8,10 @@ and `Automorphism(...)` check every block for shape and finiteness.  The
 results of arithmetic on validated elements (sums, products, adjoints, twists,
 units and random draws) are built by the trusted `_element` and skip the checks.
 
-A trusted element may carry leading sample axes: blocks of shape
-(..., n_k, n_k) hold a stack of elements, and +, -, *, scalars, `star`,
-`coefficients` and automorphisms act on each element of the stack, so a
-sampled spot check is one pass over its samples.  The public constructors
-stay 2-D.
+A trusted element may carry leading axes: blocks of shape (..., n_k, n_k)
+hold a stack of elements, and +, -, *, scalars, `star`, `coefficients` and
+automorphisms act on each element of the stack, so a check over a basis
+(`AlgebraShape.units`) is one pass over it.  The public constructors stay 2-D.
 """
 from __future__ import annotations
 
@@ -65,6 +64,12 @@ class AlgebraShape:
             i, j = np.indices((n, n)).reshape(2, -1)
             out.append(off + j * n + i)
         return np.concatenate(out)
+
+    def units(self) -> AlgebraElement:
+        """All N matrix units as one stack, E_u at index u: row u of the N x N identity holds its block entries."""
+        eye = np.eye(self.basis_size, dtype=complex)
+        return _element(self, tuple(eye[:, off:off + n * n].reshape(-1, n, n)
+                                    for off, n in zip(self._offsets(), self.block_dims)))
 
     def unit(self) -> AlgebraElement:
         return _element(self, tuple(np.eye(n, dtype=complex) for n in self.block_dims))
@@ -297,14 +302,10 @@ class RegularityReport:
 def check_regularity(sigma: Automorphism, tol: Tolerance = DEFAULT_TOL) -> RegularityReport:
     """Max defect of sigma(a*) = (sigma^{-1}(a))* over the matrix units.
 
-    The identity is antilinear in a, so the matrix units decide it.  They are
-    one stack, row u of the N x N identity holding the block entries of E_u;
-    each side is one stacked twist, compared by `rel_defects` on coefficient rows.
+    The identity is antilinear in a, so the matrix units (`AlgebraShape.units`, one stack) decide
+    it; each side is one stacked twist, compared by `rel_defects` on coefficient rows.
     """
-    shape, size = sigma.shape, sigma.shape.basis_size
-    eye = np.eye(size, dtype=complex)
-    x = _element(shape, tuple(eye[:, off:off + n * n].reshape(size, n, n)
-                              for off, n in zip(shape._offsets(), shape.block_dims)))
+    x = sigma.shape.units()
     lhs, rhs = sigma(x.star()).coefficients(), sigma.inverse()(x).star().coefficients()
     defects = rel_defects(lhs[:, None], rhs[:, None])     # coefficient rows as 1 x N matrices
     return RegularityReport(float(defects.max()), tol)

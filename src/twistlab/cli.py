@@ -1,9 +1,9 @@
 """Command-line workbench.
 
 Exit codes: 0 success (all mandatory checks pass), 1 axiom/check failure,
-2 file, parse or schema error.  `check` decides every axiom on the matrix
-units, and the sampled checks of `model` and `morita` are seeded, so repeated
-runs produce identical output.
+2 file, parse or schema error.  `check` and `morita` decide every identity
+on a basis and draw nothing, and the `--verify` draws of `model` are seeded,
+so repeated runs produce identical output.
 """
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ import numpy as np
 
 from . import __version__
 from .files import (
+    MAX_DENSE_BYTES,
     connection_from_cells,
     load_connection,
     load_idempotent,
@@ -40,6 +41,7 @@ from .morita import (
     check_real_triple,
     conjugate_connection,
     connection_with,
+    export_bytes,
     grassmann,
     lift_maps,
 )
@@ -220,7 +222,7 @@ def cmd_model(args) -> int:
     tol = args.tol
     model = build_u1u2(kx, ky)
     perts = random_perturbations(model.triple.shape, np.random.default_rng(args.seed), args.verify, 0.6)
-    max_defect = float(np.max(verify_fluctuation_formula(model, perts).max_defect))
+    max_defect = float(np.max(verify_fluctuation_formula(model, perts, tol).max_defect))
     doc = {
         "ko_dimension": model.axioms.ko_dimension,
         "order_zero": model.axioms.order_zero,
@@ -245,17 +247,26 @@ def cmd_morita(args) -> int:
     if args.self_morita:
         if not args.omega:
             return _fail("--self requires --omega PERT_FILE")
+        e = IdempotentData(amat_unit(t.shape, 1))
+    elif not args.idempotent:
+        return _fail("choose --self --omega PERT or --idempotent FILE")
+    else:
+        e = load_idempotent(args.idempotent, t.shape)
+    if (size := export_bytes(t, e)) > MAX_DENSE_BYTES:
+        return _fail(f"the exports of a {e.n} x {e.n} idempotent and their checks would form an array of {size} "
+                     f"bytes, over the {MAX_DENSE_BYTES}-byte bound")
+
+    if args.self_morita:
         p = _normalized(t, load_pert(args.omega, t.shape), tol)
         # selfadjoint one-form via pair-level symmetrization (stays normalised)
         padj = eta_adjoint_pairs(t, p, tol)
         p_sym = Perturbation(t.shape, tuple((0.5 * a, b) for a, b in p.pairs + padj.pairs))
         w = eta(t, p_sym).op
-        idem = IdempotentData(amat_unit(t.shape, 1))
         ep = t.epsilon_prime(tol)
-        lift = lift_maps(t, idem, tol)
-        rt = build_right_triple(lift, connection_with(t, idem, [[w]], "right"), tol)
+        lift = lift_maps(t, e, tol)
+        rt = build_right_triple(lift, connection_with(t, e, [[w]], "right"), tol)
         wbar = ep * t.real.j.conjugate(w)
-        lt = build_left_triple(lift, connection_with(t, idem, [[wbar]], "left"), tol)
+        lt = build_left_triple(lift, connection_with(t, e, [[wbar]], "left"), tol)
         doc = {
             "d_r_equals_d_plus_omega": rel_defect(rt.d_r, t.dirac + w),
             "d_l_equals_d_plus_conj_omega": rel_defect(lt.d_l, t.dirac + wbar),
@@ -264,22 +275,19 @@ def cmd_morita(args) -> int:
         _emit(doc, args.json)
         exports_pass = True
         for side, x in (("right", rt), ("left", lt)):
-            report = check_morita_triple(x, seed=args.seed, tol=tol)
+            report = check_morita_triple(x, tol=tol)
             if not report.passes:
                 print(f"error: exported {side} triple fails verification: {report}", file=sys.stderr)
                 exports_pass = False
         return 0 if exports_pass and tol.accepts(*doc.values()) else 1
 
-    if not args.idempotent:
-        return _fail("choose --self --omega PERT or --idempotent FILE")
-    e = load_idempotent(args.idempotent, t.shape)
     cells = load_connection(args.connection, t.shape) if args.connection else None
     doc, ok, lift = {}, True, None
     try:
         conn = grassmann(t, e, "right") if cells is None else connection_from_cells(t, e, cells)
         lift = lift_maps(t, e, tol)
         rt = build_right_triple(lift, conn, tol)
-        right_report = check_morita_triple(rt, seed=args.seed, tol=tol)
+        right_report = check_morita_triple(rt, tol=tol)
         doc["right_triple_passes"] = right_report.passes
         doc["right_selfadjoint_defect"] = right_report.selfadjoint_defect
         doc["right_bracket_defect"] = right_report.bracket_identity_defect
@@ -288,7 +296,7 @@ def cmd_morita(args) -> int:
             try:
                 lconn = conjugate_connection(t, conn, tol)
                 lt = build_left_triple(lift, lconn, tol)
-                left_report = check_morita_triple(lt, seed=args.seed, tol=tol)
+                left_report = check_morita_triple(lt, tol=tol)
                 doc["left_triple_passes"] = left_report.passes
                 ok = ok and left_report.passes
             except ValueError as exc:
@@ -296,7 +304,7 @@ def cmd_morita(args) -> int:
         if t.real is not None and t.grading is not None:
             try:
                 real = build_real_triple(lift, conn, tol)
-                real_report = check_real_triple(real, seed=args.seed, tol=tol)
+                real_report = check_real_triple(real, tol=tol)
                 doc["real_triple_passes"] = real_report.passes
                 doc["real_d_second_defect"] = real_report.d_second_defect
                 doc["real_ko_dimension"] = real_report.ko_dimension
@@ -346,8 +354,7 @@ def _parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--seed", type=int, default=0,
-                       help="seed of the --verify draws of model and of the spot checks of morita;"
-                            " the other commands accept and ignore it")
+                       help="seed of the --verify draws of model; the other commands accept and ignore it")
         p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="comparison tolerance (> 0)")
 
     p = sub.add_parser("check", help="verify the axioms of a triple file")

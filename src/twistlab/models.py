@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraShape, Automorphism, identity_automorphism
-from .linalg import AntilinearOp, relative
+from .linalg import DEFAULT_TOL, AntilinearOp, Tolerance, relative
 from .pert import Perturbation, _fluctuate_each, fluctuate
 from .triple import AxiomReport, RealStructure, Representation, TwistedTriple, check_axioms
 
@@ -150,18 +150,18 @@ class FormulaReport:
     params: FlucParams
 
 
-def verify_fluctuation_formula(model: U1U2Model, p: Perturbation) -> FormulaReport:
+def verify_fluctuation_formula(model: U1U2Model, p: Perturbation, tol: Tolerance = DEFAULT_TOL) -> FormulaReport:
     """Compare the fluctuation against the parameter assembly; max entrywise defect.
 
-    p is one perturbation, fluctuated by `fluctuate`, or a stack of them (see
-    `pert`), fluctuated in one pass by `pert._fluctuate_each`.
+    p is one perturbation, fluctuated by `fluctuate`, or a stack of them (see `pert`),
+    fluctuated in one pass by `pert._fluctuate_each`; both normalise and gate at tol.
     """
     single = p.first.blocks[0].ndim == 3
     if single:
-        flu = fluctuate(model.triple, p)
+        flu = fluctuate(model.triple, p, tol)
         p, d_omega = flu.pert, flu.d_omega
     else:
-        p, d_omega = _fluctuate_each(model.triple, p)
+        p, d_omega = _fluctuate_each(model.triple, p, tol)
     params = extract_params(model, p)
     literal = assemble_fluctuated_dirac(model, params)
     entrywise = lambda x: np.abs(x).max(axis=(-2, -1))

@@ -8,10 +8,10 @@ testable as a matrix equation.
 Module laws used throughout: for a one-form w, a.w = sigma(a) w and w.a = w a;
 for an opposite one-form, a.w = w a^opp and w.a = sigma_opp(a^opp) w.
 
-The spot checks (`lift_maps`, `check_hermitian`, `check_morita_triple`,
-`check_real_triple`) draw all their samples at once (`_samples`) and evaluate
-each identity once over a leading sample axis: algebra matrices, their
-products and twists, the grids and the connection operators all accept one.
+The checks draw no random numbers: each identity is linear, antilinear,
+bilinear or sesquilinear, so it is decided on the bases of `IdempotentData` and
+the matrix units of A, each one stack over a leading axis (algebra matrices,
+their twists, the grids and the connection operators all accept one).
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraShape, Automorphism, _element, _from_normals, check_regularity
+from .algebra import AlgebraElement, AlgebraShape, Automorphism, _element, check_regularity
 from .linalg import DEFAULT_TOL, AntilinearOp, Tolerance, dagger, rel_defect, rel_defects, relative, sq_norms
 from .pert import OppPerturbation, _opp_bracket_sum
 from .triple import TwistedTriple, _basis_pair_scans, ko_dimension, ko_signs
@@ -37,7 +37,7 @@ class AlgebraMatrix:
     M_n(A) = + M_{n n_k}(C) is itself a multi-matrix algebra: entry (i, j) of block k
     is the n_k x n_k tile at rows i n_k.. and columns j n_k.. of the element's block k.
     The constructor validates the entries; results of arithmetic are trusted,
-    and may be stacks of matrices over leading sample axes of the element.
+    and may be stacks of matrices over leading axes of the element.
     """
 
     shape: AlgebraShape
@@ -53,6 +53,10 @@ class AlgebraMatrix:
         blocks = tuple(np.array([[x.blocks[k] for x in row] for row in entries], dtype=complex)
                        .transpose(0, 2, 1, 3).reshape(n * nk, n * nk) for k, nk in enumerate(shape.block_dims))
         self.__dict__.update(shape=shape, n=n, element=AlgebraElement(_amplified(shape, n), blocks))
+
+    def __getitem__(self, key) -> AlgebraMatrix:
+        """The matrices x[key] of a stack, key indexing its leading axes."""
+        return _packed(self.shape, self.n, _element(self.element.shape, tuple(b[key] for b in self.element.blocks)))
 
     def entry(self, i: int, j: int) -> AlgebraElement:
         """Entry (i, j), of every matrix of a stack, as an AlgebraElement whose blocks are views of the tiles."""
@@ -92,7 +96,7 @@ class AlgebraMatrix:
         return self.element.defect(self._compat(other))
 
     def defects(self, other: AlgebraMatrix) -> np.ndarray:
-        """The defect of each pair of matrices of two stacks, over their leading sample axes."""
+        """The defect of each pair of matrices of two stacks, over their leading axes."""
         rows = lambda x: x.coefficients()[..., None, :]     # coefficient rows as 1 x N matrices
         return rel_defects(rows(self.element), rows(self._compat(other)))
 
@@ -118,10 +122,6 @@ def amat_scalar(a: AlgebraElement, n: int) -> AlgebraMatrix:
     return _packed(a.shape, n, _element(_amplified(a.shape, n), tuple(np.kron(eye, b) for b in a.blocks)))
 
 
-def amat_random(shape: AlgebraShape, n: int, rng: np.random.Generator, scale: float = 1.0) -> AlgebraMatrix:
-    return AlgebraMatrix(shape, [[shape.random_element(rng, scale) for _ in range(n)] for _ in range(n)])
-
-
 # A vector xi of the right module e A^n is held as column 0 of a packed n x n
 # matrix, every other column 0; a row vector of the left module A^n e is held
 # as row 0.  The module operations are then products of packed matrices:
@@ -130,81 +130,31 @@ def amat_random(shape: AlgebraShape, n: int, rng: np.random.Generator, scale: fl
 ModuleVector = AlgebraMatrix
 
 
-def module_vector(shape: AlgebraShape, entries) -> ModuleVector:
-    """The column vector with these entries, as column 0 of an n x n matrix."""
-    zero = shape.zero()
-    return AlgebraMatrix(shape, [[x] + [zero] * (len(entries) - 1) for x in entries])
+def _rows(a: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """a[index] over the leading axis, 0 where index is -1: the gathers of the basis checks."""
+    return np.concatenate([a, np.zeros_like(a[:1])])[index]
 
 
-def row_vector(shape: AlgebraShape, entries) -> ModuleVector:
-    """The row vector with these entries, as row 0 of an n x n matrix."""
-    zero = shape.zero()
-    n = len(entries)
-    return AlgebraMatrix(shape, [list(entries)] + [[zero] * n for _ in range(n - 1)])
+def _take(x: AlgebraMatrix, index: np.ndarray) -> AlgebraMatrix:
+    """The matrices x[index] of a stack, the zero matrix where index is -1."""
+    return _packed(x.shape, x.n, _element(x.element.shape, tuple(_rows(b, index) for b in x.element.blocks)))
 
 
-def random_module_vector(e: AlgebraMatrix, rng: np.random.Generator, scale: float = 1.0) -> ModuleVector:
-    """e xi for xi with n random entries, drawn in order."""
-    return e * module_vector(e.shape, [e.shape.random_element(rng, scale) for _ in range(e.n)])
+def _worst(defects: np.ndarray) -> float:
+    return float(defects.max(initial=0.0))     # 0 over an empty basis
 
 
-def random_row_vector(e: AlgebraMatrix, rng: np.random.Generator, scale: float = 1.0) -> ModuleVector:
-    """zeta e for zeta with n random entries, drawn in order."""
-    return row_vector(e.shape, [e.shape.random_element(rng, scale) for _ in range(e.n)]) * e
-
-
-def inner_product(xp: ModuleVector, x: ModuleVector) -> AlgebraElement:
-    """(xi', xi) = sum_i xi'_i* xi_i, entry (0, 0) of xi'* xi."""
-    return (xp.star() * x).entry(0, 0)
-
-
-def _samples(e: AlgebraMatrix, rng: np.random.Generator, samples: int, kinds: tuple[str, ...]) -> list[AlgebraMatrix]:
-    """The samples of a spot check, drawn at once: one stack over a leading sample axis per kind.
-
-    They are the draws of `samples` rounds that each draw the kinds in order,
-    bit for bit: "column" is `random_module_vector(e, rng)`, "row"
-    `random_row_vector(e, rng)`, "scalar" `amat_scalar(random_element(rng), n)`
-    and "endo" e M e with M = `amat_random(shape, n, rng, 0.7)`.
-    """
-    n, shape = e.n, e.shape
-    counts = [{"column": n, "row": n, "scalar": 1, "endo": n * n}[k] for k in kinds]
-    # a Generator fills sequentially: one flat draw, sliced kind by kind, is the rounds' draws
-    normals = rng.standard_normal((samples, sum(counts), 2 * shape.basis_size))
-    out, start = [], 0
-    for kind, count in zip(kinds, counts):
-        x = _from_normals(shape, normals[:, start:start + count], 0.7 if kind == "endo" else 1.0)
-        start += count
-        if kind == "scalar":
-            out.append(amat_scalar(_element(shape, tuple(b[:, 0] for b in x.blocks)), n))
-            continue
-        grid = []
-        for b, nk in zip(x.blocks, shape.block_dims):
-            g = np.zeros((samples, n, n, nk, nk), dtype=complex)     # entry (i, j) of each sample
-            if kind == "endo":
-                g[:] = b.reshape(g.shape)
-            elif kind == "column":
-                g[:, :, 0] = b
-            else:
-                g[:, 0] = b
-            grid.append(g.swapaxes(2, 3).reshape(samples, n * nk, n * nk))
-        m = _packed(shape, n, _element(_amplified(shape, n), tuple(grid)))
-        out.append(e * m if kind == "column" else m * e if kind == "row" else e * m * e)
-    return out
+def _pair_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[u] @ b[v] for every pair (u, v) of a (U, m, k) and a (V, k, r) stack, as a (U, V, m, r) grid: one GEMM."""
+    (nu, m, k), (nv, _, r) = a.shape, b.shape
+    return (a.reshape(nu * m, k) @ b.transpose(1, 0, 2).reshape(k, nv * r)).reshape(nu, m, nv, r).swapaxes(1, 2)
 
 
 def _columns(m: AlgebraMatrix) -> ModuleVector:
-    """The n columns of m as module vectors, stacked over a new leading axis: column j at index j."""
-    blocks = []
-    for b, nk in zip(m.element.blocks, m.shape.block_dims):
-        x = np.zeros((m.n, m.n, nk, m.n, nk), dtype=complex)     # x[j] holds column j in its tile column 0
-        x[:, :, :, 0] = b.reshape(m.n, nk, m.n, nk).transpose(2, 0, 1, 3)
-        blocks.append(x.reshape((m.n,) + b.shape))
-    return _packed(m.shape, m.n, _element(m.element.shape, tuple(blocks)))
-
-
-def _at(x: AlgebraMatrix, j: int) -> AlgebraMatrix:
-    """Matrix j of a stack of matrices."""
-    return _packed(x.shape, x.n, _element(x.element.shape, tuple(b[j] for b in x.element.blocks)))
+    """The n columns of m as module vectors, stacked over a new leading axis: column j at index j, m E_j0."""
+    selectors = np.eye(m.n)[:, :, None] * np.eye(m.n)[0]     # E_j0 at index j, an exact 0/1 factor
+    return m * _packed(m.shape, m.n, _element(m.element.shape, tuple(np.kron(selectors, np.eye(nk))
+                                                                     for nk in m.shape.block_dims)))
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +164,75 @@ def _at(x: AlgebraMatrix, j: int) -> AlgebraMatrix:
 
 @dataclass(frozen=True)
 class IdempotentData:
+    """An n x n matrix e over A, and for a projection (e* = e = e^2) bases of B = e M_n(A) e and of e A^n.
+
+    With W_k an isometry onto the range of block k of e (one `eigh`), the units
+    W_k E_ij W_k* span B = + M_{r_k}(C) and the vectors W_k[:, i] e_c^T (c < n_k)
+    span e A^n; their adjoints span A^n e.  Each basis is one stack, block by
+    block and row-major.  The tables index products of basis elements, -1 for 0.
+    """
+
     matrix: AlgebraMatrix
 
     @property
     def n(self) -> int:
         return self.matrix.n
+
+    @cached_property
+    def isometries(self) -> tuple[np.ndarray, ...]:
+        return tuple(v[:, w > 0.5] for w, v in map(np.linalg.eigh, self.matrix.element.blocks))
+
+    def _basis(self, rows) -> AlgebraMatrix:
+        """The matrices W_k[:, i] rows[k][j] in block k of M_n(A), over k, i and j in that order, as one stack."""
+        parts = [(w.T[:, None, :, None] * y[None, :, None, :]).reshape(-1, len(w), len(w))
+                 for w, y in zip(self.isometries, rows)]
+        ends = np.cumsum([len(p) for p in parts])     # block k holds elements ends[k] - len(parts[k]) to ends[k]
+        zeros = lambda count, p: np.zeros((count,) + p.shape[1:], dtype=complex)
+        blocks = tuple(np.concatenate([zeros(end - len(p), p), p, zeros(ends[-1] - end, p)])
+                       for p, end in zip(parts, ends))
+        return _packed(self.matrix.shape, self.n, _element(self.matrix.element.shape, blocks))
+
+    @cached_property
+    def units(self) -> AlgebraMatrix:
+        return self._basis([w.conj().T for w in self.isometries])
+
+    @cached_property
+    def columns(self) -> ModuleVector:
+        return self._basis([np.eye(nk, len(w)) for w, nk in zip(self.isometries, self.matrix.shape.block_dims)])
+
+    def _labels(self, widths) -> np.ndarray:
+        """Rows k, i, j and index of the basis elements (k, i, j), j < widths[k], in stack order, as columns."""
+        labels = [(k, i, j) for k, w in enumerate(self.isometries) for i in range(w.shape[1]) for j in range(widths[k])]
+        return np.vstack([np.array(labels, dtype=int).reshape(-1, 3).T, np.arange(len(labels))])[..., None]
+
+    @cached_property
+    def unit_products(self) -> np.ndarray:
+        """[u, v]: the unit E_il = E_ij E_jl for units u = E_ij and v = E_jl of one block."""
+        k, i, j, u = self._labels([w.shape[1] for w in self.isometries])
+        return np.where((k == k.T) & (j == i.T), u - j + j.T, -1)
+
+    @cached_property
+    def column_actions(self) -> np.ndarray:
+        """[p, u]: the vector x_p E_u, for a unit E_u = E^k_cb of A in the block k of x_p at its column c."""
+        k, _, c, p = self._labels(self.matrix.shape.block_dims)
+        ka, a, b = np.array(self.matrix.shape.labels()).T
+        return np.where((k == ka) & (c == a), p - c + b, -1)
+
+    @cached_property
+    def pairings(self) -> np.ndarray:
+        """[p, q]: the unit E^k_cd of A that x_p* x_q is, for x_p and x_q of one block k and one i."""
+        k, i, c, _ = self._labels(self.matrix.shape.block_dims)
+        first = np.array(self.matrix.shape._offsets())[k] + c * np.array(self.matrix.shape.block_dims)[k]
+        return np.where((k == k.T) & (i == i.T), first + c.T, -1)
+
+
+def export_bytes(t: TwistedTriple, e: IdempotentData) -> int:
+    """A bound on the bytes of the largest array the exports of e and their checks form: the checks take all
+    pairs of basis elements, and the units of B act on the ambient space (M_n(H) if t is real and graded)."""
+    ranks = [w.shape[1] for w in e.isometries]
+    units, vectors = sum(r * r for r in ranks), sum(r * nk for r, nk in zip(ranks, t.shape.block_dims))
+    ambient = e.n * (e.n if t.real is not None and t.grading is not None else 1) * t.dim
+    return 16 * max(ambient ** 2, units ** 2 * max(ambient ** 2, e.n ** 2 * t.shape.basis_size), (vectors * t.dim) ** 2)
 
 
 @dataclass(frozen=True)
@@ -268,7 +282,10 @@ def check_idempotent(t: TwistedTriple, e: IdempotentData, tol: Tolerance = DEFAU
 
 @dataclass(frozen=True)
 class ModuleLift:
-    """Lift of the twist to e A^n and to B = e M_n(A) e; builders assume one from `lift_maps`, which checks e."""
+    """Lift of the twist to e A^n and to B = e M_n(A) e; builders assume one from `lift_maps`, which checks e.
+
+    The laws of sigma' that the export checks read are computed once per lift, on the units of B.
+    """
 
     triple: TwistedTriple
     idempotent: IdempotentData
@@ -288,36 +305,55 @@ class ModuleLift:
         e = self.idempotent.matrix
         return e * b.map(self.triple.sigma.inverse()) * e
 
+    @cached_property
+    def _sigma_prime_units(self) -> AlgebraMatrix:
+        return self.sigma_prime(self.idempotent.units)
 
-def lift_maps(
-    t: TwistedTriple, e: IdempotentData, tol: Tolerance = DEFAULT_TOL, samples: int = 5
-) -> ModuleLift:
+    @cached_property
+    def sigma_prime_multiplicative(self) -> float:
+        """Max defect of sigma'(b c) = sigma'(b) sigma'(c) over the pairs of units of B; b c is a unit or 0."""
+        sp = self._sigma_prime_units
+        return _worst(_take(sp, self.idempotent.unit_products).defects(sp[:, None] * sp))
+
+    @cached_property
+    def sigma_prime_regularity(self) -> float:
+        """Max defect of sigma'(b*) = (sigma'^-1(b))* over the units of B."""
+        units = self.idempotent.units
+        return _worst(self.sigma_prime(units.star()).defects(self.sigma_prime_inv(units).star()))
+
+
+NOT_A_PROJECTION = "not a selfadjoint idempotent: e*e = e = e^dagger fails"
+
+
+def lift_maps(t: TwistedTriple, e: IdempotentData, tol: Tolerance = DEFAULT_TOL, samples: int = 5) -> ModuleLift:
+    """The lift of the twist through the projection e, once e and the lift laws pass; `samples` is ignored.
+
+    The laws, which the preconditions guarantee, are decided on the bases of e A^n, A and B
+    (x E_u is a basis vector or 0, a gather); the first failing law, in the order listed, raises.
+    """
     report = check_idempotent(t, e, tol)
     if not tol.accepts(report.idempotent_defect, report.selfadjoint_defect):
-        raise ValueError("not a selfadjoint idempotent: e*e = e = e^dagger fails")
+        raise ValueError(NOT_A_PROJECTION)
     if not report.lift_invertible:
         raise ValueError("lift of the twist is not invertible: e sigma(e) e = e fails")
     if not (report.twist_invariant or report.twist_commuting):
-        raise ValueError(
-            "idempotent is neither twist-invariant (sigma(e)=e) nor twist-commuting (delta(e)=0)"
-        )
+        raise ValueError("idempotent is neither twist-invariant (sigma(e)=e) nor twist-commuting (delta(e)=0)")
     lift = ModuleLift(t, e, report)
-    # spot-check the lift laws on random data; guaranteed by the preconditions
-    xi, a, b, c = _samples(e.matrix, np.random.default_rng(0), samples, ("column", "scalar", "endo", "endo"))
-    sl, sp, sp_inv = lift.sigma_lift, lift.sigma_prime, lift.sigma_prime_inv
-    sl_xi, sp_b = sl(xi), sp(b)
+    sl_x = lift.sigma_lift(e.columns)
+    scalars = amat_scalar(t.shape.units(), e.n).map(t.sigma)      # sigma(E_u) 1_n, over u
     laws = [
-        (sl(xi * a), sl_xi * a.map(t.sigma), "lift does not intertwine the module action with the twist"),
-        (lift.sigma_lift_inv(sl_xi), xi, "lift roundtrip is not the identity on the module"),
-        (sp(b * c), sp_b * sp(c), "lifted twist is not multiplicative on the endomorphism algebra"),
-        (sp_inv(sp_b), b, "lifted twist roundtrip fails on the endomorphism algebra"),
+        (_take(sl_x, e.column_actions).defects(sl_x[:, None] * scalars),
+         "lift does not intertwine the module action with the twist"),
+        (lift.sigma_lift_inv(sl_x).defects(e.columns), "lift roundtrip is not the identity on the module"),
+        (lift.sigma_prime_multiplicative, "lifted twist is not multiplicative on the endomorphism algebra"),
+        (lift.sigma_prime_inv(lift._sigma_prime_units).defects(e.units),
+         "lifted twist roundtrip fails on the endomorphism algebra"),
     ]
     if check_regularity(t.sigma, tol=tol).passes:
-        laws.append((sp(b.star()), sp_inv(b).star(), "lifted twist loses the regularity property"))
-    # the first failure in sample-major order, as a loop over the samples would meet it
-    for k, defect in enumerate(np.stack([x.defects(y) for x, y, _ in laws], axis=1).ravel()):
-        if not tol.accepts(defect):
-            raise ValueError(laws[k % len(laws)][2])
+        laws.append((lift.sigma_prime_regularity, "lifted twist loses the regularity property"))
+    for defects, message in laws:
+        if not tol.accepts(defects):
+            raise ValueError(message)
     return lift
 
 
@@ -327,7 +363,7 @@ def lift_maps(
 
 
 # The block operators below act on one operator or on a stack of them over
-# leading sample axes; lead is the shape of those axes.
+# leading axes; lead is the shape of those axes.
 
 
 def _grid(blocks) -> np.ndarray:
@@ -459,31 +495,6 @@ def _nabla_ops(t: TwistedTriple, conn: Connection, x: ModuleVector) -> np.ndarra
     return t.dirac @ p - ps @ t.dirac + np.matmul(m, p[..., None, :, :, :]).sum(axis=-3)
 
 
-def apply_connection(
-    t: TwistedTriple, conn: Connection, xi: ModuleVector
-) -> list[tuple[ModuleVector, np.ndarray]]:
-    """Snyder decomposition of nabla(xi): list of (module vector, one-form operator).
-
-    Right side only; the Grassmann part contributes (e-columns, delta(xi_j)) and
-    the one-form matrix part (e-columns, sum_k m_j^k pi(xi_k)).
-    """
-    if conn.side != "right":
-        raise ValueError("apply_connection handles right connections")
-    ops, columns = _nabla_ops(t, conn, xi), _columns(conn.idempotent.matrix)
-    return [(_at(columns, j), ops[j]) for j in range(conn.n)]
-
-
-def apply_connection_left(
-    t: TwistedTriple, conn: Connection, zeta: ModuleVector
-) -> list[tuple[np.ndarray, ModuleVector]]:
-    """Snyder decomposition of nabla_opp(zeta) on A^n e: list of (opposite one-form op, row vector)."""
-    if conn.side != "left":
-        raise ValueError("apply_connection_left handles left connections")
-    ops = _nabla_ops(t, conn, zeta)
-    rows = _columns(conn.idempotent.matrix.star()).star()    # row j of e is column j of e*, starred
-    return [(ops[j], _at(rows, j)) for j in range(conn.n)]
-
-
 @dataclass(frozen=True)
 class HermiticityReport:
     identity_defect: float
@@ -511,45 +522,43 @@ def _sandwich_left(t: TwistedTriple, e: AlgebraMatrix, m) -> np.ndarray:
     return _blocks(g, e.n).swapaxes(0, 1)
 
 
-def check_hermitian(
-    t: TwistedTriple,
-    conn: Connection,
-    samples: int = 10,
-    seed: int = 0,
-    tol: Tolerance = DEFAULT_TOL,
-) -> HermiticityReport:
-    """Hermiticity identity over sampled module vectors plus the structure of the one-form matrix.
+def check_hermitian(t: TwistedTriple, conn: Connection, samples: int = 10, seed: int = 0,
+                    tol: Tolerance = DEFAULT_TOL) -> HermiticityReport:
+    """Hermiticity identity plus the structure of the one-form matrix; `samples` and `seed` are ignored.
 
-    The samples are one stack, and each sum over the e-columns (e-rows) is one
-    batched product: the inner products of a sample with every e-column are a
-    row or column of one product of algebra matrices.
+    The identity is sesquilinear, so it is decided on all pairs of the basis of
+    e A^n (of A^n e on the left side), which exists for a projection e alone:
+    its left side is one GEMM, its right side a gather.
     """
-    e = conn.idempotent.matrix
-    m = conn.one_forms
+    e, m = conn.idempotent.matrix, conn.one_forms
+    if not tol.accepts((e * e).defect(e), e.star().defect(e)):
+        raise ValueError(NOT_A_PROJECTION)
 
     sa = float(rel_defects(dagger(m), m.swapaxes(0, 1)).max())
     sandwich = _sandwich_right(t, e, m) if conn.side == "right" else _sandwich_left(t, e, m)
     sw = float(rel_defects(sandwich, m).max())
 
-    sinv = t.sigma.inverse()
-    rng = np.random.default_rng(seed)
+    sinv, units, x = t.sigma.inverse(), t.shape.units(), conn.idempotent.columns
     if conn.side == "right":
-        xi, xip = _samples(e, rng, samples, ("column", "column"))
-        # (xi', nabla xi) - (nabla(Sigma^{-1} xi'), xi) = delta((xi', xi)); (xi', e_j) is entry (0, j)
-        # of xi'* e and (e_j, xi) entry (j, 0) of e* xi, for e_j the e-column j
-        left = t.rep.images(_row0((xip.star() * e).map(t.sigma))) @ _nabla_ops(t, conn, xi)
-        right = dagger(_nabla_ops(t, conn, e * xip.map(sinv))) @ t.rep.images(_column0(e.star() * xi))
-        rhs = t.twisted_commutator(inner_product(xip, xi))
+        # (xi', nabla xi) - (nabla(Sigma^{-1} xi'), xi) = delta((xi', xi)) over the pairs (xi', xi); (xi', e_j)
+        # is entry (0, j) of xi'* e and (e_j, xi) entry (j, 0) of e* xi, for e_j the e-column j
+        outer = [t.rep.images(_row0((x.star() * e).map(t.sigma))), -dagger(_nabla_ops(t, conn, e * x.map(sinv)))]
+        inner = [_nabla_ops(t, conn, x), t.rep.images(_column0(e.star() * x))]
+        rhs = _rows(t.twisted_commutator(units), conn.idempotent.pairings)
     else:
-        zeta, zetap = _samples(e, rng, samples, ("row", "row"))     # rows of A^n e: zeta e = zeta
-        # -{zeta', nabla(Sigma_opp zeta)} + {nabla zeta', zeta} = delta_opp({zeta', zeta}); {zeta', e_j}
-        # is entry (0, j) of zeta' e* and {e_j, zeta} entry (j, 0) of e zeta*, for e_j the e-row j
+        # -{zeta', nabla(Sigma_opp zeta)} + {nabla zeta', zeta} = delta_opp({zeta', zeta}) over the pairs
+        # (zeta, zeta') of rows zeta = x*; {zeta', e_j} is entry (0, j) of zeta' e* and {e_j, zeta} entry
+        # (j, 0) of e zeta*, for e_j the e-row j
+        zeta = x.star()
         pi_opp = lambda c: t.opp_images(t.rep.images(c))
-        left = pi_opp(_column0((e * zeta.star()).map(sinv))) @ _nabla_ops(t, conn, zetap)
-        right = dagger(_nabla_ops(t, conn, zeta.map(t.sigma) * e)) @ pi_opp(_row0(zetap * e.star()))
-        rhs = t.twisted_commutator_opp((zetap * zeta.star()).entry(0, 0))     # {zeta', zeta}
-    worst = float(rel_defects(left.sum(axis=1) - right.sum(axis=1), rhs).max(initial=0.0))
-    return HermiticityReport(worst, sa, sw, tol)
+        outer = [pi_opp(_column0((e * x).map(sinv))), -dagger(_nabla_ops(t, conn, zeta.map(t.sigma) * e))]
+        inner = [_nabla_ops(t, conn, zeta), pi_opp(_row0(zeta * e.star()))]
+        rhs = _rows(t.twisted_commutator_opp(units), conn.idempotent.pairings.T)
+    # the sums over j of outer[p, j] @ inner[q, j] of every pair (p, q), as one GEMM
+    a, b = np.concatenate(outer, axis=1), np.concatenate(inner, axis=1)
+    (p, m, d, _), q = a.shape, len(b)
+    lhs = _pair_products(a.transpose(0, 2, 1, 3).reshape(p, d, m * d), b.reshape(q, m * d, d))
+    return HermiticityReport(_worst(rel_defects(lhs, rhs)), sa, sw, tol)
 
 
 def conjugate_connection(t: TwistedTriple, conn: Connection, tol: Tolerance = DEFAULT_TOL) -> Connection:
@@ -587,13 +596,6 @@ class RightTriple:
     projection: np.ndarray
     d_r: np.ndarray
 
-    def pi_r(self, b: AlgebraMatrix) -> np.ndarray:
-        return _pi_grid(self.triple, b) @ self.projection
-
-    def bracket(self, b: AlgebraMatrix) -> np.ndarray:
-        """[D_R, pi_R(b)]_{sigma'} as an ambient matrix."""
-        return self.d_r @ self.pi_r(b) - self.pi_r(self.lift.sigma_prime(b)) @ self.d_r
-
 
 @dataclass(frozen=True)
 class LeftTriple:
@@ -604,9 +606,6 @@ class LeftTriple:
     connection: Connection
     projection: np.ndarray
     d_l: np.ndarray
-
-    def pi_l(self, b: AlgebraMatrix) -> np.ndarray:
-        return _opp_grid(self.triple, b) @ self.projection
 
 
 def _require_hermitian(t: TwistedTriple, conn: Connection, tol: Tolerance) -> None:
@@ -671,40 +670,44 @@ class MoritaTripleReport:
                                 self.sigma_prime_regularity, self.rep_homomorphism, self.rep_involution, *bracket)
 
 
-def check_morita_triple(
-    rt: RightTriple | LeftTriple,
-    samples: int = 10,
-    seed: int = 0,
-    tol: Tolerance = DEFAULT_TOL,
-) -> MoritaTripleReport:
-    """Twisted-triple axiom suite for an exported triple, at the representation level.
+def _right_factor(proj: np.ndarray) -> np.ndarray:
+    """F = U S of the SVD proj = U S V*, zero singular values dropped: ||X proj|| = ||X F|| for every X.
 
-    The sampled identities are each one pass over a stack of the samples.
+    A right factor proj of both sides of an identity becomes F, which leaves every relative
+    defect as it is; F has rank(proj) columns, and is an isometry for an orthogonal projection.
     """
-    t = rt.triple
-    e = rt.lift.idempotent.matrix
-    proj = rt.projection
+    u, s, _ = np.linalg.svd(proj)
+    keep = s > len(s) * np.finfo(float).eps * s.max(initial=0.0)
+    return u[:, keep] * s[keep]
+
+
+def check_morita_triple(rt: RightTriple | LeftTriple, samples: int = 10, seed: int = 0,
+                        tol: Tolerance = DEFAULT_TOL) -> MoritaTripleReport:
+    """Twisted-triple axiom suite for an exported triple on the units of B; `samples` and `seed` are ignored.
+
+    The laws of sigma' are read from the lift.  The homomorphism law is one GEMM over the pairs
+    of units, with the right factor proj made `_right_factor`, against a gather of their products.
+    """
+    t, e, proj = rt.triple, rt.lift.idempotent, rt.projection
     right = isinstance(rt, RightTriple)
-    dd = rt.d_r if right else rt.d_l
-    rep = rt.pi_r if right else rt.pi_l
-    sp = rt.lift.sigma_prime
-    sp_inv = rt.lift.sigma_prime_inv
+    dd, grid = (rt.d_r, _pi_grid) if right else (rt.d_l, _opp_grid)
 
     sa = rel_defect(proj @ dd @ proj, dagger(proj @ dd @ proj))
-    b, c = _samples(e, np.random.default_rng(seed), samples, ("endo", "endo"))
-    worst = lambda defects: float(defects.max(initial=0.0))   # 0 for no samples, as a loop
-    mult = worst(sp(b * c).defects(sp(b) * sp(c)))
-    reg = worst(sp(b.star()).defects(sp_inv(b).star()))
-    # pi_L is an anti-representation: pi_L(b) pi_L(c) = pi_L(c b)
-    rep_b = rep(b)
-    hom = worst(rel_defects(rep_b @ rep(c), rep(b * c if right else c * b)))
-    inv = worst(rel_defects(dagger(proj @ rep_b @ proj), proj @ rep(b.star()) @ proj))
+    # pi_R(b) = rep(b) = g(b) proj; pi_L is an anti-representation: pi_L(b) pi_L(c) = pi_L(c b)
+    g = grid(t, e.units)
+    rep, gf = g @ proj, g @ _right_factor(proj)
+    hom = _worst(rel_defects(_pair_products(rep, gf), _rows(gf, e.unit_products if right else e.unit_products.T)))
+    sandwich = lambda x: proj @ x @ proj
+    inv = _worst(rel_defects(dagger(sandwich(rep)), sandwich(grid(t, e.units.star()) @ proj)))
     bracket_id = None
     if right:
+        # [D_R, pi_R(b)]_sigma' = e [D_M, pi(b)]_sigma e with D_M the Dirac grid of the one-forms
         dm = _dirac_grid(t, rt.connection.one_forms)
-        inner = dm @ _pi_grid(t, b) - _pi_grid(t, b.map(t.sigma)) @ dm
-        bracket_id = worst(rel_defects(rt.bracket(b) @ proj, _pi_grid(t, e) @ inner @ proj))
-    return MoritaTripleReport(sa, bracket_id, mult, reg, hom, inv, tol)
+        bracket = dd @ rep - _pi_grid(t, rt.lift._sigma_prime_units) @ proj @ dd
+        inner = dm @ g - _pi_grid(t, e.units.map(t.sigma)) @ dm
+        bracket_id = _worst(rel_defects(bracket @ proj, _pi_grid(t, e.matrix) @ inner @ proj))
+    return MoritaTripleReport(sa, bracket_id, rt.lift.sigma_prime_multiplicative, rt.lift.sigma_prime_regularity,
+                              hom, inv, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -793,11 +796,14 @@ class RealTripleReport:
                 and None not in (self.j_squared_sign, self.j_dirac_sign, self.j_grading_sign))
 
 
-def check_real_triple(
-    rt: RealTriple, samples: int = 8, seed: int = 0, tol: Tolerance = DEFAULT_TOL
-) -> RealTripleReport:
-    e = rt.lift.idempotent.matrix
-    proj, dp = rt.projection, rt.d_prime
+def check_real_triple(rt: RealTriple, samples: int = 8, seed: int = 0,
+                      tol: Tolerance = DEFAULT_TOL) -> RealTripleReport:
+    """Axioms of the real export; `samples` and `seed` are ignored.
+
+    Order zero and first order are decided on the pairs of units of B, each side one GEMM with
+    the right factor proj made `_right_factor`.
+    """
+    lift, proj, dp, units = rt.lift, rt.projection, rt.d_prime, rt.lift.idempotent.units
 
     sa = rel_defect(proj @ dp @ proj, dagger(proj @ dp @ proj))
     dsec = rel_defect(dp, rt.d_second)
@@ -805,13 +811,13 @@ def check_real_triple(
     # the signs on the subspace H' = range(proj)
     signs = [sign for sign, _ in ko_signs(rt.j_prime, dp, rt.gamma_prime, tol, restrict=proj)]
 
-    # order zero and first order on one stack of the samples
-    b, c = _samples(e, np.random.default_rng(seed), samples, ("endo", "endo"))
-    pb, pc = rt.pi_prime(b), rt.pi_prime_opp(c)
-    oz = float(rel_defects(pb @ pc @ proj, pc @ pb @ proj).max(initial=0.0))
-    x = dp @ pb - rt.pi_prime(rt.lift.sigma_prime(b)) @ dp
-    outer = x @ pc - rt.pi_prime_opp(rt.lift.sigma_prime_inv(c)) @ x
-    fo = float(relative(np.sqrt(sq_norms(outer @ proj)), np.sqrt(sq_norms(x))).max(initial=0.0))
+    pb, pc, f = rt.pi_prime(units), rt.pi_prime_opp(units), _right_factor(proj)
+    pcf = pc @ f
+    oz = _worst(rel_defects(_pair_products(pb, pcf), _pair_products(pc, pb @ f).swapaxes(0, 1)))
+    x = dp @ pb - rt.pi_prime(lift._sigma_prime_units) @ dp
+    outer = _pair_products(x, pcf)
+    outer -= _pair_products(rt.pi_prime_opp(lift.sigma_prime_inv(units)), x @ f).swapaxes(0, 1)
+    fo = _worst(relative(np.sqrt(sq_norms(outer)), np.sqrt(sq_norms(x))[:, None]))
     return RealTripleReport(sa, dsec, oz, fo, *signs, ko_dimension(signs), tol)
 
 

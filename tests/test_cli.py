@@ -658,6 +658,44 @@ class TestModelAndMorita:
         assert rc == 1
         assert "n x n" in json.loads(capsys.readouterr().out)["construction_error"]
 
+    @staticmethod
+    def _diagonal_triple(n):
+        """C^n acting on C^n by diagonal units, D = 0: a triple file of a few kB with N = d = n."""
+        shape = tw.AlgebraShape((1,) * n)
+        images = tuple(np.eye(n)[None, None, k, :, None] * np.eye(n)[k] for k in range(n))
+        rep = tw.Representation(shape, n, tuple(x.astype(complex) for x in images))
+        return tw.TwistedTriple(shape, rep, np.zeros((n, n), complex), tw.identity_automorphism(shape))
+
+    @pytest.mark.parametrize("case", ["real export of a 33 x 33 zero", "unit pairs of a 4 x 4 unit",
+                                      "self, N = d = 91"])
+    def test_morita_over_the_dense_bound_exits_two_before_allocating(self, workdir, capsys, case):
+        # small files whose exports or basis checks would form arrays above the bound: each operator of the real
+        # export of a 33 x 33 idempotent on M_33(H) is (33^2 * 8)^2 * 16 bytes; the pair grids of the 192 units
+        # of B = M_4(A) on M_4(H) are 192^2 (4^2 * 8)^2 * 16 bytes; those of `--self` on a triple with 91 units
+        # and d = 91 are (91 * 91)^2 * 16 bytes.  `--self` is refused before its omega file is read.
+        if case.startswith("self"):
+            (workdir / "diag91.json").write_text(json.dumps(triple_to_json(self._diagonal_triple(91))))
+            argv = ["morita", str(workdir / "diag91.json"), "--self", "--omega", str(workdir / "no_omega.json")]
+        else:
+            n, unit = (33, U1U2_SHAPE.zero()) if case.startswith("real") else (4, U1U2_SHAPE.unit())
+            zero = U1U2_SHAPE.zero()
+            entries = [[unit if i == j else zero for j in range(n)] for i in range(n)]
+            e = IdempotentData(AlgebraMatrix(U1U2_SHAPE, entries))
+            (workdir / "big_idem.json").write_text(json.dumps(idempotent_to_json(e)))
+            argv = ["morita", str(workdir / "u1u2_ky0.json"), "--idempotent", str(workdir / "big_idem.json")]
+        assert os.path.getsize(argv[1 if case.startswith("self") else 3]) < 250_000
+        tracemalloc.start()
+        try:
+            rc = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+        assert f"{MAX_DENSE_BYTES}-byte bound" in err
+        assert peak < MAX_DENSE_BYTES // 32     # the 91 x 91 x 91 stack of the diagonal triple is 12 MB
+
 
 class TestModelDraws:
     """`model --verify n` draws its n perturbations as the one-by-one loop did and verifies them as one stack."""
@@ -665,9 +703,9 @@ class TestModelDraws:
     @pytest.fixture
     def drawn(self, monkeypatch):
         stacks = []
-        def recorded(model, p, _f=cli.verify_fluctuation_formula):
+        def recorded(model, p, *args, _f=cli.verify_fluctuation_formula):
             stacks.append(p)
-            return _f(model, p)
+            return _f(model, p, *args)
         monkeypatch.setattr(cli, "verify_fluctuation_formula", recorded)
         return stacks
 
@@ -700,12 +738,34 @@ class TestModelDraws:
         assert self._model(0, 5, kx="0,0", ky="0,0") == 0
         assert json.loads(capsys.readouterr().out)["formula_max_defect"] == 0.0
 
+    def test_the_omega2_gate_runs_at_tol_as_in_fluctuate(self, workdir):
+        # the two omega2 formulas agree to about 1e-16, so a tolerance of 1e-18 refuses them in both commands
+        argvs = (["model", "u1u2", "--kx=1,0.5", "--ky=0.7,-0.2", "--verify", "5"],
+                 ["fluctuate", str(workdir / "u1u2.json"), str(workdir / "pert.json")])
+        for argv in argvs:
+            assert _cli(argv, workdir)[0] == 0
+            rc, out, err = _cli(argv + ["--tol", "1e-18"], workdir)
+            assert (rc, out) == (2, "")
+            assert len(err.splitlines()) == 1 and err.startswith("error: omega2 formulas diverge")
+
 
 @pytest.mark.parametrize("argv", [["check", "T"], ["fluctuate", "T", "P", "--check-mu"], ["gauge", "T", "P", "U"],
-                                  ["pert-mul", "T", "P", "P"]])
+                                  ["pert-mul", "T", "P", "P"], ["morita", "K", "--idempotent", "I"],
+                                  ["morita", "T", "--self", "--omega", "P"],
+                                  ["morita", "K", "--idempotent", "I", "--connection", "C"]])
 def test_seed_is_read_only_by_model_and_morita(workdir, capsys, argv):
-    """The other commands accept --seed and ignore it: the same bytes under two seeds."""
-    files = {"T": workdir / "u1u2.json", "P": workdir / "pert.json", "U": workdir / "unitary.json"}
+    """Every command but `model` accepts --seed and ignores it: the same bytes under two seeds.
+
+    `morita` decides its checks on bases. The hermitian connection on the half idempotent is a case
+    whose rounding-level `right_bracket_defect` differs from one random draw of b to another.
+    """
+    files = {"T": workdir / "u1u2.json", "P": workdir / "pert.json", "U": workdir / "unitary.json",
+             "K": workdir / "u1u2_ky0.json", "I": workdir / "idem.json", "C": workdir / "conn_hermitian.json"}
+    t = tw.build_u1u2(1 + 0.5j, 0.0).triple
+    p = tw.normalize(t, random_pert(t, np.random.default_rng(0), 2))
+    pairs = p.pairs + tw.eta_adjoint_pairs(t, p).pairs
+    sym = pert_to_json(tw.Perturbation(t.shape, tuple((0.5 * a, b) for a, b in pairs)))
+    files["C"].write_text(json.dumps([[sym, sym], [sym, sym]]))
     argv = [str(files[a]) if a in files else a for a in argv]
     outs = []
     for extra in (["--seed", "0"], ["--seed", "7"], ["--seed", "0", "--json"], ["--seed", "7", "--json"]):

@@ -9,8 +9,6 @@ from twistlab.morita import (
     IdempotentData,
     amat_scalar,
     amat_unit,
-    apply_connection,
-    apply_connection_left,
     build_left_triple,
     build_real_triple,
     build_right_triple,
@@ -21,17 +19,23 @@ from twistlab.morita import (
     conjugate_connection,
     connection_with,
     grassmann,
-    inner_product,
     lift_maps,
-    module_vector,
     opp_one_form_action_corrected,
-    random_module_vector,
-    random_row_vector,
 )
 from twistlab.pert import eta, eta_adjoint_pairs, fluctuate, hat_pert, normalize
 from twistlab.triple import Representation, TwistedTriple
 
-from conftest import column, random_normalized_pert, row
+from conftest import (
+    apply_connection,
+    apply_connection_left,
+    column,
+    inner_product,
+    module_vector,
+    random_module_vector,
+    random_normalized_pert,
+    random_row_vector,
+    row,
+)
 
 
 def selfadjoint_one_form(t, rng):
@@ -345,6 +349,21 @@ class TestRightTriple:
         assert report.sandwich_defect > 1e-3
         with pytest.raises(ValueError, match=r"not hermitian .*sandwich \d"):
             build_right_triple(lift_maps(t, e), conn)
+
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_refuses_what_is_not_a_projection_as_lift_maps_does(self, u1u2, side):
+        # the bases of the hermiticity identity exist for a projection alone; an idempotent that is not
+        # selfadjoint, and a selfadjoint matrix that is not idempotent, are refused before any basis is formed
+        t = u1u2.triple
+        h, z = t.shape.unit(), t.shape.zero()
+        for entries in (((h, h), (z, z)), ((h, z), (z, 0.5 * h))):
+            e = IdempotentData(AlgebraMatrix(t.shape, entries))
+            with pytest.raises(ValueError) as lifted:
+                lift_maps(t, e)
+            with pytest.raises(ValueError) as checked:
+                check_hermitian(t, grassmann(t, e, side))
+            assert str(checked.value) == str(lifted.value) and "not a selfadjoint idempotent" in str(lifted.value)
+            assert "isometries" not in e.__dict__
 
 
 class TestLeftTriple:

@@ -1,4 +1,4 @@
-"""The packed algebra matrices, the Morita block assemblers, the first-order gate and the stacked spot checks against the loops they replaced.
+"""The packed algebra matrices, the Morita block assemblers, the first-order gate and the basis checks against the loops they replaced.
 
 The loops below are the reference oracles: block placement is exact, so the
 entries, +, - and star of a packed matrix, the grid assemblers and the exported
@@ -7,18 +7,22 @@ the sandwiches, the module-vector helpers and the first-order gate reassociate
 sums and agree to rtol 1e-13.  Arithmetic results skip validation, and must be
 byte for byte what the validating constructor makes of the same blocks.
 
-The spot checks of `lift_maps`, `check_hermitian`, `check_morita_triple` and
-`check_real_triple` draw their samples at once and evaluate each identity over
-a sample axis.  Their per-sample loops are kept here: the stacked draws equal
-the sequential ones bit for bit, and on data with O(1) defects every stacked
-defect agrees with its loop to rtol 1e-12.
+`lift_maps`, `check_hermitian`, `check_morita_triple` and `check_real_triple`
+decide each identity on the bases of `IdempotentData`, one stack per basis,
+with the products of basis elements as gathers.  Their per-element loops are
+kept here, and agree with them to 1e-12.  The sampled loops they replaced are
+kept too: on a corpus of exports each basis verdict is the sampled verdict.
 """
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import twistlab as tw
 import twistlab.morita as morita
-from twistlab.algebra import AlgebraElement, Automorphism, check_regularity
+from twistlab.algebra import AlgebraElement, AlgebraShape, Automorphism, check_regularity
 from twistlab.linalg import DEFAULT_TOL, Tolerance, dagger, rel_defect
 from twistlab.morita import (
     AlgebraMatrix,
@@ -34,36 +38,43 @@ from twistlab.morita import (
     _on_cols,
     _on_rows,
     _opp_grid,
+    _packed,
     _pi_grid,
-    _samples,
     _sandwich_left,
     _sandwich_right,
     _triple_first_order_defect,
-    amat_random,
     amat_scalar,
     amat_unit,
-    apply_connection,
-    apply_connection_left,
     build_left_triple,
     build_real_triple,
     build_right_triple,
     check_hermitian,
+    check_idempotent,
     check_morita_triple,
     check_real_triple,
     conjugate_connection,
     connection_with,
     grassmann,
-    inner_product,
     lift_maps,
-    module_vector,
-    random_module_vector,
-    random_row_vector,
-    row_vector,
 )
 
 from twistlab.pert import eta, eta_adjoint_pairs
 
-from conftest import column, ladder_triple, random_normalized_pert, row
+from conftest import (
+    apply_connection,
+    apply_connection_left,
+    amat_random,
+    column,
+    inner_product,
+    ladder_triple,
+    module_vector,
+    random_module_vector,
+    random_normalized_pert,
+    random_projection,
+    random_row_vector,
+    row,
+    row_vector,
+)
 from test_morita import half_idempotent, selfadjoint_one_form
 
 RTOL = 1e-13
@@ -326,30 +337,30 @@ def loop_apply_connection_left(t, conn, zeta):
     return out
 
 
-def loop_hermitian_identity(t, conn, samples=10, seed=0):
-    """identity_defect of `check_hermitian`, with module vectors as tuples."""
-    rng = np.random.default_rng(seed)
+def loop_hermitian_identity(t, conn):
+    """identity_defect of `check_hermitian`, with module vectors as tuples, one pair of spanning vectors at a time."""
     e = conn.idempotent.matrix
     sinv = t.sigma.inverse()
+    vectors = [tuple(column(x)) for x in loop_columns(conn.idempotent)]
     worst = 0.0
-    for _ in range(samples):
-        lhs = np.zeros((t.dim, t.dim), complex)
-        if conn.side == "right":
-            xi, xip = loop_random_module_vector(e, rng), loop_random_module_vector(e, rng)
-            for x0, om in loop_apply_connection(t, conn, xi):
-                lhs += t.pi(t.sigma(loop_inner_product(xip, x0))) @ om
-            for x0, om in loop_apply_connection(t, conn, loop_sigma_lift(e, xip, sinv)):
-                lhs -= dagger(om) @ t.pi(loop_inner_product(x0, xi))
-            rhs = t.twisted_commutator(loop_inner_product(xip, xi))
-        else:
-            zeta, zetap = loop_random_row_vector(e, rng), loop_random_row_vector(e, rng)
-            szeta = loop_apply_matrix_right(tuple(t.sigma(z) for z in zeta), e)
-            for om, z0 in loop_apply_connection_left(t, conn, szeta):
-                lhs -= dagger(om) @ t.pi_opp(loop_pairing(zetap, z0))
-            for om, z0 in loop_apply_connection_left(t, conn, zetap):
-                lhs += t.pi_opp(sinv(loop_pairing(z0, zeta))) @ om
-            rhs = t.twisted_commutator_opp(loop_pairing(zetap, zeta))
-        worst = max(worst, rel_defect(lhs, rhs))
+    for xip in vectors:
+        for xi in vectors:
+            lhs = np.zeros((t.dim, t.dim), complex)
+            if conn.side == "right":
+                for x0, om in loop_apply_connection(t, conn, xi):
+                    lhs += t.pi(t.sigma(loop_inner_product(xip, x0))) @ om
+                for x0, om in loop_apply_connection(t, conn, loop_sigma_lift(e, xip, sinv)):
+                    lhs -= dagger(om) @ t.pi(loop_inner_product(x0, xi))
+                rhs = t.twisted_commutator(loop_inner_product(xip, xi))
+            else:
+                zeta, zetap = tuple(x.star() for x in xi), tuple(x.star() for x in xip)    # rows of A^n e
+                szeta = loop_apply_matrix_right(tuple(t.sigma(z) for z in zeta), e)
+                for om, z0 in loop_apply_connection_left(t, conn, szeta):
+                    lhs -= dagger(om) @ t.pi_opp(loop_pairing(zetap, z0))
+                for om, z0 in loop_apply_connection_left(t, conn, zetap):
+                    lhs += t.pi_opp(sinv(loop_pairing(z0, zeta))) @ om
+                rhs = t.twisted_commutator_opp(loop_pairing(zetap, zeta))
+            worst = max(worst, rel_defect(lhs, rhs))
     return worst
 
 
@@ -673,18 +684,142 @@ class TestModuleVectors:
     @pytest.mark.parametrize("side", ["right", "left"])
     def test_hermiticity_identity(self, t, m, ops, side):
         # random one-forms are far from hermitian, so the identity defect is O(1) and comparable
-        conn = Connection(side, IdempotentData(m), ops)
-        got = check_hermitian(t, conn, samples=3, seed=7).identity_defect
-        loop = loop_hermitian_identity(t, conn, samples=3, seed=7)
+        conn = Connection(side, projected(t, m), ops)
+        got = check_hermitian(t, conn).identity_defect
+        loop = loop_hermitian_identity(t, conn)
         assert loop > 1e-3
         assert abs(got - loop) <= RTOL * loop
 
 
 # ---------------------------------------------------------------------------
-# the stacked spot checks against their per-sample loops
+# the bases, one element at a time
+# ---------------------------------------------------------------------------
+
+
+def projected(t, m, seed=0):
+    """A random projection of the size of m, of rank about half in each block: the bases exist for projections alone."""
+    ranks = [(m.n * nk + 1) // 2 for nk in t.shape.block_dims]
+    return IdempotentData(random_projection(t.shape, m.n, np.random.default_rng(seed), ranks))
+
+
+def _single(e, k, block):
+    """The n x n matrix over A whose block k in M_n(A) is block, every other block 0."""
+    amp = e.matrix.element.shape
+    blocks = [np.zeros((m, m), complex) for m in amp.block_dims]
+    blocks[k] = block
+    return _packed(e.matrix.shape, e.n, AlgebraElement(amp, tuple(blocks)))
+
+
+def loop_units(e):
+    """The matrix units W_k E_ij W_k* of B, one at a time, in the order of `IdempotentData.units`."""
+    return [_single(e, k, np.outer(w[:, i], w[:, j].conj()))
+            for k, w in enumerate(e.isometries) for i in range(w.shape[1]) for j in range(w.shape[1])]
+
+
+def loop_columns(e):
+    """The vectors W_k[:, i] e_c^T that span e A^n, one at a time, in the order of `IdempotentData.columns`."""
+    out = []
+    for k, w in enumerate(e.isometries):
+        for i in range(w.shape[1]):
+            for c in range(e.matrix.shape.block_dims[k]):
+                x = np.zeros((len(w), len(w)), complex)
+                x[:, c] = w[:, i]
+                out.append(_single(e, k, x))
+    return out
+
+
+def loop_scalars(t, n):
+    """The matrix units E_u of A as the scalars E_u 1_n, one at a time."""
+    return [amat_scalar(x, n) for _, x in t.shape.basis()]
+
+
+def _same_matrices(stack, matrices):
+    return len(stack.element.blocks[0]) == len(matrices) and all(
+        np.array_equal(a[u], b) for u, x in enumerate(matrices) for a, b in zip(stack.element.blocks, x.element.blocks))
+
+
+def _gram(matrices):
+    """Frobenius inner products of the matrices, as a matrix."""
+    flat = np.array([np.concatenate([b.ravel() for b in x.element.blocks]) for x in matrices])
+    flat = flat.reshape(len(matrices), -1)
+    return flat.conj() @ flat.T
+
+
+# Each check decides its identities on these bases: the module vectors of e A^n ("column") or A^n e ("row"),
+# the matrix units of A as scalars ("scalar"), and the matrix units of B ("unit").
+CHECK_BASES = {
+    "lift_maps": ("column", "scalar", "unit"),
+    "check_hermitian right": ("column",),
+    "check_hermitian left": ("row",),
+    "check_morita_triple and check_real_triple": ("unit",),
+}
+
+
+@pytest.mark.parametrize("kinds", list(CHECK_BASES.values()), ids=list(CHECK_BASES))
+@pytest.mark.parametrize("t, m, ops", CASES, ids=CASE_IDS)
+def test_stacked_draws_equal_the_sequential_ones(t, m, ops, kinds):
+    """The basis each check draws on, held as one stack, equals its elements built one at a time, bit for bit.
+
+    The units are an orthonormal basis of B = e M_n(A) e and the columns one
+    of e A^n: e u e = u and e x = x, with sum r_k^2 and sum r_k n_k elements.
+    """
+    e = projected(t, m)
+    em, ranks = e.matrix, [w.shape[1] for w in e.isometries]
+    stacked = {"column": e.columns, "row": e.columns.star(), "scalar": amat_scalar(t.shape.units(), e.n),
+               "unit": e.units}
+    sequential = {"column": loop_columns(e), "row": [x.star() for x in loop_columns(e)],
+                  "scalar": loop_scalars(t, e.n), "unit": loop_units(e)}
+    sizes = {"column": sum(r * nk for r, nk in zip(ranks, t.shape.block_dims)), "unit": sum(r * r for r in ranks)}
+    for kind in kinds:
+        assert _same_matrices(stacked[kind], sequential[kind])
+        if kind in sizes:
+            assert len(sequential[kind]) == sizes[kind]
+            assert np.allclose(_gram(sequential[kind]), np.eye(sizes[kind]), rtol=0, atol=1e-13)
+    for x in sequential["column"]:
+        assert (em * x).defect(x) <= 1e-14
+    for u in sequential["unit"]:
+        assert (em * u * em).defect(u) <= 1e-14
+
+
+def _zero_or(stack, index):
+    """The matrix at index of a list, or None where index is -1."""
+    return None if index < 0 else stack[index]
+
+
+@pytest.mark.parametrize("t, m, ops", CASES, ids=CASE_IDS)
+def test_basis_products_are_the_gathers(t, m, ops):
+    """Products of basis elements are basis elements or 0, at the indices of the gather tables of `IdempotentData`."""
+    e = projected(t, m)
+    units, columns, scalars = loop_units(e), loop_columns(e), loop_scalars(t, e.n)
+
+    def is_(x, want):
+        return x.norm() <= 1e-14 if want is None else x.defect(want) <= 1e-14
+
+    assert e.unit_products.shape == (len(units),) * 2 and e.pairings.shape == (len(columns),) * 2
+    assert e.column_actions.shape == (len(columns), len(scalars))
+    for u, b in enumerate(units):
+        assert all(is_(b * c, _zero_or(units, e.unit_products[u, v])) for v, c in enumerate(units))
+    for p, x in enumerate(columns):
+        assert all(is_(x * a, _zero_or(columns, e.column_actions[p, u])) for u, a in enumerate(scalars))
+        for q, y in enumerate(columns):
+            unit = e.pairings[p, q]
+            want = None if unit < 0 else amat_scalar(t.shape.matrix_unit(*t.shape.labels()[unit]), 1)
+            assert is_(amat_scalar(inner_product(x, y), 1), want)
+
+
+# ---------------------------------------------------------------------------
+# the basis checks against their per-element loops, and the sampled loops they replaced
 # ---------------------------------------------------------------------------
 
 STACKED_RTOL = 1e-12
+
+LAWS = (
+    "lift does not intertwine the module action with the twist",
+    "lift roundtrip is not the identity on the module",
+    "lifted twist is not multiplicative on the endomorphism algebra",
+    "lifted twist roundtrip fails on the endomorphism algebra",
+    "lifted twist loses the regularity property",
+)
 
 
 def _random_b(e, rng):
@@ -692,7 +827,7 @@ def _random_b(e, rng):
 
 
 def loop_lift_laws(lift, tol=DEFAULT_TOL, samples=5):
-    """The spot checks of `lift_maps`, one sample at a time: the first failing (sample, law) raises."""
+    """The sampled laws of `lift_maps`, one sample at a time: the first failing (sample, law) raises."""
     t, e = lift.triple, lift.idempotent
     rng = np.random.default_rng(0)
     em = e.matrix
@@ -702,93 +837,132 @@ def loop_lift_laws(lift, tol=DEFAULT_TOL, samples=5):
         xi = random_module_vector(em, rng)
         a = amat_scalar(t.shape.random_element(rng), e.n)
         if lift.sigma_lift(xi * a).defect(lift.sigma_lift(xi) * a.map(t.sigma)) > eps:
-            raise ValueError("lift does not intertwine the module action with the twist")
+            raise ValueError(LAWS[0])
         if lift.sigma_lift_inv(lift.sigma_lift(xi)).defect(xi) > eps:
-            raise ValueError("lift roundtrip is not the identity on the module")
+            raise ValueError(LAWS[1])
         b, c = _random_b(em, rng), _random_b(em, rng)
         if lift.sigma_prime(b * c).defect(lift.sigma_prime(b) * lift.sigma_prime(c)) > eps:
-            raise ValueError("lifted twist is not multiplicative on the endomorphism algebra")
+            raise ValueError(LAWS[2])
         if lift.sigma_prime_inv(lift.sigma_prime(b)).defect(b) > eps:
-            raise ValueError("lifted twist roundtrip fails on the endomorphism algebra")
+            raise ValueError(LAWS[3])
         if regular and lift.sigma_prime(b.star()).defect(lift.sigma_prime_inv(b).star()) > eps:
-            raise ValueError("lifted twist loses the regularity property")
+            raise ValueError(LAWS[4])
 
 
-def loop_check_hermitian(t, conn, samples=10, seed=0):
-    """(identity, selfadjoint, sandwich) defects of `check_hermitian`, one sample and one entry at a time."""
+def loop_basis_lift_laws(lift, tol=DEFAULT_TOL):
+    """The laws of `lift_maps` on the bases, one element or pair at a time: the first failing law raises."""
+    t, e = lift.triple, lift.idempotent
+    sl, sl_inv, sp, sp_inv = lift.sigma_lift, lift.sigma_lift_inv, lift.sigma_prime, lift.sigma_prime_inv
+    xs, bs = loop_columns(e), loop_units(e)
+    worst = [
+        max((sl(x * a).defect(sl(x) * a.map(t.sigma)) for x in xs for a in loop_scalars(t, e.n)), default=0.0),
+        max((sl_inv(sl(x)).defect(x) for x in xs), default=0.0),
+        max((sp(b * c).defect(sp(b) * sp(c)) for b in bs for c in bs), default=0.0),
+        max((sp_inv(sp(b)).defect(b) for b in bs), default=0.0),
+    ]
+    if check_regularity(t.sigma, tol=tol).passes:
+        worst.append(max((sp(b.star()).defect(sp_inv(b).star()) for b in bs), default=0.0))
+    for defect, message in zip(worst, LAWS):
+        if defect > tol.abs_eps:
+            raise ValueError(message)
+
+
+def sampled_vectors(conn, samples=10, seed=0):
+    """The pairs (xi', xi) of e A^n, or (zeta', zeta) of A^n e, that the sampled check drew: xi, then xi'."""
     rng = np.random.default_rng(seed)
-    e = conn.idempotent.matrix
-    n = conn.n
-    m = conn.one_forms
+    draw = random_module_vector if conn.side == "right" else random_row_vector
+    e, out = conn.idempotent.matrix, []
+    for _ in range(samples):
+        x = draw(e, rng)
+        out.append((draw(e, rng), x))
+    return out
 
+
+def basis_vectors(conn):
+    """Every pair (xi', xi) of the vectors that span e A^n, or (zeta', zeta) of their adjoints, which span A^n e."""
+    xs = loop_columns(conn.idempotent)
+    xs = xs if conn.side == "right" else [x.star() for x in xs]
+    return [(xp, x) for xp in xs for x in xs]
+
+
+def loop_identity_defect(t, conn, pairs):
+    """The largest defect of the hermiticity identity over pairs of module vectors, one pair and one entry at a time."""
+    e = conn.idempotent.matrix
+    sinv = t.sigma.inverse()
+    worst = 0.0
+    for xp, x in pairs:
+        lhs = np.zeros((t.dim, t.dim), complex)
+        if conn.side == "right":
+            for x0, om in apply_connection(t, conn, x):
+                lhs += t.pi(t.sigma(inner_product(xp, x0))) @ om
+            for x0, om in apply_connection(t, conn, e * xp.map(sinv)):
+                lhs -= dagger(om) @ t.pi(inner_product(x0, x))
+            rhs = t.twisted_commutator(inner_product(xp, x))
+        else:
+            pairing = lambda zp, z: (zp * z.star()).entries[0][0]
+            for om, z0 in apply_connection_left(t, conn, x.map(t.sigma) * e):
+                lhs -= dagger(om) @ t.pi_opp(pairing(xp, z0))
+            for om, z0 in apply_connection_left(t, conn, xp):
+                lhs += t.pi_opp(sinv(pairing(z0, x))) @ om
+            rhs = t.twisted_commutator_opp(pairing(xp, x))
+        worst = max(worst, rel_defect(lhs, rhs))
+    return worst
+
+
+def loop_check_hermitian(t, conn):
+    """(identity, selfadjoint, sandwich) defects of `check_hermitian`, one basis pair and one entry at a time."""
+    e, n, m = conn.idempotent.matrix, conn.n, conn.one_forms
     sa = max(rel_defect(dagger(m[i][j]), m[j][i]) for i in range(n) for j in range(n))
     sandwich = _sandwich_right(t, e, m) if conn.side == "right" else _sandwich_left(t, e, m)
     sw = max(rel_defect(sandwich[i][j], m[i][j]) for i in range(n) for j in range(n))
-
-    worst = 0.0
-    sinv = t.sigma.inverse()
-    for _ in range(samples):
-        if conn.side == "right":
-            xi = random_module_vector(e, rng)
-            xip = random_module_vector(e, rng)
-            lhs = np.zeros((t.dim, t.dim), complex)
-            for x0, om in apply_connection(t, conn, xi):
-                lhs += t.pi(t.sigma(inner_product(xip, x0))) @ om
-            sxi = e * xip.map(sinv)
-            for x0, om in apply_connection(t, conn, sxi):
-                lhs -= dagger(om) @ t.pi(inner_product(x0, xi))
-            rhs = t.twisted_commutator(inner_product(xip, xi))
-            worst = max(worst, rel_defect(lhs, rhs))
-        else:
-            zeta = random_row_vector(e, rng)
-            zetap = random_row_vector(e, rng)
-            pairing = lambda zp, z: (zp * z.star()).entries[0][0]
-            szeta = zeta.map(t.sigma) * e
-            lhs = np.zeros((t.dim, t.dim), complex)
-            for om, z0 in apply_connection_left(t, conn, szeta):
-                lhs -= dagger(om) @ t.pi_opp(pairing(zetap, z0))
-            for om, z0 in apply_connection_left(t, conn, zetap):
-                lhs += t.pi_opp(sinv(pairing(z0, zeta))) @ om
-            rhs = t.twisted_commutator_opp(pairing(zetap, zeta))
-            worst = max(worst, rel_defect(lhs, rhs))
-    return worst, sa, sw
+    return loop_identity_defect(t, conn, basis_vectors(conn)), sa, sw
 
 
-def loop_check_morita_triple(rt, samples=10, seed=0):
-    """The sampled defects of `check_morita_triple` (mult, reg, hom, inv, bracket), one sample at a time."""
-    t = rt.triple
-    e = rt.lift.idempotent.matrix
+def sampled_pairs(e, samples, seed=0):
+    """The pairs (b, c) of B that the sampled checks drew: b, then c."""
     rng = np.random.default_rng(seed)
-    proj = rt.projection
-    rep = rt.pi_r if isinstance(rt, RightTriple) else rt.pi_l
-    sp = rt.lift.sigma_prime
-    sp_inv = rt.lift.sigma_prime_inv
-    mult = reg = hom = inv = 0.0
-    bracket_id = 0.0 if isinstance(rt, RightTriple) else None
-    dm = _dirac_grid(t, rt.connection.one_forms)
+    out = []
     for _ in range(samples):
-        b, c = _random_b(e, rng), _random_b(e, rng)
-        mult = max(mult, sp(b * c).defect(sp(b) * sp(c)))
-        reg = max(reg, sp(b.star()).defect(sp_inv(b).star()))
-        prod = b * c if isinstance(rt, RightTriple) else c * b
-        hom = max(hom, rel_defect(rep(b) @ rep(c), rep(prod)))
-        inv = max(inv, rel_defect(dagger(proj @ rep(b) @ proj), proj @ rep(b.star()) @ proj))
-        if isinstance(rt, RightTriple):
-            inner = dm @ _pi_grid(t, b) - _pi_grid(t, b.map(t.sigma)) @ dm
-            rhs = _pi_grid(t, e) @ inner @ proj
-            bracket_id = max(bracket_id, rel_defect(rt.bracket(b) @ proj, rhs))
-    return mult, reg, hom, inv, bracket_id
+        b = _random_b(e.matrix, rng)
+        out.append((b, _random_b(e.matrix, rng)))
+    return out
 
 
-def loop_check_real_triple(rt, samples=8, seed=0):
-    """The sampled defects of `check_real_triple` (order zero, first order), one sample at a time."""
-    e = rt.lift.idempotent.matrix
-    rng = np.random.default_rng(seed)
-    proj, dp = rt.projection, rt.d_prime
-    oz = fo = 0.0
+def basis_pairs(e):
+    units = loop_units(e)
+    return [(b, c) for b in units for c in units]
+
+
+def loop_check_morita_triple(rt, pairs):
+    """The defects (mult, reg, hom, inv, bracket) of `check_morita_triple` over pairs (b, c) of B, one at a time.
+
+    reg, inv and the bracket identity read b alone.
+    """
+    t, proj = rt.triple, rt.projection
+    right = isinstance(rt, RightTriple)
+    rep = lambda b: (_pi_grid if right else _opp_grid)(t, b) @ proj     # pi_R or pi_L
     sp, sp_inv = rt.lift.sigma_prime, rt.lift.sigma_prime_inv
-    for _ in range(samples):
-        b, c = _random_b(e, rng), _random_b(e, rng)
+    dm, pe = _dirac_grid(t, rt.connection.one_forms), _pi_grid(t, rt.lift.idempotent.matrix)
+    worst = lambda defects: max(defects, default=0.0)
+    bs = list({id(b): b for b, _ in pairs}.values())
+    mult = worst(sp(b * c).defect(sp(b) * sp(c)) for b, c in pairs)
+    # pi_L is an anti-representation: pi_L(b) pi_L(c) = pi_L(c b)
+    hom = worst(rel_defect(rep(b) @ rep(c), rep(b * c if right else c * b)) for b, c in pairs)
+    reg = worst(sp(b.star()).defect(sp_inv(b).star()) for b in bs)
+    inv = worst(rel_defect(dagger(proj @ rep(b) @ proj), proj @ rep(b.star()) @ proj) for b in bs)
+    bracket = None
+    if right:
+        inner = lambda b: dm @ _pi_grid(t, b) - _pi_grid(t, b.map(t.sigma)) @ dm
+        bracket = worst(rel_defect((rt.d_r @ rep(b) - rep(sp(b)) @ rt.d_r) @ proj, pe @ inner(b) @ proj) for b in bs)
+    return mult, reg, hom, inv, bracket
+
+
+def loop_check_real_triple(rt, pairs):
+    """The defects (order zero, first order) of `check_real_triple` over pairs (b, c) of B, one at a time."""
+    proj, dp = rt.projection, rt.d_prime
+    sp, sp_inv = rt.lift.sigma_prime, rt.lift.sigma_prime_inv
+    oz = fo = 0.0
+    for b, c in pairs:
         pb, pc = rt.pi_prime(b), rt.pi_prime_opp(c)
         oz = max(oz, rel_defect(pb @ pc @ proj, pc @ pb @ proj))
         x = dp @ pb - rt.pi_prime(sp(b)) @ dp
@@ -798,75 +972,60 @@ def loop_check_real_triple(rt, samples=8, seed=0):
 
 
 def _agree(got, loop):
-    """Stacked and loop defects agree to STACKED_RTOL, and the loop's is O(1), so the agreement says something."""
-    return loop > 1e-3 and abs(got - loop) <= STACKED_RTOL * loop
+    """Basis and loop defects agree to STACKED_RTOL, relative to the loop's and at least to 1."""
+    return abs(got - loop) <= STACKED_RTOL * max(loop, 1.0)
 
 
-# Each check draws these kinds of sample per round; the sequential helpers it replaced draw them one by one.
-CHECK_DRAWS = {
-    "lift_maps": ("column", "scalar", "endo", "endo"),
-    "check_hermitian right": ("column", "column"),
-    "check_hermitian left": ("row", "row"),
-    "check_morita_triple and check_real_triple": ("endo", "endo"),
-}
-SEQUENTIAL_DRAWS = {
-    "column": random_module_vector,
-    "row": random_row_vector,
-    "scalar": lambda e, rng: amat_scalar(e.shape.random_element(rng), e.n),
-    "endo": _random_b,
-}
-
-
-@pytest.mark.parametrize("kinds", list(CHECK_DRAWS.values()), ids=list(CHECK_DRAWS))
-@pytest.mark.parametrize("t, m, ops", CASES, ids=CASE_IDS)
-def test_stacked_draws_equal_the_sequential_ones(t, m, ops, kinds):
-    samples = 3
-    r1, r2 = np.random.default_rng(9), np.random.default_rng(9)
-    stacked = _samples(m, r1, samples, kinds)
-    for s in range(samples):
-        for kind, x in zip(kinds, stacked):
-            want = SEQUENTIAL_DRAWS[kind](m, r2)
-            assert x.n == want.n
-            assert all(np.array_equal(a[s], b) for a, b in zip(x.element.blocks, want.element.blocks))
-    assert r1.random() == r2.random()
+def _morita_defects(report):
+    return (report.sigma_prime_multiplicative, report.sigma_prime_regularity, report.rep_homomorphism,
+            report.rep_involution, report.bracket_identity_defect)
 
 
 @pytest.mark.parametrize("side", ["right", "left"])
 @pytest.mark.parametrize("t, m, ops", CASES, ids=CASE_IDS)
 def test_stacked_check_hermitian_matches_its_loop(t, m, ops, side):
     # random one-forms are far from hermitian, so all three defects are O(1)
-    conn = Connection(side, IdempotentData(m), ops)
-    got = check_hermitian(t, conn, samples=4, seed=3)
-    loop = loop_check_hermitian(t, conn, samples=4, seed=3)
+    conn = Connection(side, projected(t, m), ops)
+    got = check_hermitian(t, conn)
+    loop = loop_check_hermitian(t, conn)
+    assert min(loop) > 1e-3
     for g, want in zip((got.identity_defect, got.selfadjoint_defect, got.sandwich_defect), loop):
         assert _agree(g, want)
 
 
-def _unchecked_exports(monkeypatch, t, m, ops):
-    """The right and left exports of a random, non-idempotent m with random one-forms, hermiticity unchecked."""
+def _random_square(t, n, seed):
+    """A random operator on H^n: a projection, D' or pi(e) that no identity holds for."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n * t.dim,) * 2) + 1j * rng.standard_normal((n * t.dim,) * 2)
+
+
+def _unchecked_exports(monkeypatch, t, e, ops):
+    """The right and left exports of e with random one-forms, hermiticity unchecked, each on a random projection.
+
+    With a random `projection` no identity of `check_morita_triple` holds, so every defect is O(1).
+    """
     monkeypatch.setattr(morita, "_require_hermitian", lambda *args: None)
-    e = IdempotentData(m)
     lift = ModuleLift(t, e, None)
-    return (build_right_triple(lift, Connection("right", e, ops)),
-            build_left_triple(lift, Connection("left", e, ops)))
+    right = build_right_triple(lift, Connection("right", e, ops))
+    left = build_left_triple(lift, Connection("left", e, ops))
+    return (dataclasses.replace(right, projection=_random_square(t, e.n, 1)),
+            dataclasses.replace(left, projection=_random_square(t, e.n, 2)))
 
 
 @pytest.mark.parametrize("t, m, ops", CASES[1:], ids=CASE_IDS[1:])
 def test_stacked_check_morita_triple_matches_its_loop(monkeypatch, t, m, ops):
-    for rt in _unchecked_exports(monkeypatch, t, m, ops):
-        got = check_morita_triple(rt, samples=4, seed=5)
-        loop = loop_check_morita_triple(rt, samples=4, seed=5)
-        values = (got.sigma_prime_multiplicative, got.sigma_prime_regularity, got.rep_homomorphism,
-                  got.rep_involution, got.bracket_identity_defect)
-        for g, want in zip(values, loop):
+    e = projected(t, m)
+    for rt in _unchecked_exports(monkeypatch, t, e, ops):
+        got = _morita_defects(check_morita_triple(rt))
+        loop = loop_check_morita_triple(rt, basis_pairs(e))
+        # sigma' is regular when sigma is, on any projection: only that defect is round-off
+        assert min(x for k, x in enumerate(loop) if k != 1 and x is not None) > 1e-3
+        for g, want in zip(got, loop):
             assert (g is want is None) or _agree(g, want)
 
 
 def real_cases():
-    """Random non-idempotent m with random one-forms on the first-order triples U(1)xU(2) at ky = 0 and the toy.
-
-    The toy's algebra C + C is commutative, so its order-zero defect is O(1) only from n = 2 on.
-    """
+    """Random m with random one-forms on the first-order triples U(1)xU(2) at ky = 0 and the toy."""
     rng = np.random.default_rng(71)
     ky0, toy = tw.build_u1u2(1 + 0.5j, 0.0).triple, tw.two_point_model()
     return [pytest.param(t, amat_random(t.shape, n, rng), random_ops(rng, n, t.dim), id=f"{name}-n{n}")
@@ -875,11 +1034,15 @@ def real_cases():
 
 @pytest.mark.parametrize("t, m, ops", real_cases())
 def test_stacked_check_real_triple_matches_its_loop(monkeypatch, t, m, ops):
+    # on a random projection of M_n(H) order zero fails too, so both defects are O(1)
     monkeypatch.setattr(morita, "_require_hermitian", lambda *args: None)
-    e = IdempotentData(m)
+    e = projected(t, m)
     rt = build_real_triple(ModuleLift(t, e, None), Connection("right", e, ops))
-    got = check_real_triple(rt, samples=3, seed=2)
-    for g, want in zip((got.order_zero, got.first_order), loop_check_real_triple(rt, samples=3, seed=2)):
+    rt = dataclasses.replace(rt, projection=_random_square(t, e.n * e.n, 3))
+    got = check_real_triple(rt)
+    loop = loop_check_real_triple(rt, basis_pairs(e))
+    assert min(loop) > 1e-3
+    for g, want in zip((got.order_zero, got.first_order), loop):
         assert _agree(g, want)
 
 
@@ -906,33 +1069,171 @@ def _lift_outcome(f):
 
 @pytest.mark.parametrize("t, m, ops", CASES[1:], ids=CASE_IDS[1:])
 def test_failing_lift_maps_raises_the_loops_first_failure(monkeypatch, t, m, ops):
-    # a random m passed off as a lift-invertible idempotent fails the spot checks with O(1) defects
-    # (the first law holds for any m); over a sweep of tolerances through those defects the first
-    # failing (sample, law) pair moves, and the message must follow the loop
-    e = IdempotentData(m)
+    # a random projection passed off as a lift-invertible, twist-invariant one fails the laws with O(1)
+    # defects (the first law holds for any e); over a sweep of tolerances through those defects the first
+    # failing law moves, and the message must follow the loop
+    e = projected(t, m)
     monkeypatch.setattr(morita, "check_idempotent", lambda t, e, tol: IdempotentReport(0, 0, 0, 0, 0, 0, tol))
     outcomes = []
-    for eps in np.concatenate([[1e-13, 1e-6], np.geomspace(0.5, 2.0, 25), [1e2]]):
+    for eps in np.concatenate([[1e-13, 1e-6], np.geomspace(0.05, 2.0, 25), [1e2]]):
         tol = Tolerance(float(eps))
-        want = _lift_outcome(lambda: loop_lift_laws(ModuleLift(t, e, None), tol))
+        want = _lift_outcome(lambda: loop_basis_lift_laws(ModuleLift(t, e, None), tol))
         assert _lift_outcome(lambda: lift_maps(t, e, tol)) == want
         outcomes.append(want)
     assert outcomes[0] is not None and outcomes[-1] is None
 
 
-def test_no_samples_give_zero_sampled_defects_as_the_loops(monkeypatch):
+def test_the_zero_projection_gives_zero_defects_as_the_loops(monkeypatch):
+    # e = 0: every basis is empty, so every basis defect is 0, as over an empty loop
     t, m, ops = CASES[3]
-    conn = Connection("right", IdempotentData(m), ops)
-    assert check_hermitian(t, conn, samples=0).identity_defect == loop_check_hermitian(t, conn, samples=0)[0] == 0.0
-    for rt in _unchecked_exports(monkeypatch, t, m, ops):
-        report = check_morita_triple(rt, samples=0)
-        values = (report.sigma_prime_multiplicative, report.sigma_prime_regularity, report.rep_homomorphism,
-                  report.rep_involution, report.bracket_identity_defect)
-        assert values == loop_check_morita_triple(rt, samples=0)
+    e = IdempotentData(random_projection(t.shape, m.n, np.random.default_rng(0), [0] * t.shape.num_blocks))
+    assert len(e.units.element.blocks[0]) == len(e.columns.element.blocks[0]) == 0
+    conn = Connection("right", e, ops)
+    assert check_hermitian(t, conn).identity_defect == loop_identity_defect(t, conn, basis_vectors(conn)) == 0.0
+    monkeypatch.setattr(morita, "_require_hermitian", lambda *args: None)
+    lift = ModuleLift(t, e, None)
+    for rt in (build_right_triple(lift, conn), build_left_triple(lift, Connection("left", e, ops))):
+        assert _morita_defects(check_morita_triple(rt)) == loop_check_morita_triple(rt, []) == (
+            0.0, 0.0, 0.0, 0.0, 0.0 if isinstance(rt, RightTriple) else None)
     t, m, ops = real_cases()[1].values
-    e = IdempotentData(m)
+    e = IdempotentData(random_projection(t.shape, m.n, np.random.default_rng(0), [0] * t.shape.num_blocks))
     real = build_real_triple(ModuleLift(t, e, None), Connection("right", e, ops))
-    report = check_real_triple(real, samples=0)
-    assert (report.order_zero, report.first_order) == loop_check_real_triple(real, samples=0) == (0.0, 0.0)
-    monkeypatch.setattr(morita, "check_idempotent", lambda t, e, tol: IdempotentReport(0, 0, 0, 0, 0, 0, tol))
-    assert lift_maps(t, e, samples=0).idempotent is e
+    report = check_real_triple(real)
+    assert (report.order_zero, report.first_order) == loop_check_real_triple(real, []) == (0.0, 0.0)
+    assert lift_maps(t, e).idempotent is e
+
+
+def test_samples_and_seed_are_ignored(monkeypatch):
+    t = tw.build_u1u2(1 + 0.5j, 0.0).triple
+    e = half_idempotent(t.shape)
+    conn = connection_with(t, e, [[selfadjoint_one_form(t, np.random.default_rng(0)) / 2] * 2] * 2)
+    lift = lift_maps(t, e)
+    assert all(lift_maps(t, e, samples=s).idempotent is e for s in (0, 4))
+    exports = (build_right_triple(lift, conn), build_left_triple(lift, conjugate_connection(t, conn)))
+    real = build_real_triple(lift, conn)
+    for kw in ({"samples": 0}, {"samples": 4, "seed": 9}, {"seed": 3}):
+        assert check_hermitian(t, conn, **kw) == check_hermitian(t, conn)
+        assert all(check_morita_triple(rt, **kw) == check_morita_triple(rt) for rt in exports)
+        assert check_real_triple(real, **kw) == check_real_triple(real)
+
+
+# ---------------------------------------------------------------------------
+# basis verdicts against the sampled verdicts they replaced
+# ---------------------------------------------------------------------------
+
+
+def verdicts(t, e, conn, left=None):
+    """The verdict of each check on (t, e, conn) and its exports: (basis verdicts, sampled verdicts).
+
+    The sampled verdicts are those of the sampled checks the bases replaced,
+    at their default samples and seed 0: the report with its sampled defects
+    replaced by the loops'.  Exports are built whether or not the connection
+    is hermitian, so that a non-hermitian one is checked too.  left is the
+    left connection, by default the conjugate of conn when t is real and of
+    first order.
+    """
+    basis = {"lift": _lift_outcome(lambda: lift_maps(t, e))}
+    if basis["lift"] is not None and basis["lift"] not in LAWS:    # a precondition, checked before any law
+        return basis, dict(basis)
+    lift = ModuleLift(t, e, check_idempotent(t, e))
+    sampled = {"lift": _lift_outcome(lambda: loop_lift_laws(lift))}
+    first_order = DEFAULT_TOL.accepts(_triple_first_order_defect(t))
+    if left is None and t.real is not None and first_order:
+        left = conjugate_connection(t, conn)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(morita, "_require_hermitian", lambda *args: None)
+        for side, c, build in (("right", conn, build_right_triple), ("left", left, build_left_triple)):
+            if c is None:
+                continue
+            report = check_hermitian(t, c)
+            basis[f"{side} hermitian"] = report.passes
+            sampled[f"{side} hermitian"] = dataclasses.replace(
+                report, identity_defect=loop_identity_defect(t, c, sampled_vectors(c))).passes
+            report = check_morita_triple(build(lift, c))
+            mult, reg, hom, inv, bracket = loop_check_morita_triple(build(lift, c), sampled_pairs(e, 10))
+            basis[f"{side} triple"] = report.passes
+            sampled[f"{side} triple"] = dataclasses.replace(
+                report, sigma_prime_multiplicative=mult, sigma_prime_regularity=reg, rep_homomorphism=hom,
+                rep_involution=inv, bracket_identity_defect=bracket).passes
+        if t.real is not None and t.grading is not None and first_order:
+            real = build_real_triple(lift, conn)
+            report = check_real_triple(real)
+            oz, fo = loop_check_real_triple(real, sampled_pairs(e, 8))
+            basis["real triple"] = report.passes
+            sampled["real triple"] = dataclasses.replace(report, order_zero=oz, first_order=fo).passes
+    return basis, sampled
+
+
+def _diagonal(shape, entries):
+    zero = shape.zero()
+    return IdempotentData(AlgebraMatrix(shape, tuple(tuple(x if i == j else zero for j in range(len(entries)))
+                                                     for i, x in enumerate(entries))))
+
+
+def _sandwiched(t, e, w):
+    """The right connection with one-form matrix e.(w 1_n).e: hermitian for a selfadjoint w and a twist-invariant e."""
+    return connection_with(t, e, _sandwich_right(t, e.matrix, np.kron(np.eye(e.n), w).reshape(e.n, t.dim, e.n, t.dim)
+                                                 .swapaxes(1, 2)))
+
+
+def verdict_corpus():
+    """U(1)xU(2) at ky = 0 with the half idempotent and E = diag(p, 1), p the sum of E^k_00 over blocks 0, 2, 3
+    and 5, each with a Grassmann, a hermitian and a non-hermitian connection; the `morita --self` exports (e = 1)
+    of U(1)xU(2); random_real_triple(3) with a projection onto eigenvectors of its twist."""
+    ky0, u1u2, rand6 = (tw.build_u1u2(1 + 0.5j, 0.0).triple, tw.build_u1u2(1 + 0.5j, 0.7 - 0.2j).triple,
+                        tw.random_real_triple(3))
+    shape = ky0.shape
+    p = sum((shape.matrix_unit(k, 0, 0) for k in (2, 3, 5)), shape.matrix_unit(0, 0, 0))
+    rng = np.random.default_rng(81)
+    cases = []
+    for name, e in (("half", half_idempotent(shape)), ("diag-p-1", _diagonal(shape, (p, shape.unit())))):
+        w = selfadjoint_one_form(ky0, rng)
+        for kind, conn in (("grassmann", grassmann(ky0, e)), ("hermitian", _sandwiched(ky0, e, w)),
+                           ("non-hermitian", connection_with(ky0, e, random_ops(rng, e.n, ky0.dim)))):
+            cases.append(pytest.param(ky0, e, conn, None, id=f"ky0-{name}-{kind}"))
+    w = selfadjoint_one_form(u1u2, rng)
+    one = IdempotentData(amat_unit(u1u2.shape, 1))
+    cases.append(pytest.param(u1u2, one, connection_with(u1u2, one, [[w]]),
+                              connection_with(u1u2, one, [[u1u2.epsilon_prime() * u1u2.real.j.conjugate(w)]], "left"),
+                              id="u1u2-self"))
+    # sigma is conjugation by a positive S: a projection onto eigenvectors of S (amplified) is twist-invariant
+    s = rand6.sigma.conjugators[0]
+    v = np.linalg.eigh(s)[1]
+    q = np.kron(np.diag([1.0, 0.0]), np.outer(v[:, 0], v[:, 0].conj())) + np.kron(np.diag([0.0, 1.0]), np.eye(2))
+    e = IdempotentData(_packed(rand6.shape, 2, AlgebraElement(_amplified(rand6.shape, 2), (q, np.diag([1.0, 0.0])))))
+    cases.append(pytest.param(rand6, e, grassmann(rand6, e), None, id="rand6-eigen-grassmann"))
+    return cases
+
+
+@pytest.mark.parametrize("t, e, conn, left", verdict_corpus())
+def test_basis_morita_verdicts_are_the_sampled_verdicts(t, e, conn, left):
+    basis, sampled = verdicts(t, e, conn, left)
+    assert basis == sampled
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2]), hermitian=st.booleans())
+def test_basis_morita_verdicts_are_the_sampled_verdicts_on_drawn_projections(seed, n, hermitian):
+    """Random twist-invariant projections of U(1)xU(2) at ky = 0 (the flip twist swaps blocks k and k + 3)."""
+    t = tw.build_u1u2(1 + 0.5j, 0.0).triple
+    rng = np.random.default_rng(seed)
+    half = random_projection(AlgebraShape(t.shape.block_dims[:3]), n, rng).element.blocks
+    e = IdempotentData(_packed(t.shape, n, AlgebraElement(_amplified(t.shape, n), half + half)))
+    conn = (_sandwiched(t, e, selfadjoint_one_form(t, rng)) if hermitian
+            else connection_with(t, e, random_ops(rng, n, t.dim)))
+    basis, sampled = verdicts(t, e, conn)
+    assert basis == sampled
+
+
+def test_a_real_first_order_defect_reads_lower_on_the_basis_than_on_the_samples(monkeypatch):
+    # the basis and the samples take the maximum over different elements, so their defects differ, and a
+    # verdict can differ where a defect is within a small factor of the tolerance: on the real export of the
+    # half idempotent at ky = 0 with a non-hermitian connection, first order reads 0.89 on the basis and 2.3
+    # on the samples, so at a tolerance of 1 the basis passes what the samples failed
+    monkeypatch.setattr(morita, "_require_hermitian", lambda *args: None)
+    [(t, e, conn, _)] = [p.values for p in verdict_corpus() if p.id == "ky0-half-non-hermitian"]
+    real = build_real_triple(lift_maps(t, e), conn)
+    basis = check_real_triple(real, tol=Tolerance(1.0)).first_order
+    _, sampled = loop_check_real_triple(real, sampled_pairs(e, 8))
+    assert 0.5 < basis < 1.0 < 2.0 < sampled < 2.6
+    assert abs(basis - loop_check_real_triple(real, basis_pairs(e))[1]) <= STACKED_RTOL
