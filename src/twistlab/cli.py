@@ -41,7 +41,6 @@ from .morita import (
     check_real_triple,
     conjugate_connection,
     connection_with,
-    export_bytes,
     grassmann,
     lift_maps,
 )
@@ -247,26 +246,17 @@ def cmd_morita(args) -> int:
     if args.self_morita:
         if not args.omega:
             return _fail("--self requires --omega PERT_FILE")
-        e = IdempotentData(amat_unit(t.shape, 1))
-    elif not args.idempotent:
-        return _fail("choose --self --omega PERT or --idempotent FILE")
-    else:
-        e = load_idempotent(args.idempotent, t.shape)
-    if (size := export_bytes(t, e)) > MAX_DENSE_BYTES:
-        return _fail(f"the exports of a {e.n} x {e.n} idempotent and their checks would form an array of {size} "
-                     f"bytes, over the {MAX_DENSE_BYTES}-byte bound")
-
-    if args.self_morita:
         p = _normalized(t, load_pert(args.omega, t.shape), tol)
         # selfadjoint one-form via pair-level symmetrization (stays normalised)
         padj = eta_adjoint_pairs(t, p, tol)
         p_sym = Perturbation(t.shape, tuple((0.5 * a, b) for a, b in p.pairs + padj.pairs))
         w = eta(t, p_sym).op
+        idem = IdempotentData(amat_unit(t.shape, 1))
         ep = t.epsilon_prime(tol)
-        lift = lift_maps(t, e, tol)
-        rt = build_right_triple(lift, connection_with(t, e, [[w]], "right"), tol)
+        lift = lift_maps(t, idem, tol)
+        rt = build_right_triple(lift, connection_with(t, idem, [[w]], "right"), tol)
         wbar = ep * t.real.j.conjugate(w)
-        lt = build_left_triple(lift, connection_with(t, e, [[wbar]], "left"), tol)
+        lt = build_left_triple(lift, connection_with(t, idem, [[wbar]], "left"), tol)
         doc = {
             "d_r_equals_d_plus_omega": rel_defect(rt.d_r, t.dirac + w),
             "d_l_equals_d_plus_conj_omega": rel_defect(lt.d_l, t.dirac + wbar),
@@ -281,6 +271,13 @@ def cmd_morita(args) -> int:
                 exports_pass = False
         return 0 if exports_pass and tol.accepts(*doc.values()) else 1
 
+    if not args.idempotent:
+        return _fail("choose --self --omega PERT or --idempotent FILE")
+    e = load_idempotent(args.idempotent, t.shape)
+    dim = e.n * (e.n if t.real is not None and t.grading is not None else 1) * t.dim     # of M_n(H), else H^n
+    if (size := 16 * dim * dim) > MAX_DENSE_BYTES:
+        return _fail(f"the exports of a {e.n} x {e.n} idempotent act on a space of dimension {dim}: each operator "
+                     f"takes {size} bytes, over the {MAX_DENSE_BYTES}-byte bound")
     cells = load_connection(args.connection, t.shape) if args.connection else None
     doc, ok, lift = {}, True, None
     try:

@@ -92,6 +92,10 @@ class AlgebraMatrix:
     def norm(self) -> float:
         return self.element.norm()
 
+    @property
+    def nbytes(self) -> int:
+        return sum(b.nbytes for b in self.element.blocks)
+
     def defect(self, other: AlgebraMatrix) -> float:
         return self.element.defect(self._compat(other))
 
@@ -144,6 +148,15 @@ def _worst(defects: np.ndarray) -> float:
     return float(defects.max(initial=0.0))     # 0 over an empty basis
 
 
+CHUNK_BYTES = 1 << 24
+
+
+def _worst_over(defects, count: int, row_bytes: int) -> float:
+    """Max of defects(s) over slices s of range(count): a grid of row_bytes per index, in chunks of CHUNK_BYTES."""
+    step = max(1, CHUNK_BYTES // max(row_bytes, 1))
+    return max((_worst(defects(slice(i, i + step))) for i in range(0, count, step)), default=0.0)
+
+
 def _pair_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a[u] @ b[v] for every pair (u, v) of a (U, m, k) and a (V, k, r) stack, as a (U, V, m, r) grid: one GEMM."""
     (nu, m, k), (nv, _, r) = a.shape, b.shape
@@ -186,11 +199,10 @@ class IdempotentData:
         """The matrices W_k[:, i] rows[k][j] in block k of M_n(A), over k, i and j in that order, as one stack."""
         parts = [(w.T[:, None, :, None] * y[None, :, None, :]).reshape(-1, len(w), len(w))
                  for w, y in zip(self.isometries, rows)]
-        ends = np.cumsum([len(p) for p in parts])     # block k holds elements ends[k] - len(parts[k]) to ends[k]
-        zeros = lambda count, p: np.zeros((count,) + p.shape[1:], dtype=complex)
-        blocks = tuple(np.concatenate([zeros(end - len(p), p), p, zeros(ends[-1] - end, p)])
-                       for p, end in zip(parts, ends))
-        return _packed(self.matrix.shape, self.n, _element(self.matrix.element.shape, blocks))
+        blocks = [np.zeros((sum(map(len, parts)),) + p.shape[1:], dtype=complex) for p in parts]
+        for b, p, start in zip(blocks, parts, np.cumsum([0] + [len(p) for p in parts])):
+            b[start:start + len(p)] = p     # block k holds its own elements, the others' are 0 in it
+        return _packed(self.matrix.shape, self.n, _element(self.matrix.element.shape, tuple(blocks)))
 
     @cached_property
     def units(self) -> AlgebraMatrix:
@@ -224,15 +236,6 @@ class IdempotentData:
         k, i, c, _ = self._labels(self.matrix.shape.block_dims)
         first = np.array(self.matrix.shape._offsets())[k] + c * np.array(self.matrix.shape.block_dims)[k]
         return np.where((k == k.T) & (i == i.T), first + c.T, -1)
-
-
-def export_bytes(t: TwistedTriple, e: IdempotentData) -> int:
-    """A bound on the bytes of the largest array the exports of e and their checks form: the checks take all
-    pairs of basis elements, and the units of B act on the ambient space (M_n(H) if t is real and graded)."""
-    ranks = [w.shape[1] for w in e.isometries]
-    units, vectors = sum(r * r for r in ranks), sum(r * nk for r, nk in zip(ranks, t.shape.block_dims))
-    ambient = e.n * (e.n if t.real is not None and t.grading is not None else 1) * t.dim
-    return 16 * max(ambient ** 2, units ** 2 * max(ambient ** 2, e.n ** 2 * t.shape.basis_size), (vectors * t.dim) ** 2)
 
 
 @dataclass(frozen=True)
@@ -312,8 +315,8 @@ class ModuleLift:
     @cached_property
     def sigma_prime_multiplicative(self) -> float:
         """Max defect of sigma'(b c) = sigma'(b) sigma'(c) over the pairs of units of B; b c is a unit or 0."""
-        sp = self._sigma_prime_units
-        return _worst(_take(sp, self.idempotent.unit_products).defects(sp[:, None] * sp))
+        sp, table = self._sigma_prime_units, self.idempotent.unit_products
+        return _worst_over(lambda s: _take(sp, table[s]).defects(sp[s, None] * sp), len(table), sp.nbytes)
 
     @cached_property
     def sigma_prime_regularity(self) -> float:
@@ -328,8 +331,8 @@ NOT_A_PROJECTION = "not a selfadjoint idempotent: e*e = e = e^dagger fails"
 def lift_maps(t: TwistedTriple, e: IdempotentData, tol: Tolerance = DEFAULT_TOL, samples: int = 5) -> ModuleLift:
     """The lift of the twist through the projection e, once e and the lift laws pass; `samples` is ignored.
 
-    The laws, which the preconditions guarantee, are decided on the bases of e A^n, A and B
-    (x E_u is a basis vector or 0, a gather); the first failing law, in the order listed, raises.
+    The laws, which the preconditions guarantee, are decided on the bases of e A^n, A and B; the first
+    failing law, in the order listed, raises.
     """
     report = check_idempotent(t, e, tol)
     if not tol.accepts(report.idempotent_defect, report.selfadjoint_defect):
@@ -339,10 +342,12 @@ def lift_maps(t: TwistedTriple, e: IdempotentData, tol: Tolerance = DEFAULT_TOL,
     if not (report.twist_invariant or report.twist_commuting):
         raise ValueError("idempotent is neither twist-invariant (sigma(e)=e) nor twist-commuting (delta(e)=0)")
     lift = ModuleLift(t, e, report)
-    sl_x = lift.sigma_lift(e.columns)
-    scalars = amat_scalar(t.shape.units(), e.n).map(t.sigma)      # sigma(E_u) 1_n, over u
+    # x_p E_u is x_q at the pairs (p, u) of the table, else 0, as is sigma_lift(x_p) sigma(E_u) = e sigma(x_p E_u)
+    (p, u), sl_x, sig = np.nonzero(e.column_actions >= 0), lift.sigma_lift(e.columns), t.sigma(t.shape.units())
+    q = e.column_actions[p, u]
+    scaled = lambda s: sl_x[p[s]] * amat_scalar(_element(t.shape, tuple(b[u[s]] for b in sig.blocks)), e.n)
     laws = [
-        (_take(sl_x, e.column_actions).defects(sl_x[:, None] * scalars),
+        (_worst_over(lambda s: sl_x[q[s]].defects(scaled(s)), len(q), e.matrix.nbytes),
          "lift does not intertwine the module action with the twist"),
         (lift.sigma_lift_inv(sl_x).defects(e.columns), "lift roundtrip is not the identity on the module"),
         (lift.sigma_prime_multiplicative, "lifted twist is not multiplicative on the endomorphism algebra"),
@@ -483,7 +488,7 @@ def _nabla_ops(t: TwistedTriple, conn: Connection, x: ModuleVector) -> np.ndarra
 
     Right: the op of e-column j is delta(xi_j) + sum_k m_j^k pi(xi_k).  Left: the
     op of e-row j is delta_opp(zeta_j) + sum_k m_k^j pi_opp(zeta_k).  The entries
-    and their twists are one `rep.images` product.
+    and their twists are one `rep.images` product, the sums over k one GEMM with the grid of m.
     """
     if conn.side == "right":
         entries, m = _column0, conn.one_forms
@@ -492,7 +497,7 @@ def _nabla_ops(t: TwistedTriple, conn: Connection, x: ModuleVector) -> np.ndarra
         entries, m = _row0, conn.one_forms.swapaxes(0, 1)
         images = t.opp_images(t.rep.images(np.concatenate([entries(x), entries(x.map(t.sigma.inverse()))], axis=-2)))
     p, ps = np.split(images, 2, axis=-3)
-    return t.dirac @ p - ps @ t.dirac + np.matmul(m, p[..., None, :, :, :]).sum(axis=-3)
+    return t.dirac @ p - ps @ t.dirac + (_grid(m) @ p.reshape(p.shape[:-3] + (conn.n * t.dim, t.dim))).reshape(p.shape)
 
 
 @dataclass(frozen=True)
@@ -544,7 +549,7 @@ def check_hermitian(t: TwistedTriple, conn: Connection, samples: int = 10, seed:
         # is entry (0, j) of xi'* e and (e_j, xi) entry (j, 0) of e* xi, for e_j the e-column j
         outer = [t.rep.images(_row0((x.star() * e).map(t.sigma))), -dagger(_nabla_ops(t, conn, e * x.map(sinv)))]
         inner = [_nabla_ops(t, conn, x), t.rep.images(_column0(e.star() * x))]
-        rhs = _rows(t.twisted_commutator(units), conn.idempotent.pairings)
+        rhs, table = t.twisted_commutator(units), conn.idempotent.pairings
     else:
         # -{zeta', nabla(Sigma_opp zeta)} + {nabla zeta', zeta} = delta_opp({zeta', zeta}) over the pairs
         # (zeta, zeta') of rows zeta = x*; {zeta', e_j} is entry (0, j) of zeta' e* and {e_j, zeta} entry
@@ -553,12 +558,13 @@ def check_hermitian(t: TwistedTriple, conn: Connection, samples: int = 10, seed:
         pi_opp = lambda c: t.opp_images(t.rep.images(c))
         outer = [pi_opp(_column0((e * x).map(sinv))), -dagger(_nabla_ops(t, conn, zeta.map(t.sigma) * e))]
         inner = [_nabla_ops(t, conn, zeta), pi_opp(_row0(zeta * e.star()))]
-        rhs = _rows(t.twisted_commutator_opp(units), conn.idempotent.pairings.T)
-    # the sums over j of outer[p, j] @ inner[q, j] of every pair (p, q), as one GEMM
+        rhs, table = t.twisted_commutator_opp(units), conn.idempotent.pairings.T
+    # the sums over j of outer[p, j] @ inner[q, j] of the pairs (p, q), one GEMM per chunk of p
     a, b = np.concatenate(outer, axis=1), np.concatenate(inner, axis=1)
     (p, m, d, _), q = a.shape, len(b)
-    lhs = _pair_products(a.transpose(0, 2, 1, 3).reshape(p, d, m * d), b.reshape(q, m * d, d))
-    return HermiticityReport(_worst(rel_defects(lhs, rhs)), sa, sw, tol)
+    a, b = a.transpose(0, 2, 1, 3).reshape(p, d, m * d), b.reshape(q, m * d, d)
+    identity = _worst_over(lambda s: rel_defects(_pair_products(a[s], b), _rows(rhs, table[s])), p, b.nbytes)
+    return HermiticityReport(identity, sa, sw, tol)
 
 
 def conjugate_connection(t: TwistedTriple, conn: Connection, tol: Tolerance = DEFAULT_TOL) -> Connection:
@@ -685,7 +691,7 @@ def check_morita_triple(rt: RightTriple | LeftTriple, samples: int = 10, seed: i
                         tol: Tolerance = DEFAULT_TOL) -> MoritaTripleReport:
     """Twisted-triple axiom suite for an exported triple on the units of B; `samples` and `seed` are ignored.
 
-    The laws of sigma' are read from the lift.  The homomorphism law is one GEMM over the pairs
+    The laws of sigma' are read from the lift.  The homomorphism law is one GEMM per chunk of the pairs
     of units, with the right factor proj made `_right_factor`, against a gather of their products.
     """
     t, e, proj = rt.triple, rt.lift.idempotent, rt.projection
@@ -696,7 +702,8 @@ def check_morita_triple(rt: RightTriple | LeftTriple, samples: int = 10, seed: i
     # pi_R(b) = rep(b) = g(b) proj; pi_L is an anti-representation: pi_L(b) pi_L(c) = pi_L(c b)
     g = grid(t, e.units)
     rep, gf = g @ proj, g @ _right_factor(proj)
-    hom = _worst(rel_defects(_pair_products(rep, gf), _rows(gf, e.unit_products if right else e.unit_products.T)))
+    table = e.unit_products if right else e.unit_products.T
+    hom = _worst_over(lambda s: rel_defects(_pair_products(rep[s], gf), _rows(gf, table[s])), len(g), gf.nbytes)
     sandwich = lambda x: proj @ x @ proj
     inv = _worst(rel_defects(dagger(sandwich(rep)), sandwich(grid(t, e.units.star()) @ proj)))
     bracket_id = None
@@ -800,8 +807,8 @@ def check_real_triple(rt: RealTriple, samples: int = 8, seed: int = 0,
                       tol: Tolerance = DEFAULT_TOL) -> RealTripleReport:
     """Axioms of the real export; `samples` and `seed` are ignored.
 
-    Order zero and first order are decided on the pairs of units of B, each side one GEMM with
-    the right factor proj made `_right_factor`.
+    Order zero and first order are decided on the pairs of units of B, each side one GEMM per chunk
+    of pairs, with the right factor proj made `_right_factor`.
     """
     lift, proj, dp, units = rt.lift, rt.projection, rt.d_prime, rt.lift.idempotent.units
 
@@ -813,11 +820,12 @@ def check_real_triple(rt: RealTriple, samples: int = 8, seed: int = 0,
 
     pb, pc, f = rt.pi_prime(units), rt.pi_prime_opp(units), _right_factor(proj)
     pcf = pc @ f
-    oz = _worst(rel_defects(_pair_products(pb, pcf), _pair_products(pc, pb @ f).swapaxes(0, 1)))
-    x = dp @ pb - rt.pi_prime(lift._sigma_prime_units) @ dp
-    outer = _pair_products(x, pcf)
-    outer -= _pair_products(rt.pi_prime_opp(lift.sigma_prime_inv(units)), x @ f).swapaxes(0, 1)
-    fo = _worst(relative(np.sqrt(sq_norms(outer)), np.sqrt(sq_norms(x))[:, None]))
+    oz = _worst_over(lambda s: rel_defects(_pair_products(pb[s], pcf), _pair_products(pc, pb[s] @ f).swapaxes(0, 1)),
+                     len(pb), pcf.nbytes)
+    x, pc_inv = dp @ pb - rt.pi_prime(lift._sigma_prime_units) @ dp, rt.pi_prime_opp(lift.sigma_prime_inv(units))
+    outer = lambda s: _pair_products(x[s], pcf) - _pair_products(pc_inv, x[s] @ f).swapaxes(0, 1)
+    fo = _worst_over(lambda s: relative(np.sqrt(sq_norms(outer(s))), np.sqrt(sq_norms(x[s]))[:, None]),
+                     len(x), pcf.nbytes)
     return RealTripleReport(sa, dsec, oz, fo, *signs, ko_dimension(signs), tol)
 
 

@@ -659,42 +659,69 @@ class TestModelAndMorita:
         assert "n x n" in json.loads(capsys.readouterr().out)["construction_error"]
 
     @staticmethod
-    def _diagonal_triple(n):
-        """C^n acting on C^n by diagonal units, D = 0: a triple file of a few kB with N = d = n."""
-        shape = tw.AlgebraShape((1,) * n)
-        images = tuple(np.eye(n)[None, None, k, :, None] * np.eye(n)[k] for k in range(n))
-        rep = tw.Representation(shape, n, tuple(x.astype(complex) for x in images))
-        return tw.TwistedTriple(shape, rep, np.zeros((n, n), complex), tw.identity_automorphism(shape))
+    def _unit_idempotent(workdir, n):
+        """The n x n identity over U(1)xU(2), written to a file: B = M_n(A) has 12 n^2 units."""
+        one, zero = U1U2_SHAPE.unit(), U1U2_SHAPE.zero()
+        e = IdempotentData(AlgebraMatrix(U1U2_SHAPE, [[one if i == j else zero for j in range(n)] for i in range(n)]))
+        path = workdir / f"unit{n}.json"
+        path.write_text(json.dumps(idempotent_to_json(e)))
+        return str(path)
 
-    @pytest.mark.parametrize("case", ["real export of a 33 x 33 zero", "unit pairs of a 4 x 4 unit",
-                                      "self, N = d = 91"])
-    def test_morita_over_the_dense_bound_exits_two_before_allocating(self, workdir, capsys, case):
-        # small files whose exports or basis checks would form arrays above the bound: each operator of the real
-        # export of a 33 x 33 idempotent on M_33(H) is (33^2 * 8)^2 * 16 bytes; the pair grids of the 192 units
-        # of B = M_4(A) on M_4(H) are 192^2 (4^2 * 8)^2 * 16 bytes; those of `--self` on a triple with 91 units
-        # and d = 91 are (91 * 91)^2 * 16 bytes.  `--self` is refused before its omega file is read.
-        if case.startswith("self"):
-            (workdir / "diag91.json").write_text(json.dumps(triple_to_json(self._diagonal_triple(91))))
-            argv = ["morita", str(workdir / "diag91.json"), "--self", "--omega", str(workdir / "no_omega.json")]
-        else:
-            n, unit = (33, U1U2_SHAPE.zero()) if case.startswith("real") else (4, U1U2_SHAPE.unit())
-            zero = U1U2_SHAPE.zero()
-            entries = [[unit if i == j else zero for j in range(n)] for i in range(n)]
-            e = IdempotentData(AlgebraMatrix(U1U2_SHAPE, entries))
-            (workdir / "big_idem.json").write_text(json.dumps(idempotent_to_json(e)))
-            argv = ["morita", str(workdir / "u1u2_ky0.json"), "--idempotent", str(workdir / "big_idem.json")]
-        assert os.path.getsize(argv[1 if case.startswith("self") else 3]) < 250_000
+    @staticmethod
+    def _traced(argv):
+        """main(argv) and the peak of the bytes it allocated."""
         tracemalloc.start()
         try:
             rc = main(argv)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return rc, peak
+
+    def test_morita_over_the_dense_bound_exits_two_before_allocating(self, workdir, capsys):
+        # each operator of the real export of a 33 x 33 idempotent on M_33(H) is (33^2 * 8)^2 * 16 bytes, 1.2 GB,
+        # from a file of under 250 kB
+        e = IdempotentData(AlgebraMatrix(U1U2_SHAPE, [[U1U2_SHAPE.zero()] * 33] * 33))
+        (workdir / "zero33.json").write_text(json.dumps(idempotent_to_json(e)))
+        assert os.path.getsize(workdir / "zero33.json") < 250_000
+        rc, peak = self._traced(["morita", str(workdir / "u1u2_ky0.json"), "--idempotent",
+                                 str(workdir / "zero33.json")])
         assert rc == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
         assert f"{MAX_DENSE_BYTES}-byte bound" in err
-        assert peak < MAX_DENSE_BYTES // 32     # the 91 x 91 x 91 stack of the diagonal triple is 12 MB
+        assert peak < MAX_DENSE_BYTES // 32
+
+    @pytest.mark.parametrize("triple, n", [("u1u2.json", 4), ("u1u2_ky0.json", 3)], ids=["right-n4", "real-n3"])
+    def test_morita_verifies_the_unit_idempotents_in_chunks(self, workdir, capsys, triple, n):
+        # the pairs of the 192 units of B = M_4(A) on H^4, and of the 108 units of B = M_3(A) on M_3(H), are
+        # taken in chunks: the verdicts are those of the identity, every defect 0, and the grids never form at once
+        rc, peak = self._traced(["morita", str(workdir / triple), "--idempotent", self._unit_idempotent(workdir, n),
+                                 "--json"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["right_triple_passes"] and doc["right_bracket_defect"] == 0.0
+        assert doc.get("real_triple_passes", True) and doc.get("left_triple_passes", True)
+        assert ("real_triple_passes" in doc) == (triple == "u1u2_ky0.json")
+        assert peak < MAX_DENSE_BYTES // 8
+
+    def test_morita_checks_a_rank_one_projection_over_a_large_block_in_chunks(self, workdir, capsys):
+        # A = M_10(C) on C^10 (N = 100) and e = E_00 (x) E^0_00 in M_16(A): the 10 basis vectors of e A^n and the
+        # 100 units of A make 1000 pairs of 16 x 16 matrices over A, 410 MB at once; only the 100 pairs with
+        # x E_u != 0 are compared, in chunks
+        shape = tw.AlgebraShape((10,))
+        images = np.einsum("ik,jl->ijkl", np.eye(10), np.eye(10)).astype(complex)    # pi(E_ij) = E_ij
+        dirac = np.diag(np.arange(10.0)).astype(complex) + np.diag(np.ones(9), 1) + np.diag(np.ones(9), -1)
+        t = tw.TwistedTriple(shape, tw.Representation(shape, 10, (images,)), dirac, tw.identity_automorphism(shape))
+        (workdir / "m10.json").write_text(json.dumps(triple_to_json(t)))
+        zero = shape.zero()
+        entries = [[shape.matrix_unit(0, 0, 0) if i == j == 0 else zero for j in range(16)] for i in range(16)]
+        e = IdempotentData(AlgebraMatrix(shape, entries))
+        (workdir / "rank1.json").write_text(json.dumps(idempotent_to_json(e)))
+        rc, peak = self._traced(["morita", str(workdir / "m10.json"), "--idempotent", str(workdir / "rank1.json"),
+                                 "--json"])
+        assert rc == 0 and json.loads(capsys.readouterr().out)["right_triple_passes"]
+        assert peak < MAX_DENSE_BYTES // 8
 
 
 class TestModelDraws:

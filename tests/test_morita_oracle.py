@@ -1024,6 +1024,19 @@ def test_stacked_check_morita_triple_matches_its_loop(monkeypatch, t, m, ops):
             assert (g is want is None) or _agree(g, want)
 
 
+@pytest.mark.parametrize("t, m, ops", CASES[1:], ids=CASE_IDS[1:])
+def test_stacked_regularity_matches_its_loop_on_a_non_regular_twist(monkeypatch, t, m, ops):
+    # sigma(a) = S a S^-1 with S upper unitriangular, not unitary on the blocks of size 2, breaks
+    # sigma(a*) = (sigma^-1(a))*, and with it the regularity of sigma' on a projection: that defect is O(1)
+    sigma = Automorphism(t.shape, t.sigma.perm, tuple(np.triu(np.ones((nk, nk))) for nk in t.shape.block_dims))
+    assert not check_regularity(sigma).passes
+    t = dataclasses.replace(t, sigma=sigma)
+    e = projected(t, m)
+    for rt in _unchecked_exports(monkeypatch, t, e, ops):
+        got, loop = check_morita_triple(rt).sigma_prime_regularity, loop_check_morita_triple(rt, basis_pairs(e))[1]
+        assert loop > 1e-3 and _agree(got, loop)
+
+
 def real_cases():
     """Random m with random one-forms on the first-order triples U(1)xU(2) at ky = 0 and the toy."""
     rng = np.random.default_rng(71)
@@ -1044,6 +1057,31 @@ def test_stacked_check_real_triple_matches_its_loop(monkeypatch, t, m, ops):
     assert min(loop) > 1e-3
     for g, want in zip((got.order_zero, got.first_order), loop):
         assert _agree(g, want)
+
+
+@pytest.mark.parametrize("t, m, ops", real_cases())
+def test_one_index_chunks_give_the_defects_of_the_whole_grids(monkeypatch, t, m, ops):
+    # on random exports every pair defect is O(1); taken one basis element at a time, the maxima are the same
+    monkeypatch.setattr(morita, "_require_hermitian", lambda *args: None)
+    e = projected(t, m)
+
+    def defects():
+        real = build_real_triple(ModuleLift(t, e, None), Connection("right", e, ops))
+        real = dataclasses.replace(real, projection=_random_square(t, e.n * e.n, 3))
+        reports = (check_hermitian(t, Connection("right", e, ops)), check_hermitian(t, Connection("left", e, ops)),
+                   *map(check_morita_triple, _unchecked_exports(monkeypatch, t, e, ops)), check_real_triple(real))
+        pairs = ("identity_defect", "sigma_prime_multiplicative", "rep_homomorphism", "order_zero", "first_order")
+        return [(f, getattr(r, f)) for r in reports for f in pairs if hasattr(r, f)]
+
+    whole = defects()
+    monkeypatch.setattr(morita, "CHUNK_BYTES", 1)
+    chunked = defects()
+    assert len(chunked) == len(whole) == 8
+    # sigma' is multiplicative on every projection when sigma is the identity, as on the toy
+    identity = (list(t.sigma.perm) == sorted(t.sigma.perm)
+                and all(np.array_equal(s, np.eye(len(s))) for s in t.sigma.conjugators))
+    assert min(w for f, w in whole if not (identity and f == "sigma_prime_multiplicative")) > 1e-3
+    assert all(_agree(c, w) for (_, c), (_, w) in zip(chunked, whole))
 
 
 @pytest.mark.parametrize("t, m, ops", real_cases())
