@@ -23,7 +23,7 @@ import numpy as np
 from .algebra import AlgebraElement, AlgebraShape, Automorphism, _element, check_regularity
 from .linalg import DEFAULT_TOL, AntilinearOp, Tolerance, dagger, rel_defect, rel_defects, relative, sq_norms
 from .pert import OppPerturbation, _opp_bracket_sum
-from .triple import TwistedTriple, _basis_pair_scans, ko_dimension, ko_signs
+from .triple import TwistedTriple, _basis_pair_scans, _grid_sq_norms, ko_dimension, ko_signs
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +157,27 @@ def _worst_over(defects, count: int, row_bytes: int) -> float:
     return max((_worst(defects(slice(i, i + step))) for i in range(0, count, step)), default=0.0)
 
 
-def _pair_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a[u] @ b[v] for every pair (u, v) of a (U, m, k) and a (V, k, r) stack, as a (U, V, m, r) grid: one GEMM."""
+def _pair_grid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[u] @ b[v] for every pair (u, v) of a (U, m, k) and a (V, k, r) stack: one GEMM, a contiguous (U, m, V, r) array."""
     (nu, m, k), (nv, _, r) = a.shape, b.shape
-    return (a.reshape(nu * m, k) @ b.transpose(1, 0, 2).reshape(k, nv * r)).reshape(nu, m, nv, r).swapaxes(1, 2)
+    return (a.reshape(nu * m, k) @ b.transpose(1, 0, 2).reshape(k, nv * r)).reshape(nu, m, nv, r)
+
+
+def _pair_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`_pair_grid` as a (U, V, m, r) grid of matrices, a view."""
+    return _pair_grid(a, b).swapaxes(1, 2)
+
+
+def _commutator_norms(a: np.ndarray, b: np.ndarray, c: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """||a[u] b[v] - c[v] e[u]|| and max(||a[u] b[v]||, ||c[v] e[u]||) over the pairs (u, v), as (U, V) grids.
+
+    Each side is one `_pair_grid`; the norms are taken on the grids as they lie, and
+    the second side is subtracted from the first in place, so no third grid forms.
+    """
+    x, y = _pair_grid(a, b), _pair_grid(c, e)
+    scale = np.sqrt(np.maximum(_grid_sq_norms(x), _grid_sq_norms(y).T))
+    x -= y.transpose(2, 1, 0, 3)
+    return np.sqrt(_grid_sq_norms(x)), scale
 
 
 def _columns(m: AlgebraMatrix) -> ModuleVector:
@@ -820,12 +837,10 @@ def check_real_triple(rt: RealTriple, samples: int = 8, seed: int = 0,
 
     pb, pc, f = rt.pi_prime(units), rt.pi_prime_opp(units), _right_factor(proj)
     pcf = pc @ f
-    oz = _worst_over(lambda s: rel_defects(_pair_products(pb[s], pcf), _pair_products(pc, pb[s] @ f).swapaxes(0, 1)),
-                     len(pb), pcf.nbytes)
+    oz = _worst_over(lambda s: relative(*_commutator_norms(pb[s], pcf, pc, pb[s] @ f)), len(pb), pcf.nbytes)
     x, pc_inv = dp @ pb - rt.pi_prime(lift._sigma_prime_units) @ dp, rt.pi_prime_opp(lift.sigma_prime_inv(units))
-    outer = lambda s: _pair_products(x[s], pcf) - _pair_products(pc_inv, x[s] @ f).swapaxes(0, 1)
-    fo = _worst_over(lambda s: relative(np.sqrt(sq_norms(outer(s))), np.sqrt(sq_norms(x[s]))[:, None]),
-                     len(x), pcf.nbytes)
+    fo = _worst_over(lambda s: relative(_commutator_norms(x[s], pcf, pc_inv, x[s] @ f)[0],
+                                        np.sqrt(sq_norms(x[s]))[:, None]), len(x), pcf.nbytes)
     return RealTripleReport(sa, dsec, oz, fo, *signs, ko_dimension(signs), tol)
 
 

@@ -76,13 +76,74 @@ def _side_by_side(x: np.ndarray) -> np.ndarray:
     return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
 
 
+def _abs2(z: np.ndarray) -> np.ndarray:
+    """|z|^2 elementwise."""
+    return (z * z.conj()).real
+
+
+class _Monomial(NamedTuple):
+    """Matrices with at most one nonzero in every row and every column, as index maps.
+
+    Column c of a (d, d) matrix X is vals[c] e_rows[c]; a zero column has val 0
+    and any row.  rows and vals hold one map per matrix along their leading
+    axes.  The product of two such matrices is again one (`_compose`), and the
+    distance of two is exact (`_sq_dist`), so neither needs a GEMM.
+    """
+
+    rows: np.ndarray    # (..., d) int
+    vals: np.ndarray    # (..., d) complex
+
+    def take(self, index) -> _Monomial:
+        """The maps at index of the leading axes."""
+        return _Monomial(self.rows[index], self.vals[index])
+
+
+def _monomial_maps(images: Callable[[slice], np.ndarray], n: int, d: int) -> _Monomial | None:
+    """The index maps of the n (d, d) matrices that images(chunk) returns chunk by chunk.
+
+    None at the first chunk that holds a matrix with two nonzeros in a row or in a column.
+    """
+    rows, vals = np.empty((n, d), dtype=np.intp), np.empty((n, d), dtype=complex)
+    for sl in _slices(n, _chunk(d, 2)):
+        x = images(sl)
+        nz = x != 0
+        if (nz.sum(axis=1) > 1).any() or (nz.sum(axis=2) > 1).any():
+            return None
+        rows[sl] = nz.argmax(axis=1)
+        vals[sl] = np.take_along_axis(x, rows[sl, None, :], axis=1)[:, 0]
+    return _Monomial(rows, vals)
+
+
+def _compose(x: _Monomial, y: _Monomial) -> _Monomial:
+    """X_a Y_b for every a of the (a, d) maps x and b of the (b, d) maps y, as (a, b, d) maps.
+
+    Column c of X Y is vals_y[c] times column rows_y[c] of X: one gather of x at the rows of y.
+    """
+    vals = np.take(x.vals, y.rows, axis=1)
+    vals *= y.vals
+    return _Monomial(np.take(x.rows, y.rows, axis=1), vals)
+
+
+def _sq_norm(x: _Monomial) -> np.ndarray:
+    return _abs2(x.vals).sum(axis=-1)
+
+
+def _sq_dist(x: _Monomial, y: _Monomial) -> np.ndarray:
+    """||X - Y||^2: |x - y|^2 summed over the columns where the rows agree, |x|^2 + |y|^2 over the others."""
+    return np.where(x.rows == y.rows, _abs2(x.vals - y.vals), _abs2(x.vals) + _abs2(y.vals)).sum(axis=-1)
+
+
 class _Factors(NamedTuple):
-    """Thin SVDs X_u = U_u diag(s_u) Vh_u of a stack of N (d, d) matrices, with their norms ||X_u||."""
+    """Thin SVDs X_u = U_u diag(s_u) Vh_u of a stack of N (d, d) matrices, with their norms ||X_u||.
+
+    When rows is set, the factors are selectors: U_u[:, k] = e_rows[u, k] where s_u[k] > 0.
+    """
 
     u: np.ndarray       # (N, d, r): orthonormal columns, and zero ones where a matrix is padded
     s: np.ndarray       # (N, r): 0 where a singular value is dropped or padded
     vh: np.ndarray      # (N, r, d): orthonormal rows, and zero ones where a matrix is padded
     norms: np.ndarray   # (N,)
+    rows: np.ndarray | None = None   # (N, r)
 
     def scaled_u(self, sl: slice) -> np.ndarray:
         """U_v diag(s_v) for v in sl, side by side as one (d, |sl| r) matrix."""
@@ -91,6 +152,43 @@ class _Factors(NamedTuple):
     def scaled_vh(self, sl: slice) -> np.ndarray:
         """diag(s_v) Vh_v for v in sl, stacked as one (|sl| r, d) matrix."""
         return (self.s[sl, :, None] * self.vh[sl]).reshape(-1, self.vh.shape[-1])
+
+    def right_products(self, left: np.ndarray, sl: slice) -> np.ndarray:
+        """L_u U_v diag(s_v) for each L_u of a (u, d, d) stack and v in sl, as a contiguous (v, d, u, r) stack.
+
+        With selectors it is a gather of the columns of L_u, else one GEMM.
+        """
+        nu, d, _ = left.shape
+        if self.rows is not None:
+            y = np.take(left, self.rows[sl], axis=2) * self.s[sl]
+        else:
+            y = (left.reshape(nu * d, d) @ self.scaled_u(sl)).reshape(nu, d, sl.stop - sl.start, self.s.shape[1])
+        return np.ascontiguousarray(y.transpose(2, 1, 0, 3))
+
+    def left_products(self, left_cat: np.ndarray, sl: slice) -> np.ndarray:
+        """diag(s_v) Vh_v L_u for v in sl and the L_u side by side in left_cat, as a (v, r, u, d) stack: one GEMM."""
+        d, width = left_cat.shape
+        return (self.scaled_vh(sl) @ left_cat).reshape(sl.stop - sl.start, self.s.shape[1], width // d, d)
+
+
+def _selector_factors(m: _Monomial) -> _Factors:
+    """The thin factors of an (N, d) stack of maps, without an SVD.
+
+    Over the nonzero columns c of X_u, nonzero columns first, U_u[:, k] = e_rows[c],
+    s_u[k] = |vals[c]| and Vh_u[k] = (vals[c] / |vals[c]|) e_c^T; r is the
+    largest count of nonzero columns, and a matrix with fewer is padded with zeros.
+    """
+    n, d = m.vals.shape
+    mags = np.abs(m.vals)
+    r = int(np.count_nonzero(mags, axis=1).max(initial=0))
+    cols = np.argsort(mags == 0, axis=1, kind="stable")[:, :r]
+    s, rows = np.take_along_axis(mags, cols, axis=1), np.take_along_axis(m.rows, cols, axis=1)
+    kept = s > 0
+    idx, k = np.arange(n)[:, None], np.arange(r)
+    u, vh = np.zeros((n, d, r), dtype=complex), np.zeros((n, r, d), dtype=complex)
+    u[idx, rows, k] = kept
+    vh[idx, k, cols] = np.take_along_axis(m.vals, cols, axis=1) / np.where(kept, s, 1.0)
+    return _Factors(u, s, vh, np.sqrt(_sq_norm(m)), rows)
 
 
 def _thin_factors(images: Callable[[slice], np.ndarray], n: int, d: int) -> _Factors:
@@ -116,19 +214,6 @@ def _thin_factors(images: Callable[[slice], np.ndarray], n: int, d: int) -> _Fac
             vh = np.pad(vh, ((0, 0), (0, grow), (0, 0)))
         u[sl, :, :k], s[sl, :k], vh[sl, :k] = cu[..., :k], cs[:, :k], cvh[:, :k]
     return _Factors(u, s, vh, norms)
-
-
-def _tile_products(left: np.ndarray, left_cat: np.ndarray, right: np.ndarray,
-                   w: np.ndarray, nv: int) -> tuple[np.ndarray, np.ndarray]:
-    """Y_uv = L_u R_v as a (v, d, u, r) stack and Z_uv = W_v L_u as a (v, rc, u, d) stack.
-
-    left is the (u, d, d) stack L and left_cat the same side by side; right
-    holds the nv (d, r) factors R_v side by side and w the (rc, d) factors W_v stacked.
-    """
-    nu, d, _ = left.shape
-    y = (left.reshape(nu * d, d) @ right).reshape(nu, d, nv, right.shape[1] // nv)
-    z = (w @ left_cat).reshape(nv, w.shape[0] // nv, nu, d)
-    return np.ascontiguousarray(y.transpose(2, 1, 0, 3)), z
 
 
 def _split_sq_norms(y: np.ndarray, c: np.ndarray, vh: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -242,16 +327,43 @@ class Representation:
         out[..., cols] = coeffs[..., src]
         return out.reshape(out_shape)
 
+    def monomial_maps(self) -> _Monomial | None:
+        """The index maps of the basis images when each has at most one nonzero in every row and column, else None.
+
+        Detected on the first call and kept: the unit images must not change after construction.
+        """
+        if not hasattr(self, "_maps"):
+            p = self.basis_images()
+            object.__setattr__(self, "_maps", _monomial_maps(lambda us: p[us], len(p), self.dim))
+        return self._maps
+
     def homomorphism_defect(self) -> float:
         """Max defect of pi(E^(k)_ij) pi(E^(l)_pq) = delta_kl delta_jp pi(E^(k)_iq), over all pairs.
 
-        With the thin factors P_u = U_u S_u Vh_u, ||P_u P_v|| is the norm of the
-        r x r core S_u (Vh_u U_v) S_v, and the cores of all pairs are one product
-        chunked over u.  The pairs with E_u E_v = E_w compare (U_u core) Vh_v
-        with U_w (S_w Vh_w) through `_split_sq_norms`.
+        When the basis images are monomial (`monomial_maps`), every product
+        P_u P_v and its distance to the target P_w, or to 0, are taken on the
+        index maps, chunked over u: no GEMM and no SVD, and the defect of an
+        exact representation is exactly 0.  Otherwise, with the thin factors
+        P_u = U_u S_u Vh_u, ||P_u P_v|| is the norm of the r x r core
+        S_u (Vh_u U_v) S_v, and the cores of all pairs are one product chunked
+        over u.  The pairs with E_u E_v = E_w compare (U_u core) Vh_v with
+        U_w (S_w Vh_w) through `_split_sq_norms`.
         """
         p = self.basis_images()
         n, d = len(p), self.dim
+        uu, vv, ww = self.shape.unit_products()
+        maps = self.monomial_maps()
+        if maps is not None:
+            table = np.full((n, n), n)      # n: the zero matrix appended to the maps
+            table[uu, vv] = ww
+            targets = _Monomial(np.vstack([maps.rows, np.zeros(d, dtype=np.intp)]),
+                                np.vstack([maps.vals, np.zeros(d, dtype=complex)]))
+            worst = 0.0
+            for us in _slices(n, _fit(n * d * _COMPLEX_BYTES, 8)):
+                prod, target = _compose(maps.take(us), maps), targets.take(table[us])
+                x = relative(np.sqrt(_sq_dist(prod, target)), np.sqrt(_sq_norm(prod)), np.sqrt(_sq_norm(target)))
+                worst = max(worst, float(x.max()))
+            return worst
         f = _thin_factors(lambda us: p[us], n, d)
         r = f.s.shape[1]
         rows = f.scaled_vh(slice(None))
@@ -261,7 +373,6 @@ class Representation:
             core = (rows[us.start * r:us.stop * r] @ cols).reshape(us.stop - us.start, r, n, r)
             norms = np.sqrt(_grid_sq_norms(core))
             defects[us] = relative(norms, norms)
-        uu, vv, ww = self.shape.unit_products()
         for hs in _slices(len(uu), _fit(d * r * _COMPLEX_BYTES, 8)):
             u, v, w = uu[hs], vv[hs], ww[hs]
             core = np.matmul(rows.reshape(n, r, d)[u], f.u[v] * f.s[v, None, :])
@@ -287,9 +398,17 @@ class Representation:
         return tol.accepts(rel_defect(p @ p, p), rel_defect(dagger(p), p))
 
     def is_faithful(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        """pi is injective iff the images of the matrix units are linearly independent."""
-        scale = max(1.0, float(np.abs(self.stack).max(initial=0.0)))
-        return bool(np.linalg.matrix_rank(self.stack, tol=tol.abs_eps * scale) == len(self.stack))
+        """pi is injective iff the images of the matrix units are linearly independent.
+
+        When every column of the stack holds at most one nonzero, the images
+        have disjoint supports: they are orthogonal, and their norms are the
+        singular values of the stack, so pi is faithful iff no image is within
+        tol of 0.  Any other stack takes `np.linalg.matrix_rank`.
+        """
+        eps = tol.abs_eps * max(1.0, float(np.abs(self.stack).max(initial=0.0)))
+        if (np.count_nonzero(self.stack, axis=0) <= 1).all():
+            return bool((np.sqrt(sq_norms(self.basis_images())) > eps).all())
+        return bool(np.linalg.matrix_rank(self.stack, tol=eps) == len(self.stack))
 
 
 @dataclass(frozen=True)
@@ -481,35 +600,50 @@ def _basis_pair_scans(t: TwistedTriple) -> tuple[np.ndarray, np.ndarray]:
     """Order-zero and first-order defects of every basis pair (E_u, E_v), as N x N grids.
 
     Q_v = pi_opp(E_v) and Qs_v = pi_opp(sigma^{-1}(E_v)) are factored once as
-    thin SVDs U S Vh, and no d x d product of a pair is formed.  P_u = pi(E_u)
+    thin factors U S Vh, and no d x d product of a pair is formed.  P_u = pi(E_u)
     and inner_u = D P_u - pi(sigma(E_u)) D are built per chunk of u.
     Order zero compares P_u Q_v = (P_u U_v S_v) Vh_v with Q_v P_u = U_v (S_v Vh_v P_u),
     scaled by max(1, ||P_u Q_v||, ||Q_v P_u||).  First order is
     ||inner_u Q_v - Qs_v inner_u|| / max(1, ||inner_u||, ||Q_v||), where
     inner_u Q_v = (inner_u U_v S_v) Vh_v and Qs_v inner_u = Uc_v (Sc_v Vch_v inner_u).
     `_split_sq_norms` takes both norms, so a pair costs O(d^2 r), not O(d^3).
+
+    When the Q_v are monomial, as on every triple the library builds, their
+    factors are selectors (`_selector_factors`), not SVDs, and inner_u U_v S_v
+    is a gather of columns of inner_u.  When the P_u are monomial too, order
+    zero compares the index maps of the two products (`_compose`, `_sq_dist`).
+    The dense Qs_v keep their SVDs.
     """
     rep, dirac, d = t.rep, t.dirac, t.dim
     p = rep.basis_images()
     n = len(p)
     sigma, sigma_inv = t.sigma.matrix(), t.sigma.inverse().matrix()
-    q = _thin_factors(lambda vs: t.opp_images(p[vs]), n, d)
+    opp = lambda vs: t.opp_images(p[vs])
+    q_maps = _monomial_maps(opp, n, d)
+    q = _thin_factors(opp, n, d) if q_maps is None else _selector_factors(q_maps)
     qs = _thin_factors(lambda vs: t.opp_images(rep.images(sigma_inv[vs])), n, d)
+    p_maps = None if q_maps is None else rep.monomial_maps()
     oz = np.empty((n, n))
     fo = np.empty((n, n))
-    pair_bytes = d * max(q.s.shape[1], qs.s.shape[1]) * _COMPLEX_BYTES
+    pair_bytes = d * max(q.s.shape[1], qs.s.shape[1], 2) * _COMPLEX_BYTES   # at least the maps of two products
     for us in _slices(n, _chunk(d, 3)):
         inner = np.matmul(dirac, p[us])
         inner -= np.matmul(rep.images(sigma[us]), dirac)
         inner_norms = np.sqrt(sq_norms(inner))
-        p_cat, inner_cat = _side_by_side(p[us]), _side_by_side(inner)
+        p_cat, inner_cat = None if p_maps is not None else _side_by_side(p[us]), _side_by_side(inner)
         for vs in _slices(n, _fit((us.stop - us.start) * pair_bytes, 3)):
-            nv, right, vh = vs.stop - vs.start, q.scaled_u(vs), q.vh[vs]
-            y, z = _tile_products(p[us], p_cat, right, q.scaled_vh(vs), nv)
-            scale = np.sqrt(np.maximum(_grid_sq_norms(y), _grid_sq_norms(z)))
-            oz[us, vs] = relative(np.sqrt(_split_sq_norms(y, q.u[vs], vh, z)), scale).T
-            y, z = _tile_products(inner, inner_cat, right, qs.scaled_vh(vs), nv)
-            fo[us, vs] = relative(np.sqrt(_split_sq_norms(y, qs.u[vs], vh, z)).T, inner_norms[:, None], q.norms[vs])
+            if p_maps is not None:
+                pq, qp = _compose(p_maps.take(us), q_maps.take(vs)), _compose(q_maps.take(vs), p_maps.take(us))
+                qp = _Monomial(qp.rows.swapaxes(0, 1), qp.vals.swapaxes(0, 1))
+                scale = np.sqrt(np.maximum(_sq_norm(pq), _sq_norm(qp)))
+                oz[us, vs] = relative(np.sqrt(_sq_dist(pq, qp)), scale)
+            else:
+                y, z = q.right_products(p[us], vs), q.left_products(p_cat, vs)
+                scale = np.sqrt(np.maximum(_grid_sq_norms(y), _grid_sq_norms(z)))
+                oz[us, vs] = relative(np.sqrt(_split_sq_norms(y, q.u[vs], q.vh[vs], z)), scale).T
+            y, z = q.right_products(inner, vs), qs.left_products(inner_cat, vs)
+            fo[us, vs] = relative(np.sqrt(_split_sq_norms(y, qs.u[vs], q.vh[vs], z)).T,
+                                  inner_norms[:, None], q.norms[vs])
     return oz, fo
 
 
@@ -549,6 +683,13 @@ def check_axioms(
     sampled element can read higher, so a defect within a small factor of tol
     may pass here where a sampled check failed it.  The report depends on the
     triple and tol alone: samples and seed are accepted and ignored.
+
+    When the basis images and their pi_opp images have at most one nonzero
+    in every row and column, as on every triple the library builds, the
+    homomorphism identities and order zero are decided on index maps, and
+    the first-order grid factors pi_opp(E_v) by selectors, not SVDs
+    (`Representation.homomorphism_defect`, `_basis_pair_scans`).  Any other
+    triple takes the SVD and GEMM scans, which are the oracle of these.
     """
     d = t.dirac
     eye = np.eye(t.dim)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -413,6 +415,31 @@ class TestRealTriple:
         assert report.passes
         assert rel_defect(real.d_prime @ real.projection,
                           np.kron(np.eye(4), t.dirac) @ real.projection) <= 1e-12
+
+    def test_check_peak_is_two_pair_grids_and_six_stacks(self, u1u2_ky0):
+        """On the half idempotent, check_real_triple holds at most the two sides of one pair grid at once.
+
+        With U the units of B, m = dim H' and r = rank P, a pair grid is U^2 m r
+        complex numbers and a stack of operators U m^2; the bound is two grids
+        and six stacks (pi', pi'_opp, their twisted images, the commutators and
+        one temporary).  A difference formed into a third grid, or norms taken
+        on a copy of a swapped-axes view, goes over it.
+        """
+        t = u1u2_ky0.triple
+        real = build_real_triple(lift_maps(t, half_idempotent(t.shape)), grassmann(t, half_idempotent(t.shape)))
+        check_real_triple(real)     # first call fills the lazy caches of the lift
+        u, m, _ = real.pi_prime(real.lift.idempotent.units).shape
+        r = np.linalg.matrix_rank(real.projection)
+        bound = 16 * (2 * u * u * m * r + 6 * u * m * m)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            check_real_triple(real)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert (u, m, r) == (12, 32, 8)
+        assert peak <= bound, f"peak {peak} B above the bound {bound} B"
 
     def test_full_report_with_nontrivial_idempotent_and_m(self, u1u2_ky0):
         t = u1u2_ky0.triple

@@ -23,7 +23,13 @@ from twistlab.linalg import DEFAULT_TOL, dagger, rel_defect
 from twistlab.triple import (
     WITNESS_RTOL,
     _basis_pair_scans,
+    _compose,
+    _Factors,
     _first_order_grid,
+    _monomial_maps,
+    _selector_factors,
+    _sq_dist,
+    _sq_norm,
     _witness_index,
     check_axioms,
 )
@@ -292,7 +298,11 @@ def random_unitary(d, seed):
 
 def rotated(t, seed):
     """t in the basis W H for a random unitary W: pi, D, Gamma and J conjugated by W, the declared signs kept."""
-    w = random_unitary(t.dim, seed)
+    return conjugated(t, random_unitary(t.dim, seed))
+
+
+def conjugated(t, w):
+    """t in the basis W H for a unitary W, the declared signs kept."""
     wh = np.conj(w.T)
     units = tuple(w @ u @ wh for u in t.rep.unit_images)
     j = tw.AntilinearOp(w @ t.real.j.mat @ w.T)   # W J W^-1 psi = W M conj(W^H psi)
@@ -367,6 +377,212 @@ def test_the_rotated_ladder_keeps_its_verdicts():
     t = rotated(ladder_triple(4, 5), 6)
     r = check_axioms(t)
     assert r.order_zero <= 1e-13 and r.first_order > 0.1 and r.rep_homomorphism <= 1e-13
+
+
+# -- the monomial scans: index maps and selectors against the dense scans and the loops -----
+
+
+def opp_maps(t):
+    """The index maps of the pi_opp(E_v), or None when one of them is not monomial."""
+    p = t.rep.basis_images()
+    return _monomial_maps(lambda vs: t.opp_images(p[vs]), len(p), t.dim)
+
+
+def takes_the_monomial_path(t):
+    return t.rep.monomial_maps() is not None and opp_maps(t) is not None
+
+
+def diagonal_unitary(d, seed):
+    return np.diag(np.exp(2j * np.pi * np.random.default_rng(seed).random(d)))
+
+
+def permutation(d, seed):
+    return np.eye(d)[np.random.default_rng(seed).permutation(d)]
+
+
+def with_moved_entry(t):
+    """t with the 1 of pi(E_12) at (3, 6) moved to (0, 0): still one nonzero per row and column, not a homomorphism."""
+    units = [u.copy() for u in t.rep.unit_images]
+    units[0][1, 2, 3, 6], units[0][1, 2, 0, 0] = 0.0, 1.0
+    return dataclasses.replace(t, rep=tw.Representation(t.shape, t.dim, tuple(units)))
+
+
+MONOMIAL_CASES = {
+    **{f"ladder{n}": (lambda n=n: ladder_triple(n, n)) for n in range(1, 7)},
+    "u1u2": lambda: tw.build_u1u2(1.0, 1.0).triple,
+    "u1u2_complex": lambda: tw.build_u1u2(1 + 0.5j, 0.7 - 0.2j).triple,
+    "u1u2_large_ky": lambda: tw.build_u1u2(0.3, -2.5 + 1j).triple,
+    "u1u2_ky0": lambda: tw.build_u1u2(1 + 0.5j, 0.0).triple,
+    "toy": tw.two_point_model,
+    "ladder4_diagonal": lambda: conjugated(ladder_triple(4, 5), diagonal_unitary(16, 6)),
+    "ladder4_permuted": lambda: conjugated(ladder_triple(4, 5), permutation(16, 7)),
+    "ladder3_moved_entry": lambda: with_moved_entry(ladder_triple(3, 5)),
+    "zero_unit_image": lambda: with_zero_block(ladder_triple(3, 7)),
+}
+
+
+def partial_permutations(rng, count, d, unit_values):
+    """count (d, d) matrices with at most one nonzero per row and column: a random permutation with
+    about a third of its columns dropped, its values 1 or random complex numbers."""
+    x = np.zeros((count, d, d), dtype=complex)
+    for m in x:
+        cols = np.flatnonzero(rng.random(d) < 0.7)
+        m[rng.permutation(d)[cols], cols] = 1.0 if unit_values else rng.standard_normal(len(cols)) + 1j
+    return x
+
+
+def dense_maps(m):
+    """The (..., d, d) matrices of (..., d) index maps."""
+    d = m.rows.shape[-1]
+    out = np.zeros(m.rows.shape + (d,), dtype=complex)
+    np.put_along_axis(out, m.rows[..., None, :], m.vals[..., None, :], axis=-2)
+    return out
+
+
+@pytest.mark.parametrize("unit_values", [True, False], ids=["permutations", "complex_values"])
+@pytest.mark.parametrize("d", [1, 5, 12])
+def test_index_maps_multiply_and_compare_as_their_matrices(d, unit_values):
+    rng = np.random.default_rng(d)
+    x, y = partial_permutations(rng, 3, d, unit_values), partial_permutations(rng, 4, d, unit_values)
+    mx, my = _monomial_maps(lambda s: x[s], 3, d), _monomial_maps(lambda s: y[s], 4, d)
+    assert np.array_equal(dense_maps(mx), x) and np.array_equal(dense_maps(my), y)
+    xy, yx = _compose(mx, my), _compose(my, mx)
+    np.testing.assert_allclose(dense_maps(xy), x[:, None] @ y[None], rtol=1e-15, atol=0)
+    np.testing.assert_allclose(dense_maps(yx), y[:, None] @ x[None], rtol=1e-15, atol=0)
+    yx_t = type(yx)(yx.rows.swapaxes(0, 1), yx.vals.swapaxes(0, 1))
+    dense_diff = x[:, None] @ y[None] - (y[:, None] @ x[None]).swapaxes(0, 1)
+    np.testing.assert_allclose(_sq_dist(xy, yx_t), np.linalg.norm(dense_diff, axis=(-2, -1)) ** 2, rtol=1e-14)
+    np.testing.assert_allclose(_sq_norm(xy), np.linalg.norm(x[:, None] @ y[None], axis=(-2, -1)) ** 2, rtol=1e-14)
+
+
+def with_extra_entry(t, row, col):
+    """t with one more 1 in pi(E_12), at (row, col)."""
+    units = [u.copy() for u in t.rep.unit_images]
+    units[0][1, 2, row, col] = 1.0
+    return dataclasses.replace(t, rep=tw.Representation(t.shape, t.dim, tuple(units)))
+
+
+@pytest.mark.parametrize("row, col", [(3, 0), (0, 6)], ids=["two_in_a_row", "two_in_a_column"])
+def test_a_second_nonzero_in_a_row_or_column_takes_the_general_path(row, col):
+    # pi(E_12) of the n = 3 ladder has its 1s at (3 + k, 6 + k); pi_opp(E_12) has pi's columns as its rows
+    t = with_extra_entry(ladder_triple(3, 5), row, col)
+    assert t.rep.monomial_maps() is None and opp_maps(t) is None
+    oz, fo = _basis_pair_scans(t)
+    dense_oz, dense_fo = dense_pair_scans(t)
+    assert_factored_close(oz, dense_oz, t.dim)
+    assert_factored_close(fo, dense_fo, t.dim)
+    assert_factored_close(t.rep.homomorphism_defect(), dense_homomorphism(t.rep), t.dim)
+
+
+@pytest.mark.parametrize("name", MONOMIAL_CASES)
+def test_monomial_scans_match_the_dense_scans_and_the_loops(name):
+    t = MONOMIAL_CASES[name]()
+    assert takes_the_monomial_path(t)
+    oz, fo = _basis_pair_scans(t)
+    dense_oz, dense_fo = dense_pair_scans(t)
+    assert_factored_close(oz, dense_oz, t.dim)
+    assert_factored_close(fo, dense_fo, t.dim)
+    assert _witness_index(fo.ravel()) == _witness_index(dense_fo.ravel())
+    hom = t.rep.homomorphism_defect()
+    assert_factored_close(hom, dense_homomorphism(t.rep), t.dim)
+    assert_close(hom, loop_homomorphism(t.rep))
+    check_pair_scans(t)
+
+
+def test_a_moved_entry_breaks_the_homomorphism_on_the_monomial_path():
+    t = MONOMIAL_CASES["ladder3_moved_entry"]()
+    assert takes_the_monomial_path(t)
+    assert t.rep.homomorphism_defect() > 0.1
+    assert "rep_homomorphism" in check_axioms(t).failures()
+
+
+@pytest.mark.parametrize("name", ["ladder2", "ladder6", "u1u2_complex", "u1u2_ky0", "toy", "ladder4_permuted"])
+def test_an_exact_monomial_representation_has_homomorphism_defect_zero(name):
+    # 0/1 images multiply exactly, where the SVD path read rounding noise
+    t = MONOMIAL_CASES[name]()
+    assert t.rep.homomorphism_defect() == 0.0 and check_axioms(t).rep_homomorphism == 0.0
+
+
+@pytest.mark.parametrize("build", [
+    lambda: rotated(ladder_triple(4, 5), 6),
+    lambda: rotated(tw.build_u1u2(1 + 0.5j, 0.7 - 0.2j).triple, 7),
+], ids=["ladder4_rotated", "u1u2_rotated"])
+def test_a_rotated_triple_takes_the_general_path(build):
+    t = build()
+    assert t.rep.monomial_maps() is None and opp_maps(t) is None
+
+
+def test_a_random_j_keeps_the_svd_factors_of_pi_opp():
+    # pi is monomial, its images under an unrelated J are not: order zero and first order take the GEMMs
+    t = FACTORED_CASES["ladder3_graded_j"]()
+    assert t.rep.monomial_maps() is not None and opp_maps(t) is None
+
+
+@pytest.mark.parametrize("name", ["ladder4_diagonal", "u1u2_complex", "ladder3_moved_entry"])
+def test_the_general_order_zero_tile_on_selectors_matches_the_dense_scan(name):
+    """With the maps of pi withheld, order zero runs the SVD path's tile on the selectors of pi_opp."""
+    t = MONOMIAL_CASES[name]()
+    object.__setattr__(t.rep, "_maps", None)    # what monomial_maps caches for a stack that is not monomial
+    assert t.rep.monomial_maps() is None and opp_maps(t) is not None
+    oz, fo = _basis_pair_scans(t)
+    dense_oz, dense_fo = dense_pair_scans(t)
+    assert_factored_close(oz, dense_oz, t.dim)
+    assert_factored_close(fo, dense_fo, t.dim)
+    assert _witness_index(fo.ravel()) == _witness_index(dense_fo.ravel())
+
+
+@pytest.mark.parametrize("name", ["ladder5", "u1u2_complex", "ladder4_diagonal", "zero_unit_image"])
+def test_selector_factors_are_thin_factors(name):
+    """U diag(s) Vh rebuilds each pi_opp(E_v); U has orthonormal kept columns, r is the largest rank,
+    and the column gather of the selectors equals the GEMM with the same factors."""
+    t = MONOMIAL_CASES[name]()
+    q_maps = opp_maps(t)
+    q = _selector_factors(q_maps)
+    images = t.opp_images(t.rep.basis_images())
+    np.testing.assert_allclose(q.u * q.s[:, None, :] @ q.vh, images, rtol=0, atol=4 * np.finfo(float).eps)
+    np.testing.assert_allclose(q.norms, np.linalg.norm(images, axis=(1, 2)), rtol=1e-15)
+    gram = dagger(q.u) @ q.u
+    kept = (q.s > 0)[:, :, None] & (q.s > 0)[:, None, :]
+    assert np.array_equal(np.where(kept, gram, 0), np.where(kept, np.eye(q.s.shape[1]), 0))
+    assert q.s.shape[1] == max(np.linalg.matrix_rank(x) for x in images)
+    left = np.random.default_rng(0).standard_normal((3, t.dim, t.dim)) + 0j
+    gemm = _Factors(q.u, q.s, q.vh, q.norms)
+    for sl in (slice(0, len(images)), slice(1, 3)):
+        np.testing.assert_allclose(q.right_products(left, sl), gemm.right_products(left, sl), rtol=1e-14, atol=1e-15)
+
+
+# -- faithfulness: orthogonal images against the rank ---------------------------------
+
+
+FAITHFUL_CASES = {
+    "ladder4": lambda: ladder_triple(4, 1),
+    "u1u2": lambda: tw.build_u1u2(1 + 0.5j, 0.7 - 0.2j).triple,
+    "toy": tw.two_point_model,
+    "random_real_triple": lambda: tw.random_real_triple(3),
+    "zero_unit_image": lambda: with_zero_block(ladder_triple(3, 7)),
+    "tiny_images": lambda: scaled(ladder_triple(2, 7), 1e-12),   # nonzero, but within tol of 0
+}
+
+
+def scaled(t, factor):
+    return dataclasses.replace(t, rep=tw.Representation(t.shape, t.dim, tuple(factor * u for u in t.rep.unit_images)))
+
+
+@pytest.mark.parametrize("rotate", [False, True], ids=["disjoint", "rotated"])
+@pytest.mark.parametrize("name", FAITHFUL_CASES)
+def test_faithfulness_is_the_rank_verdict(name, rotate):
+    """Disjoint images are decided by their norms, any other stack by the rank; both give the rank's verdict."""
+    t = FAITHFUL_CASES[name]()
+    if rotate:
+        w = random_unitary(t.dim, 3)
+        units = tuple(w @ u @ np.conj(w.T) for u in t.rep.unit_images)
+        t = dataclasses.replace(t, rep=tw.Representation(t.shape, t.dim, units))
+    stack = t.rep.stack
+    assert (np.count_nonzero(stack, axis=0) <= 1).all() != rotate
+    eps = DEFAULT_TOL.abs_eps * max(1.0, float(np.abs(stack).max()))
+    expected = np.linalg.matrix_rank(stack, tol=eps) == len(stack)
+    assert t.rep.is_faithful() == expected
+    assert expected == (name in ("ladder4", "toy", "random_real_triple"))
 
 
 # -- the grading check against its per-element loop -----------------------------------
