@@ -421,20 +421,16 @@ class RealStructure:
     epsilon_double_prime: int | None = None
 
 
-def ko_signs(j: AntilinearOp, dirac: np.ndarray, grading: np.ndarray | None,
-             tol: Tolerance = DEFAULT_TOL, restrict: np.ndarray | None = None) -> tuple:
+def ko_signs(j: AntilinearOp, dirac: np.ndarray, grading: np.ndarray | None, tol: Tolerance = DEFAULT_TOL) -> tuple:
     """The KO signs of J, as `detect_sign` results (sign, defect).
 
     They are those of J^2 = eps, J D J^-1 = eps' D and, when graded,
     J Gamma J^-1 = eps'' Gamma: two results for an ungraded triple, three for
-    a graded one.  With restrict a projection P, each relation X = s Y is
-    compared on the range of P, as X P = s Y P.
+    a graded one.
     """
     relations = [(j.squared(), np.eye(len(j.mat))), (j.conjugate(dirac), dirac)]
     if grading is not None:
         relations.append((j.conjugate(grading), grading))
-    if restrict is not None:
-        relations = [(x @ restrict, y @ restrict) for x, y in relations]
     return tuple(detect_sign(x, y, tol) for x, y in relations)
 
 

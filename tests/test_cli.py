@@ -692,10 +692,12 @@ class TestModelAndMorita:
         assert f"{MAX_DENSE_BYTES}-byte bound" in err
         assert peak < MAX_DENSE_BYTES // 32
 
-    @pytest.mark.parametrize("triple, n", [("u1u2.json", 4), ("u1u2_ky0.json", 3)], ids=["right-n4", "real-n3"])
+    @pytest.mark.parametrize("triple, n", [("u1u2.json", 4), ("u1u2_ky0.json", 3), ("u1u2_ky0.json", 4)],
+                             ids=["right-n4", "real-n3", "real-n4"])
     def test_morita_verifies_the_unit_idempotents_in_chunks(self, workdir, capsys, triple, n):
-        # the pairs of the 192 units of B = M_4(A) on H^4, and of the 108 units of B = M_3(A) on M_3(H), are
-        # taken in chunks: the verdicts are those of the identity, every defect 0, and the grids never form at once
+        # the exports of e = 1_n are compressed one chunk of the 12 n^2 units of B = M_n(A) at a time, to H^n
+        # (d' = 8 n) and for the real one to M_n(H) (d' = 8 n^2: 192 units on d' = 128 at n = 4): the verdicts are
+        # those of the identity, every defect 0, and no ambient pair grid forms
         rc, peak = self._traced(["morita", str(workdir / triple), "--idempotent", self._unit_idempotent(workdir, n),
                                  "--json"])
         assert rc == 0

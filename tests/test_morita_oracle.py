@@ -7,11 +7,13 @@ the sandwiches, the module-vector helpers and the first-order gate reassociate
 sums and agree to rtol 1e-13.  Arithmetic results skip validation, and must be
 byte for byte what the validating constructor makes of the same blocks.
 
-`lift_maps`, `check_hermitian`, `check_morita_triple` and `check_real_triple`
-decide each identity on the bases of `IdempotentData`, one stack per basis,
-with the products of basis elements as gathers.  Their per-element loops are
-kept here, and agree with them to 1e-12.  The sampled loops they replaced are
-kept too: on a corpus of exports each basis verdict is the sampled verdict.
+`lift_maps` and `check_hermitian` decide each identity on the bases of
+`IdempotentData`, one stack per basis, with the products of basis elements as
+gathers.  `check_morita_triple` and `check_real_triple` run `check_axioms` on
+the export compressed to the range of its projection, over the units of B.
+The per-element loops in the ambient space are kept here, and agree with them
+to 1e-12.  The sampled loops they replaced are kept too: on a corpus of
+exports each basis verdict is the sampled verdict.
 """
 import dataclasses
 
@@ -22,17 +24,19 @@ from hypothesis import strategies as st
 
 import twistlab as tw
 import twistlab.morita as morita
-from twistlab.algebra import AlgebraElement, AlgebraShape, Automorphism, check_regularity
-from twistlab.linalg import DEFAULT_TOL, Tolerance, dagger, rel_defect
+from twistlab.algebra import AlgebraElement, AlgebraShape, Automorphism, _element, check_regularity
+from twistlab.linalg import DEFAULT_TOL, Tolerance, dagger, detect_sign, rel_defect
 from twistlab.morita import (
     AlgebraMatrix,
     Connection,
     IdempotentData,
     IdempotentReport,
     ModuleLift,
+    RealTriple,
     RightTriple,
     _amplified,
     _blocks,
+    _compress,
     _dirac_grid,
     _grid,
     _on_cols,
@@ -59,6 +63,7 @@ from twistlab.morita import (
 )
 
 from twistlab.pert import eta, eta_adjoint_pairs
+from twistlab.triple import ko_dimension
 
 from conftest import (
     apply_connection,
@@ -230,6 +235,16 @@ def loop_sandwich_left(t, e, m):
              for i in range(n)]
     return [[sum(right[k][j] @ t.pi_opp(e.entries[i][k]) for k in range(n)) for j in range(n)]
             for i in range(n)]
+
+
+def pi_prime(rt, b):
+    """pi'(b) of the real export: pi of the entries of b on the row index of M_n(H), times the projection."""
+    return _on_rows(_pi_grid(rt.triple, b), b.n) @ rt.projection
+
+
+def pi_prime_opp(rt, c):
+    """pi'_opp(c) of the real export: pi_opp of the entries of c on the column index of M_n(H), times the projection."""
+    return _on_cols(_opp_grid(rt.triple, c), c.n) @ rt.projection
 
 
 def loop_first_order(t):
@@ -536,12 +551,61 @@ def test_exports_equal_the_loop_assembly(t, e, conn):
     assert np.array_equal(lt.projection, proj) and np.array_equal(lt.d_l, d_l)
 
     real = build_real_triple(lift_maps(t, e), conn)
-    assert check_real_triple(real, samples=4).passes
+    assert check_real_triple(real).passes
     proj, d_prime, d_second, jp = loop_real_export(t, em, conn.one_forms)
     assert np.array_equal(real.projection, proj)
     assert np.array_equal(real.d_prime, d_prime)
     assert np.array_equal(real.d_second, d_second)
     assert np.array_equal(real.j_prime.mat, jp)
+
+
+def _in_b(e, shape, x):
+    """A stack x of elements of B = e M_n(A) e in the coordinates of B: the blocks W_k* x_k W_k of rank r_k > 0."""
+    return _element(shape, tuple(dagger(w) @ b @ w for w, b in zip(e.isometries, x.element.blocks) if w.shape[1]))
+
+
+def _transposed(x):
+    return _element(x.shape, tuple(b.swapaxes(-1, -2) for b in x.blocks))
+
+
+def _close(got, want):
+    return np.linalg.norm(got - want) <= RTOL * max(np.linalg.norm(want), 1.0)
+
+
+@pytest.mark.parametrize("t, e, conn", export_cases())
+def test_compressed_exports_are_the_ambient_operators_on_the_range(t, e, conn):
+    """Each export, on an orthonormal basis V of the range of its projection, is V* X V of each of its operators X.
+
+    B has the nonzero ranks of e's blocks.  On the units of B, pi' is V* G V with G the ambient images,
+    and the twist is sigma'(b) = e sigma(b) e in the coordinates of B.  The left export is read through
+    the transpose tau of B: unit (k, i, j) takes the image of unit (k, j, i), and its twist is
+    tau sigma'^-1 tau.  The real export has Gamma' = V* Gamma V and J' = V* M conj(V).
+    """
+    lift, units = lift_maps(t, e), e.units
+    shape = lift.twist.shape
+    star = shape.star_index()
+    assert shape.block_dims == tuple(w.shape[1] for w in e.isometries if w.shape[1])
+    twist = _in_b(e, shape, lift.sigma_prime(units)).coefficients()
+    exports = [(build_right_triple(lift, conn), _pi_grid(t, units), twist),
+               (build_left_triple(lift, conjugate_connection(t, conn)), _opp_grid(t, units)[star],
+                _transposed(_in_b(e, shape, lift.sigma_prime_inv(units[star]))).coefficients()),
+               (build_real_triple(lift, conn), _on_rows(_pi_grid(t, units), e.n), twist)]
+    for rt, images, twisted in exports:
+        x = _compress(rt)
+        w, v = np.linalg.eigh(rt.projection)
+        v = v[:, w > 0.5]
+        squeeze = lambda op: dagger(v) @ op @ v
+        assert x.shape == shape and x.dim == v.shape[1] == np.linalg.matrix_rank(rt.projection)
+        assert _close(x.rep.basis_images(), squeeze(images))
+        assert _close(x.dirac, squeeze(rt.d_prime if isinstance(rt, RealTriple) else
+                                       rt.d_r if isinstance(rt, RightTriple) else rt.d_l))
+        assert _close(x.sigma(x.shape.units()).coefficients(), twisted)
+        assert _close(x.sigma.inverse()(x.sigma(x.shape.units())).coefficients(), np.eye(x.shape.basis_size))
+        assert (x.real is None) == (x.grading is None) == (not isinstance(rt, RealTriple))
+        if x.real is not None:
+            assert _close(x.grading, squeeze(rt.gamma_prime))
+            assert _close(x.real.j.mat, dagger(v) @ rt.j_prime.mat @ v.conj())
+        assert tw.check_axioms(x).passes(require_first_order=x.real is not None)
 
 
 @pytest.mark.parametrize("name", ["u1u2", "ky0", "toy", "rand6", "ladder2", "ladder3"])
@@ -934,17 +998,20 @@ def basis_pairs(e):
 
 
 def loop_check_morita_triple(rt, pairs):
-    """The defects (mult, reg, hom, inv, bracket) of `check_morita_triple` over pairs (b, c) of B, one at a time.
+    """The defects (sa, mult, reg, hom, inv, bracket) of `check_morita_triple` over pairs (b, c) of B, one at a time.
 
-    reg, inv and the bracket identity read b alone.
+    Every operator acts on H^n, compared on range(P) through the right factor P; sa reads P D P,
+    and reg, inv and the bracket identity read b alone.
     """
     t, proj = rt.triple, rt.projection
     right = isinstance(rt, RightTriple)
+    dd = rt.d_r if right else rt.d_l
     rep = lambda b: (_pi_grid if right else _opp_grid)(t, b) @ proj     # pi_R or pi_L
     sp, sp_inv = rt.lift.sigma_prime, rt.lift.sigma_prime_inv
     dm, pe = _dirac_grid(t, rt.connection.one_forms), _pi_grid(t, rt.lift.idempotent.matrix)
     worst = lambda defects: max(defects, default=0.0)
     bs = list({id(b): b for b, _ in pairs}.values())
+    sa = rel_defect(proj @ dd @ proj, dagger(proj @ dd @ proj))
     mult = worst(sp(b * c).defect(sp(b) * sp(c)) for b, c in pairs)
     # pi_L is an anti-representation: pi_L(b) pi_L(c) = pi_L(c b)
     hom = worst(rel_defect(rep(b) @ rep(c), rep(b * c if right else c * b)) for b, c in pairs)
@@ -954,21 +1021,29 @@ def loop_check_morita_triple(rt, pairs):
     if right:
         inner = lambda b: dm @ _pi_grid(t, b) - _pi_grid(t, b.map(t.sigma)) @ dm
         bracket = worst(rel_defect((rt.d_r @ rep(b) - rep(sp(b)) @ rt.d_r) @ proj, pe @ inner(b) @ proj) for b in bs)
-    return mult, reg, hom, inv, bracket
+    return sa, mult, reg, hom, inv, bracket
 
 
 def loop_check_real_triple(rt, pairs):
-    """The defects (order zero, first order) of `check_real_triple` over pairs (b, c) of B, one at a time."""
-    proj, dp = rt.projection, rt.d_prime
+    """The defects (sa, order zero, first order) and KO signs of `check_real_triple` over pairs (b, c) of B.
+
+    One pair at a time, on M_n(H): each operator is compared on range(P), as X P, and first order is
+    scaled as `check_axioms` scales it, by max(1, ||delta'(b)||, ||pi'_opp(c)||).  The signs are those
+    of J'^2 = eps, J' D' J'^-1 = eps' D' and J' Gamma' J'^-1 = eps'' Gamma', each compared as X P = s Y P.
+    """
+    proj, dp, j, g = rt.projection, rt.d_prime, rt.j_prime, rt.gamma_prime
     sp, sp_inv = rt.lift.sigma_prime, rt.lift.sigma_prime_inv
+    sa = rel_defect(proj @ dp @ proj, dagger(proj @ dp @ proj))
+    relations = ((j.squared(), np.eye(len(proj))), (j.conjugate(dp), dp), (j.conjugate(g), g))
+    signs = tuple(detect_sign(x @ proj, y @ proj)[0] for x, y in relations)
     oz = fo = 0.0
     for b, c in pairs:
-        pb, pc = rt.pi_prime(b), rt.pi_prime_opp(c)
+        pb, pc = pi_prime(rt, b), pi_prime_opp(rt, c)
         oz = max(oz, rel_defect(pb @ pc @ proj, pc @ pb @ proj))
-        x = dp @ pb - rt.pi_prime(sp(b)) @ dp
-        outer = x @ pc - rt.pi_prime_opp(sp_inv(c)) @ x
-        fo = max(fo, float(np.linalg.norm(outer @ proj)) / max(1.0, float(np.linalg.norm(x))))
-    return oz, fo
+        x = dp @ pb - pi_prime(rt, sp(b)) @ dp
+        outer = x @ pc - pi_prime_opp(rt, sp_inv(c)) @ x
+        fo = max(fo, float(np.linalg.norm(outer @ proj)) / max(1.0, np.linalg.norm(x), np.linalg.norm(pc)))
+    return sa, oz, fo, signs
 
 
 def _agree(got, loop):
@@ -977,8 +1052,8 @@ def _agree(got, loop):
 
 
 def _morita_defects(report):
-    return (report.sigma_prime_multiplicative, report.sigma_prime_regularity, report.rep_homomorphism,
-            report.rep_involution, report.bracket_identity_defect)
+    return (report.selfadjoint_defect, report.sigma_prime_multiplicative, report.sigma_prime_regularity,
+            report.rep_homomorphism, report.rep_involution, report.bracket_identity_defect)
 
 
 @pytest.mark.parametrize("side", ["right", "left"])
@@ -993,35 +1068,32 @@ def test_stacked_check_hermitian_matches_its_loop(t, m, ops, side):
         assert _agree(g, want)
 
 
-def _random_square(t, n, seed):
-    """A random operator on H^n: a projection, D' or pi(e) that no identity holds for."""
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((n * t.dim,) * 2) + 1j * rng.standard_normal((n * t.dim,) * 2)
+def _exports(monkeypatch, t, e, ops):
+    """The right and left exports of the projection e with the random one-forms ops, hermiticity unchecked.
 
-
-def _unchecked_exports(monkeypatch, t, e, ops):
-    """The right and left exports of e with random one-forms, hermiticity unchecked, each on a random projection.
-
-    With a random `projection` no identity of `check_morita_triple` holds, so every defect is O(1).
+    Random one-forms are far from hermitian, so D_R and D_L are far from selfadjoint: that defect is O(1).
     """
     monkeypatch.setattr(morita, "_require_hermitian", lambda *args: None)
     lift = ModuleLift(t, e, None)
-    right = build_right_triple(lift, Connection("right", e, ops))
-    left = build_left_triple(lift, Connection("left", e, ops))
-    return (dataclasses.replace(right, projection=_random_square(t, e.n, 1)),
-            dataclasses.replace(left, projection=_random_square(t, e.n, 2)))
+    return build_right_triple(lift, Connection("right", e, ops)), build_left_triple(lift, Connection("left", e, ops))
+
+
+def _morita_verdict(loop):
+    return DEFAULT_TOL.accepts(*(x for x in loop if x is not None))
 
 
 @pytest.mark.parametrize("t, m, ops", CASES[1:], ids=CASE_IDS[1:])
 def test_stacked_check_morita_triple_matches_its_loop(monkeypatch, t, m, ops):
+    # on a random projection with random one-forms D_R and D_L are far from selfadjoint, while pi' is a
+    # representation: its defects are round-off in both the check and the loop
     e = projected(t, m)
-    for rt in _unchecked_exports(monkeypatch, t, e, ops):
-        got = _morita_defects(check_morita_triple(rt))
+    for rt in _exports(monkeypatch, t, e, ops):
+        report = check_morita_triple(rt)
         loop = loop_check_morita_triple(rt, basis_pairs(e))
-        # sigma' is regular when sigma is, on any projection: only that defect is round-off
-        assert min(x for k, x in enumerate(loop) if k != 1 and x is not None) > 1e-3
-        for g, want in zip(got, loop):
+        assert loop[0] > 1e-3
+        for g, want in zip(_morita_defects(report), loop):
             assert (g is want is None) or _agree(g, want)
+        assert report.passes == _morita_verdict(loop)
 
 
 @pytest.mark.parametrize("t, m, ops", CASES[1:], ids=CASE_IDS[1:])
@@ -1032,8 +1104,8 @@ def test_stacked_regularity_matches_its_loop_on_a_non_regular_twist(monkeypatch,
     assert not check_regularity(sigma).passes
     t = dataclasses.replace(t, sigma=sigma)
     e = projected(t, m)
-    for rt in _unchecked_exports(monkeypatch, t, e, ops):
-        got, loop = check_morita_triple(rt).sigma_prime_regularity, loop_check_morita_triple(rt, basis_pairs(e))[1]
+    for rt in _exports(monkeypatch, t, e, ops):
+        got, loop = check_morita_triple(rt).sigma_prime_regularity, loop_check_morita_triple(rt, basis_pairs(e))[2]
         assert loop > 1e-3 and _agree(got, loop)
 
 
@@ -1045,38 +1117,45 @@ def real_cases():
             for name, t, n in (("ky0", ky0, 1), ("ky0", ky0, 2), ("toy", toy, 2))]
 
 
+def _real_export(monkeypatch, t, e, ops):
+    """The real export of the projection e with the random one-forms ops, hermiticity unchecked."""
+    monkeypatch.setattr(morita, "_require_hermitian", lambda *args: None)
+    return build_real_triple(ModuleLift(t, e, None), Connection("right", e, ops))
+
+
 @pytest.mark.parametrize("t, m, ops", real_cases())
 def test_stacked_check_real_triple_matches_its_loop(monkeypatch, t, m, ops):
-    # on a random projection of M_n(H) order zero fails too, so both defects are O(1)
-    monkeypatch.setattr(morita, "_require_hermitian", lambda *args: None)
+    # on a random projection with random one-forms D' is neither selfadjoint nor of first order: both defects
+    # are O(1), while order zero is round-off in both
     e = projected(t, m)
-    rt = build_real_triple(ModuleLift(t, e, None), Connection("right", e, ops))
-    rt = dataclasses.replace(rt, projection=_random_square(t, e.n * e.n, 3))
-    got = check_real_triple(rt)
-    loop = loop_check_real_triple(rt, basis_pairs(e))
-    assert min(loop) > 1e-3
-    for g, want in zip((got.order_zero, got.first_order), loop):
+    rt = _real_export(monkeypatch, t, e, ops)
+    report = check_real_triple(rt)
+    sa, oz, fo, signs = loop_check_real_triple(rt, basis_pairs(e))
+    assert min(sa, fo) > 1e-3
+    for g, want in zip((report.selfadjoint_defect, report.order_zero, report.first_order), (sa, oz, fo)):
         assert _agree(g, want)
+    assert (report.j_squared_sign, report.j_dirac_sign, report.j_grading_sign) == signs
+    assert report.passes == (DEFAULT_TOL.accepts(sa, report.d_second_defect, oz, fo) and None not in signs)
 
 
 @pytest.mark.parametrize("t, m, ops", real_cases())
 def test_one_index_chunks_give_the_defects_of_the_whole_grids(monkeypatch, t, m, ops):
-    # on random exports every pair defect is O(1); taken one basis element at a time, the maxima are the same
-    monkeypatch.setattr(morita, "_require_hermitian", lambda *args: None)
+    # on random one-forms every chunked defect is O(1); taken one basis element at a time, the maxima are the same
     e = projected(t, m)
 
     def defects():
-        real = build_real_triple(ModuleLift(t, e, None), Connection("right", e, ops))
-        real = dataclasses.replace(real, projection=_random_square(t, e.n * e.n, 3))
-        reports = (check_hermitian(t, Connection("right", e, ops)), check_hermitian(t, Connection("left", e, ops)),
-                   *map(check_morita_triple, _unchecked_exports(monkeypatch, t, e, ops)), check_real_triple(real))
-        pairs = ("identity_defect", "sigma_prime_multiplicative", "rep_homomorphism", "order_zero", "first_order")
-        return [(f, getattr(r, f)) for r in reports for f in pairs if hasattr(r, f)]
+        right, left = map(check_morita_triple, _exports(monkeypatch, t, e, ops))
+        real = check_real_triple(_real_export(monkeypatch, t, e, ops))
+        return [("identity_defect", check_hermitian(t, Connection("right", e, ops)).identity_defect),
+                ("identity_defect", check_hermitian(t, Connection("left", e, ops)).identity_defect),
+                ("sigma_prime_multiplicative", ModuleLift(t, e, None).sigma_prime_multiplicative),
+                ("selfadjoint_defect", right.selfadjoint_defect), ("selfadjoint_defect", left.selfadjoint_defect),
+                ("selfadjoint_defect", real.selfadjoint_defect), ("first_order", real.first_order)]
 
     whole = defects()
     monkeypatch.setattr(morita, "CHUNK_BYTES", 1)
     chunked = defects()
-    assert len(chunked) == len(whole) == 8
+    assert len(chunked) == len(whole) == 7
     # sigma' is multiplicative on every projection when sigma is the identity, as on the toy
     identity = (list(t.sigma.perm) == sorted(t.sigma.perm)
                 and all(np.array_equal(s, np.eye(len(s))) for s in t.sigma.conjugators))
@@ -1122,37 +1201,54 @@ def test_failing_lift_maps_raises_the_loops_first_failure(monkeypatch, t, m, ops
 
 
 def test_the_zero_projection_gives_zero_defects_as_the_loops(monkeypatch):
-    # e = 0: every basis is empty, so every basis defect is 0, as over an empty loop
+    # e = 0: every basis is empty and B = 0, so no export compresses, and every defect is 0, as over an empty loop
     t, m, ops = CASES[3]
     e = IdempotentData(random_projection(t.shape, m.n, np.random.default_rng(0), [0] * t.shape.num_blocks))
     assert len(e.units.element.blocks[0]) == len(e.columns.element.blocks[0]) == 0
+    assert ModuleLift(t, e, None).twist is None
     conn = Connection("right", e, ops)
     assert check_hermitian(t, conn).identity_defect == loop_identity_defect(t, conn, basis_vectors(conn)) == 0.0
-    monkeypatch.setattr(morita, "_require_hermitian", lambda *args: None)
-    lift = ModuleLift(t, e, None)
-    for rt in (build_right_triple(lift, conn), build_left_triple(lift, Connection("left", e, ops))):
+    for rt in _exports(monkeypatch, t, e, ops):
+        assert _compress(rt) is None
         assert _morita_defects(check_morita_triple(rt)) == loop_check_morita_triple(rt, []) == (
-            0.0, 0.0, 0.0, 0.0, 0.0 if isinstance(rt, RightTriple) else None)
+            0.0, 0.0, 0.0, 0.0, 0.0, 0.0 if isinstance(rt, RightTriple) else None)
     t, m, ops = real_cases()[1].values
     e = IdempotentData(random_projection(t.shape, m.n, np.random.default_rng(0), [0] * t.shape.num_blocks))
-    real = build_real_triple(ModuleLift(t, e, None), Connection("right", e, ops))
+    real = _real_export(monkeypatch, t, e, ops)
     report = check_real_triple(real)
-    assert (report.order_zero, report.first_order) == loop_check_real_triple(real, []) == (0.0, 0.0)
+    assert _compress(real) is None
+    assert ((report.selfadjoint_defect, report.order_zero, report.first_order,
+             (report.j_squared_sign, report.j_dirac_sign, report.j_grading_sign))
+            == loop_check_real_triple(real, []) == (0.0, 0.0, 0.0, (1, 1, 1)))
     assert lift_maps(t, e).idempotent is e
 
 
-def test_samples_and_seed_are_ignored(monkeypatch):
+def test_an_export_onto_zero_over_a_nonzero_b_gives_zero_defects_as_the_loops(monkeypatch):
+    # e = E^0_00 + E^3_00 on U(1)xU(2) at ky = 0: B = C + C, but pi(e) and pi_opp(e) have no common support,
+    # so the real export acts on H' = 0; its axioms hold vacuously, each KO sign is +1 and the KO-dimension 0,
+    # whatever the one-forms
+    t = tw.build_u1u2(1 + 0.5j, 0.0).triple
+    x = t.shape.matrix_unit(0, 0, 0) + t.shape.matrix_unit(3, 0, 0)
+    e = IdempotentData(AlgebraMatrix(t.shape, ((x,),)))
+    assert lift_maps(t, e).twist.shape == AlgebraShape((1, 1))
+    ops = random_ops(np.random.default_rng(3), 1, t.dim)
+    real = _real_export(monkeypatch, t, e, ops)
+    assert not real.projection.any() and _compress(real) is None
+    report = check_real_triple(real)
+    assert ((report.selfadjoint_defect, report.order_zero, report.first_order,
+             (report.j_squared_sign, report.j_dirac_sign, report.j_grading_sign))
+            == loop_check_real_triple(real, basis_pairs(e)) == (0.0, 0.0, 0.0, (1, 1, 1)))
+    assert report.passes and report.ko_dimension == 0 and report.d_second_defect == 0.0
+
+
+def test_samples_and_seed_are_ignored():
     t = tw.build_u1u2(1 + 0.5j, 0.0).triple
     e = half_idempotent(t.shape)
     conn = connection_with(t, e, [[selfadjoint_one_form(t, np.random.default_rng(0)) / 2] * 2] * 2)
     lift = lift_maps(t, e)
-    assert all(lift_maps(t, e, samples=s).idempotent is e for s in (0, 4))
     exports = (build_right_triple(lift, conn), build_left_triple(lift, conjugate_connection(t, conn)))
-    real = build_real_triple(lift, conn)
     for kw in ({"samples": 0}, {"samples": 4, "seed": 9}, {"seed": 3}):
-        assert check_hermitian(t, conn, **kw) == check_hermitian(t, conn)
         assert all(check_morita_triple(rt, **kw) == check_morita_triple(rt) for rt in exports)
-        assert check_real_triple(real, **kw) == check_real_triple(real)
 
 
 # ---------------------------------------------------------------------------
@@ -1164,8 +1260,8 @@ def verdicts(t, e, conn, left=None):
     """The verdict of each check on (t, e, conn) and its exports: (basis verdicts, sampled verdicts).
 
     The sampled verdicts are those of the sampled checks the bases replaced,
-    at their default samples and seed 0: the report with its sampled defects
-    replaced by the loops'.  Exports are built whether or not the connection
+    at their default samples and seed 0: the report with its defects and KO
+    signs replaced by the loops' in the ambient space.  Exports are built whether or not the connection
     is hermitian, so that a non-hermitian one is checked too.  left is the
     left connection, by default the conjugate of conn when t is real and of
     first order.
@@ -1188,17 +1284,20 @@ def verdicts(t, e, conn, left=None):
             sampled[f"{side} hermitian"] = dataclasses.replace(
                 report, identity_defect=loop_identity_defect(t, c, sampled_vectors(c))).passes
             report = check_morita_triple(build(lift, c))
-            mult, reg, hom, inv, bracket = loop_check_morita_triple(build(lift, c), sampled_pairs(e, 10))
+            sa, mult, reg, hom, inv, bracket = loop_check_morita_triple(build(lift, c), sampled_pairs(e, 10))
             basis[f"{side} triple"] = report.passes
             sampled[f"{side} triple"] = dataclasses.replace(
-                report, sigma_prime_multiplicative=mult, sigma_prime_regularity=reg, rep_homomorphism=hom,
-                rep_involution=inv, bracket_identity_defect=bracket).passes
+                report, selfadjoint_defect=sa, sigma_prime_multiplicative=mult, sigma_prime_regularity=reg,
+                rep_homomorphism=hom, rep_involution=inv, bracket_identity_defect=bracket).passes
         if t.real is not None and t.grading is not None and first_order:
             real = build_real_triple(lift, conn)
             report = check_real_triple(real)
-            oz, fo = loop_check_real_triple(real, sampled_pairs(e, 8))
-            basis["real triple"] = report.passes
-            sampled["real triple"] = dataclasses.replace(report, order_zero=oz, first_order=fo).passes
+            sa, oz, fo, signs = loop_check_real_triple(real, sampled_pairs(e, 8))
+            basis["real triple"], basis["real ko"] = report.passes, report.ko_dimension
+            sampled["real triple"] = dataclasses.replace(
+                report, selfadjoint_defect=sa, order_zero=oz, first_order=fo, j_squared_sign=signs[0],
+                j_dirac_sign=signs[1], j_grading_sign=signs[2]).passes
+            sampled["real ko"] = ko_dimension(signs)
     return basis, sampled
 
 
@@ -1272,6 +1371,6 @@ def test_a_real_first_order_defect_reads_lower_on_the_basis_than_on_the_samples(
     [(t, e, conn, _)] = [p.values for p in verdict_corpus() if p.id == "ky0-half-non-hermitian"]
     real = build_real_triple(lift_maps(t, e), conn)
     basis = check_real_triple(real, tol=Tolerance(1.0)).first_order
-    _, sampled = loop_check_real_triple(real, sampled_pairs(e, 8))
+    _, _, sampled, _ = loop_check_real_triple(real, sampled_pairs(e, 8))
     assert 0.5 < basis < 1.0 < 2.0 < sampled < 2.6
-    assert abs(basis - loop_check_real_triple(real, basis_pairs(e))[1]) <= STACKED_RTOL
+    assert abs(basis - loop_check_real_triple(real, basis_pairs(e))[2]) <= STACKED_RTOL

@@ -75,18 +75,15 @@ def test_ko_dimension_is_none_when_a_sign_is_none(signs):
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
-@given(t=triples(), rank=st.integers(1, 8), seed=st.integers(0, 1000))
-def test_ko_signs_are_detect_sign_on_each_relation(t, rank, seed):
+@given(t=triples())
+def test_ko_signs_are_detect_sign_on_each_relation(t):
     j, dirac, grading = t.real.j, t.dirac, t.grading
     relations = [(j.squared(), np.eye(t.dim)), (j.conjugate(dirac), dirac)]
     if grading is not None:
         relations.append((j.conjugate(grading), grading))
-    assert ko_signs(j, dirac, grading) == tuple(detect_sign(x, y) for x, y in relations)
-    q, _ = np.linalg.qr(crand(np.random.default_rng(seed), t.dim, min(rank, t.dim)))
-    p = q @ np.conj(q.T)
-    restricted = ko_signs(j, dirac, grading, restrict=p)
-    assert restricted == tuple(detect_sign(x @ p, y @ p) for x, y in relations)
-    assert len(restricted) == (3 if grading is not None else 2)
+    signs = ko_signs(j, dirac, grading)
+    assert signs == tuple(detect_sign(x, y) for x, y in relations)
+    assert len(signs) == (3 if grading is not None else 2)
 
 
 def test_the_model_signs_give_ko_dimension_six(u1u2):
